@@ -9,10 +9,10 @@ moments of disk-valued function families.
 
 __version__ = "0.1.0"
 
-from .groups import GroupSpec, FolnerSpec, folner_set, folner_defect
+from .groups import GroupSpec, FolnerSpec
 from .sets import (
     Bitmask, Complement, ComponentCongruence, Congruence, DyadicBlocks,
-    OrbitSet, RotationSet, SetSpec, indicator_bits, indicator_window,
+    OrbitSet, RotationSet, SetSpec, indicator_bits,
 )
 from .density import (
     density_at, extract_subsequence, intersection_count,

@@ -24,7 +24,6 @@ def _shared_flags(p):
     p.add_argument("--config", required=True, help="experiment config file (YAML)")
     p.add_argument("--out", default=None, help="output directory for reports and cache")
     p.add_argument("--no-cache", action="store_true", help="recompute everything")
-    p.add_argument("--threads", type=int, default=1, help="parallel task workers")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--format", choices=("csv", "json"), default="json", dest="fmt")
 
@@ -145,8 +144,7 @@ def main(argv=None) -> int:
             cfg.tasks = [_task_from_args(args)]
             from .config import _validate
             _validate(cfg)
-        report = run(cfg, out_dir=args.out, use_cache=not args.no_cache,
-                     threads=args.threads)
+        report = run(cfg, out_dir=args.out, use_cache=not args.no_cache)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

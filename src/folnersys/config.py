@@ -254,6 +254,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         kind = _need(task, "task", where)
         if kind not in _TASK_KINDS:
             raise ConfigError(f"{where}: unknown task {kind!r}")
+        if kind == "cylinders" and "eps" in task and float(task["eps"]) <= 0:
+            raise ConfigError(f"{where}: eps must be positive")
         for key in ("set", "set1", "set2"):
             if key in task and task[key] not in cfg.sets:
                 raise ConfigError(f"{where}: undefined set {task[key]!r}")

@@ -12,16 +12,17 @@ is an integer counting identity and must hold with residual exactly zero.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CapExceededError
-from .groups import FolnerSpec, GroupSpec, Element, INT_Z, SHAPE_INTERVAL
-from .sets import SetSpec, indicator_bits
-from .density import density_at, extract_subsequence, upper_density
+from .errors import CapExceededError, NoConvergentSubsequenceError
+from .groups import FolnerSpec, GroupSpec, Element
+from .sets import SetSpec
+from .density import extract_subsequence, upper_density, window_count
 
 
 @dataclass(frozen=True)
@@ -63,26 +64,7 @@ def cylinder_count(E: SetSpec, C: CylinderSpec, f: FolnerSpec, N: int) -> int:
     """Exact |{g in F_N : 1_E(g*h_i) = eps_i for all i}|."""
     if f.group != E.group:
         raise ValueError("group mismatch between set and Folner spec")
-    if not C.constraints:
-        return f.size(N)
-    if E.group.kind == INT_Z and f.shape == SHAPE_INTERVAL:
-        s = f.start
-        hs = [h for h, _ in C.constraints]
-        lo = s + min(hs)
-        hi = s + N + max(hs)
-        window = indicator_bits(E, lo, hi)
-        acc = np.ones(N, dtype=bool)
-        for h, eps in C.constraints:
-            off = s + h - lo
-            seg = window[off:off + N]
-            acc &= seg if eps else ~seg
-        return int(np.count_nonzero(acc))
-    coords = f.coords(N)
-    acc = np.ones(coords.shape[1], dtype=bool)
-    for h, eps in C.constraints:
-        hit = E.member_coords(E.group.translate_right(coords, h))
-        acc &= hit if eps else ~hit
-    return int(np.count_nonzero(acc))
+    return window_count([(E, h, eps) for h, eps in C.constraints], f, N, right=True)
 
 
 def cylinder_measure(E: SetSpec, C: CylinderSpec, f: FolnerSpec, N: int) -> Fraction:
@@ -185,7 +167,7 @@ def enumerate_cylinders(
     """
     ball = group.word_ball(support_radius)
     total = sum(
-        _ncr(len(ball), r) * (2 ** r) for r in range(1, max_depth + 1)
+        math.comb(len(ball), r) * (2 ** r) for r in range(1, max_depth + 1)
     )
     if total > cap:
         raise CapExceededError(f"cylinder count {total} exceeds cap {cap}")
@@ -195,11 +177,6 @@ def enumerate_cylinders(
             for pol in itertools.product((0, 1), repeat=r):
                 out.append(CylinderSpec.make(group, dict(zip(support, pol))))
     return out
-
-
-def _ncr(n, r):
-    import math
-    return math.comb(n, r)
 
 
 def furstenberg_report(
@@ -234,7 +211,7 @@ def furstenberg_report(
     nu_A = cylinder_measure(E, A, f, max(schedule))
     try:
         sub = extract_subsequence(E, [(e,)], f, list(schedule), subsequence_eps)
-    except Exception:
+    except NoConvergentSubsequenceError:
         sub = None
     patterns = None
     if collect_patterns:

@@ -12,17 +12,46 @@ required to agree with the naive count bit for bit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import NoConvergentSubsequenceError
-from .groups import FolnerSpec, Element, INT_Z, SHAPE_INTERVAL, SHAPE_BOX
+from .groups import FolnerSpec, Element, SHAPE_INTERVAL, SHAPE_BOX
 from .sets import SetSpec, indicator_bits
 
 Query = Tuple[Element, ...]
+
+
+def window_count(terms: Sequence[Tuple[SetSpec, Element, int]], f: FolnerSpec, N: int,
+                 right: bool = False) -> int:
+    """Exact |{h in F_N : 1_E(g*h) = eps for every term (E, g, eps)}|.
+
+    With `right` the terms constrain h*g instead.  On Z intervals one window
+    per distinct set covers every shift and the terms AND its slices;
+    elsewhere membership is evaluated on translated window coordinates.
+    """
+    if not terms:
+        return f.size(N)
+    if f.shape == SHAPE_INTERVAL:
+        s = f.start
+        gs = [g for _, g, _ in terms]
+        lo = s + min(gs)
+        hi = s + N + max(gs)
+        windows = {E: indicator_bits(E, lo, hi) for E in dict.fromkeys(E for E, _, _ in terms)}
+        acc = np.ones(N, dtype=bool)
+        for E, g, eps in terms:
+            seg = windows[E][s + g - lo:s + g - lo + N]
+            acc &= seg if eps else ~seg
+        return int(np.count_nonzero(acc))
+    coords = f.coords(N)
+    acc = np.ones(coords.shape[1], dtype=bool)
+    for E, g, eps in terms:
+        moved = f.group.translate_right(coords, g) if right else f.group.translate_left(g, coords)
+        hit = E.member_coords(moved)
+        acc &= hit if eps else ~hit
+    return int(np.count_nonzero(acc))
 
 
 def intersection_count(E: SetSpec, shifts: Sequence[Element], f: FolnerSpec, N: int) -> int:
@@ -33,21 +62,7 @@ def intersection_count(E: SetSpec, shifts: Sequence[Element], f: FolnerSpec, N: 
         E.group.check(g)
     if f.group != E.group:
         raise ValueError("group mismatch between set and Folner spec")
-    if E.group.kind == INT_Z and f.shape == SHAPE_INTERVAL:
-        s = f.start
-        lo = s + min(shifts)
-        hi = s + N + max(shifts)
-        window = indicator_bits(E, lo, hi)
-        acc = np.ones(N, dtype=bool)
-        for g in shifts:
-            off = s + g - lo
-            acc &= window[off:off + N]
-        return int(np.count_nonzero(acc))
-    coords = f.coords(N)
-    acc = np.ones(coords.shape[1], dtype=bool)
-    for g in shifts:
-        acc &= E.member_coords(E.group.translate_left(g, coords))
-    return int(np.count_nonzero(acc))
+    return window_count([(E, g, 1) for g in shifts], f, N)
 
 
 def density_at(E: SetSpec, shifts: Sequence[Element], f: FolnerSpec, N: int) -> Fraction:

@@ -9,7 +9,7 @@ arithmetic; ratios are `fractions.Fraction`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Tuple, Union
 
@@ -215,9 +215,6 @@ class FolnerSpec:
                     for c in range(N * N):
                         yield (a, b, c)
 
-    def set(self, N: int) -> list:
-        return list(self.elements(N))
-
     def coords(self, N: int) -> np.ndarray:
         """(ncoords, |F_N|) int64 array in canonical order."""
         self._check_index(N)
@@ -287,13 +284,3 @@ class FolnerSpec:
     def _check_index(self, N: int) -> None:
         if N < 1:
             raise ValueError("empty Folner index")
-
-
-def folner_set(f: FolnerSpec, N: int) -> list:
-    """F_N as an explicit list of elements."""
-    return f.set(N)
-
-
-def folner_defect(f: FolnerSpec, N: int, g: Element) -> Fraction:
-    """Exact symmetric-difference ratio |F_N symdiff gF_N| / |F_N|."""
-    return f.defect(N, g)

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .density import window_count
 from .groups import FolnerSpec, GroupSpec, INT_Z, SHAPE_INTERVAL, Element
 from .sets import SetSpec, indicator_bits
 
@@ -230,25 +231,10 @@ def moment_exact(
     _check_query(family, query)
     if not (s.weight.is_unit and s.normalizer.is_unit):
         return None
-    group = s.folner.group
     if any(conj or not isinstance(family[i - 1], IndicatorFn) for i, conj, _ in query):
         return None
-    if group.kind == INT_Z and s.folner.shape == SHAPE_INTERVAL:
-        st = s.folner.start
-        shifts = [g for _, _, g in query]
-        lo = st + min(shifts)
-        hi = st + N + max(shifts)
-        acc = np.ones(N, dtype=bool)
-        for i, _, g in query:
-            bits = indicator_bits(family[i - 1].E, lo, hi)
-            off = st + g - lo
-            acc &= bits[off:off + N]
-        return Fraction(int(np.count_nonzero(acc)), N)
-    coords = s.folner.coords(N)
-    acc = np.ones(coords.shape[1], dtype=bool)
-    for i, _, g in query:
-        acc &= family[i - 1].E.member_coords(group.translate_left(g, coords))
-    return Fraction(int(np.count_nonzero(acc)), s.folner.size(N))
+    terms = [(family[i - 1].E, g, 1) for i, _, g in query]
+    return Fraction(window_count(terms, s.folner, N), s.folner.size(N))
 
 
 def weighted_moment(

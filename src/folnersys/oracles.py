@@ -8,14 +8,14 @@ densities of E(x) must then reproduce the closed-form measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .groups import FolnerSpec, GroupSpec, INT_Z
-from .sets import OrbitSet, FRAC_BITS, SCALE, to_fixed
+from .groups import FolnerSpec, INT_Z
+from .sets import OrbitSet, SCALE, rotation_bits, to_fixed
 from .density import density_at
 
 
@@ -76,13 +76,7 @@ class RotationSystem(OracleSystem):
 
     def orbit_set(self, lo: int, hi: int, x0=0) -> OrbitSet:
         x0_fp = to_fixed(x0) % SCALE
-        bits = np.empty(hi - lo, dtype=bool)
-        r = (x0_fp + lo * self.alpha_fp) % SCALE
-        for i in range(hi - lo):
-            bits[i] = r < self.beta_fp
-            r += self.alpha_fp
-            if r >= SCALE:
-                r -= SCALE
+        bits = rotation_bits(x0_fp, self.alpha_fp, self.beta_fp, lo, hi)
         return OrbitSet(lo, bits, self.label(), f"x0_fp={x0_fp}")
 
     def label(self) -> str:
@@ -262,7 +256,6 @@ def verify_correspondence(
     if f.group.kind != INT_Z:
         raise ValueError("oracle systems act by Z only")
     final = max(schedule)
-    span = max(max(q) for q in queries) - min(min(q) for q in queries)
     lo = f.start + min(min(q) for q in queries)
     hi = f.start + final + max(max(q) for q in queries) + 1
     if isinstance(sys, MarkovSystem):

@@ -9,10 +9,7 @@ from . import __version__
 from .cache import ResultCache, digest
 from .config import ExperimentConfig, Workspace
 from .cylinders import CylinderSpec, additivity_check, furstenberg_report, invariance_defect
-from .density import (
-    density_at, extract_subsequence, intersection_count,
-    pair_correlation_fft, upper_density,
-)
+from .density import extract_subsequence, intersection_count, pair_correlation_fft, upper_density
 from .errors import ConfigError, NoConvergentSubsequenceError
 from .moments import accordance_check, exponential_oracle, scheme_normalization, weighted_moment
 from .oracles import verify_correspondence
@@ -26,7 +23,10 @@ def frac(x) -> dict:
 
 
 def _element(group, node):
-    return tuple(node) if isinstance(node, list) else int(node)
+    g = tuple(node) if isinstance(node, list) else node
+    if not group.contains(g):
+        raise ConfigError(f"{node!r} is not an element of group {group.kind}")
+    return g
 
 
 def _query(group, node):
@@ -181,10 +181,8 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
     raise ConfigError(f"unknown task {kind!r}")
 
 
-def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, use_cache: bool = True,
-        threads: int = 1) -> dict:
-    """Execute every task; returns the full report dict, assembled in task
-    order regardless of completion order.
+def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, use_cache: bool = True) -> dict:
+    """Execute every task in order; returns the full report dict.
 
     The report's exit_code is 0 when all verdict-bearing tasks passed,
     1 otherwise (config and cap errors raise instead).
@@ -202,34 +200,22 @@ def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, use_cache: bool = 
     }
     cache = ResultCache(f"{out_dir}/.cache") if (out_dir and use_cache) else None
     config_digest = digest(shared)
-
-    def execute(item):
-        i, task = item
-        # each worker resolves names in its own workspace; specs are
-        # immutable so duplicated construction is only a time cost
-        local_ws = ws if threads <= 1 else Workspace(cfg)
+    results = []
+    for i, task in enumerate(cfg.tasks):
         key = digest({"config": shared, "task": task})
         t0 = time.perf_counter()
         cached = cache.get(key) if cache else None
         if cached is not None:
             value, hit = cached, True
         else:
-            value, hit = run_task(local_ws, task, cfg), False
+            value, hit = run_task(ws, task, cfg), False
             if cache:
                 cache.put(key, value)
-        return {
+        results.append({
             "index": i, "task": task, "key": key,
             "cache_hit": hit, "seconds": round(time.perf_counter() - t0, 6),
             "result": value,
-        }
-
-    items = list(enumerate(cfg.tasks))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(execute, items))
-    else:
-        results = [execute(it) for it in items]
+        })
     all_passed = all(r["result"].get("passed") is not False for r in results)
     return {
         "version": __version__,

@@ -12,7 +12,6 @@ the stored approximation of alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
@@ -40,6 +39,18 @@ def to_fixed(value: Union[int, float, str, Fraction]) -> int:
         value = Fraction(value)
     frac = Fraction(value)
     return round(frac * SCALE)
+
+
+def rotation_bits(x0_fp: int, alpha_fp: int, beta_fp: int, lo: int, hi: int) -> np.ndarray:
+    """1[frac(x0 + n*alpha) < beta] for n in [lo, hi), on the fixed-point circle."""
+    out = np.empty(hi - lo, dtype=bool)
+    r = (x0_fp + lo * alpha_fp) % SCALE
+    for i in range(hi - lo):
+        out[i] = r < beta_fp
+        r += alpha_fp
+        if r >= SCALE:
+            r -= SCALE
+    return out
 
 
 class SetSpec:
@@ -139,15 +150,7 @@ class RotationSet(ZSetSpec):
         self.alpha_label = alpha if isinstance(alpha, str) else None
 
     def _compute_bits(self, lo, hi):
-        out = np.empty(hi - lo, dtype=bool)
-        r = (self.x0_fp + lo * self.alpha_fp) % SCALE
-        a, b = self.alpha_fp, self.beta_fp
-        for i in range(hi - lo):
-            out[i] = r < b
-            r += a
-            if r >= SCALE:
-                r -= SCALE
-        return out
+        return rotation_bits(self.x0_fp, self.alpha_fp, self.beta_fp, lo, hi)
 
     def member(self, g):
         self.group.check(g)
@@ -161,9 +164,14 @@ class DyadicBlocks(ZSetSpec):
     """E = union of [2^(2n), 2^(2n+1)); membership iff bit_length(n) is odd."""
 
     def _compute_bits(self, lo, hi):
-        n = np.arange(lo, hi, dtype=np.int64)
-        _, exp = np.frexp(n.astype(np.float64))  # exact below 2^53
-        return (n >= 1) & (exp % 2 == 1)
+        out = np.zeros(hi - lo, dtype=bool)
+        k = 1
+        while k < hi:  # fill each block [k, 2k), k = 4^j, that meets the window
+            a, b = max(k, lo), min(2 * k, hi)
+            if a < b:
+                out[a - lo:b - lo] = True
+            k *= 4
+        return out
 
     def member(self, g):
         self.group.check(g)
@@ -271,8 +279,3 @@ def indicator_bits(E: SetSpec, lo: int, hi: int) -> np.ndarray:
         return np.asarray(E.bits(lo, hi), dtype=bool)
     n = np.arange(lo, hi, dtype=np.int64).reshape(1, -1)
     return E.member_coords(n)
-
-
-def indicator_window(E: SetSpec, lo: int, hi: int) -> np.ndarray:
-    """Packed little-endian bits of 1_E over [lo, hi): bit i is element lo+i."""
-    return np.packbits(indicator_bits(E, lo, hi), bitorder="little")

@@ -10,15 +10,19 @@ witnessed disagreement is conclusive and reported as DISTINGUISHED.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .errors import CapExceededError
 from .groups import FolnerSpec, GroupSpec, INT_Z, Element
 from .sets import SetSpec
 from .density import density_at
 
 CanonicalTuple = Tuple[Element, ...]
+
+TUPLE_CAP = 200000
 
 CONSISTENT = "CONSISTENT"
 DISTINGUISHED = "DISTINGUISHED"
@@ -76,13 +80,18 @@ def correlation_spectrum(
     r_max: int,
     radius: int,
     schedule: Sequence[int],
-    cap: int = 200000,
+    cap: int = TUPLE_CAP,
 ) -> CorrelationSpectrum:
     """Densities of every canonical tuple at the final schedule index,
-    with per-tuple oscillation over the whole schedule."""
+    with per-tuple oscillation over the whole schedule.
+
+    The tuple count is checked against `cap` before any tuple is built.
+    """
+    n = len(shift_ball(E.group, radius))
+    total = sum(math.comb(n, r) for r in range(1, r_max + 1))
+    if total > cap:
+        raise CapExceededError(f"tuple count {total} exceeds cap {cap}")
     tuples = canonical_tuples(E.group, r_max, radius)
-    if len(tuples) > cap:
-        raise RuntimeError(f"tuple count {len(tuples)} exceeds cap {cap}")
     final = max(schedule)
     densities = {}
     oscillations = {}

@@ -187,14 +187,22 @@ def test_seed_override(tmp_path):
     assert isinstance(c, int)
 
 
-def test_threads_match_serial(tmp_path):
-    tasks = [{"task": "density", "set": "evens", "shifts": [s], "N": 500}
-             for s in range(4)]
-    path = write_cfg(tmp_path, tasks)
-    serial = run(load_config(path))
-    parallel = run(load_config(path), threads=3)
+def test_cli_tuple_cap_exit_code(tmp_path, capsys):
+    # 559,736 tuples at depth 4, radius 60: refused before any is built
+    path = write_cfg(tmp_path, [
+        {"task": "compare", "set1": "evens", "set2": "odds", "depth": 4,
+         "radius": 60, "eps": 1e-9, "schedule": [60, 600]},
+    ])
+    assert main(["run", "--config", path]) == 3
+    assert "tuple count 559736 exceeds cap 200000" in capsys.readouterr().err
 
-    def strip(rep):
-        return [{k: v for k, v in e.items() if k != "seconds"} for e in rep["tasks"]]
 
-    assert strip(serial) == strip(parallel)
+def test_cli_bad_input_exit_code(tmp_path, capsys):
+    path = write_cfg(tmp_path, [{"task": "density", "set": "evens",
+                                 "shifts": [[1, 2]], "N": 10}])
+    assert main(["run", "--config", path]) == 2
+    assert "not an element of group Z" in capsys.readouterr().err
+    path = write_cfg(tmp_path, [{"task": "cylinders", "set": "evens", "radius": 1,
+                                 "depth": 1, "eps": 0}])
+    assert main(["run", "--config", path]) == 2
+    assert "eps must be positive" in capsys.readouterr().err

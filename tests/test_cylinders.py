@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from folnersys import (
-    ComponentCongruence, Congruence, CylinderSpec, DyadicBlocks, FolnerSpec,
+    Complement, ComponentCongruence, Congruence, CylinderSpec, DyadicBlocks, FolnerSpec,
     GroupSpec, additivity_check, cylinder_measure, furstenberg_report,
     invariance_defect,
 )
@@ -54,30 +54,39 @@ def test_empty_cylinder_is_full_space():
 
 
 def test_cylinder_count_brute_force_z():
-    d = DyadicBlocks()
     C = CylinderSpec.make(Z, {-1: 0, 0: 1, 3: 1})
     f = FolnerSpec(Z, "interval", start=2)
     N = 60
-    brute = sum(
-        1 for g in range(2, 2 + N)
-        if not d.member(g - 1) and d.member(g) and d.member(g + 3)
-    )
-    assert cylinder_count(d, C, f, N) == brute
+    for d in (DyadicBlocks(), Complement(DyadicBlocks())):
+        brute = sum(
+            1 for g in range(2, 2 + N)
+            if not d.member(g - 1) and d.member(g) and d.member(g + 3)
+        )
+        assert cylinder_count(d, C, f, N) == brute
 
 
 def test_cylinder_count_brute_force_h3():
     e = ComponentCongruence(H3, [(0, 2), None, (0, 3)])
     C = CylinderSpec.make(H3, {(0, 0, 0): 1, (1, 0, 0): 0, (0, 1, 1): 1})
-    for N in (2, 3):
-        brute = 0
-        for g in FH.elements(N):
-            ok = True
-            for h, eps in C.constraints:
-                if e.member(H3.mul(g, h)) != bool(eps):
-                    ok = False
-                    break
-            brute += ok
-        assert cylinder_count(e, C, FH, N) == brute
+    z2 = GroupSpec("Zd", 2)
+    # the coordinate path also serves Z^2 boxes and complements
+    cases = [
+        (FH, e, C, (2, 3)),
+        (FH, Complement(e), C, (2, 3)),
+        (FolnerSpec(z2, "box", anchor=(-1, 2)), ComponentCongruence(z2, [(0, 2), (1, 3)]),
+         CylinderSpec.make(z2, {(0, 0): 1, (1, 0): 0, (0, -2): 1}), (3, 6)),
+    ]
+    for f, E, D, Ns in cases:
+        for N in Ns:
+            brute = 0
+            for g in f.elements(N):
+                ok = True
+                for h, eps in D.constraints:
+                    if E.member(E.group.mul(g, h)) != bool(eps):
+                        ok = False
+                        break
+                brute += ok
+            assert cylinder_count(E, D, f, N) == brute
 
 
 def test_additivity_exact():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from folnersys import (
-    Congruence, ComponentCongruence, DyadicBlocks, FolnerSpec, GroupSpec,
+    Complement, Congruence, ComponentCongruence, DyadicBlocks, FolnerSpec, GroupSpec,
     RotationSet, density_at, extract_subsequence, intersection_count,
     upper_density,
 )
@@ -24,27 +24,36 @@ def test_intersection_count_evens():
 
 
 def test_intersection_count_brute_force_z():
-    e = Congruence(1, 3)
-    for shifts in [(0,), (-2, 1), (0, 3, 5), (1, 4)]:
-        for N in (7, 50):
-            brute = sum(
-                1 for h in range(FZ1.start, FZ1.start + N)
-                if all(e.member(g + h) for g in shifts)
-            )
-            assert intersection_count(e, shifts, FZ1, N) == brute
+    for e in (Congruence(1, 3), Complement(Congruence(1, 3))):
+        for shifts in [(0,), (-2, 1), (0, 3, 5), (1, 4)]:
+            for N in (7, 50):
+                brute = sum(
+                    1 for h in range(FZ1.start, FZ1.start + N)
+                    if all(e.member(g + h) for g in shifts)
+                )
+                assert intersection_count(e, shifts, FZ1, N) == brute
 
 
 def test_intersection_count_brute_force_h3():
     h3 = GroupSpec("H3")
     fh = FolnerSpec(h3, "heisenberg_box")
     e = ComponentCongruence(h3, [(0, 2), None, (1, 3)])
-    for shifts in [((0, 0, 0),), ((1, 0, 0), (0, 1, 1))]:
-        for N in (2, 3):
-            brute = sum(
-                1 for h in fh.elements(N)
-                if all(e.member(h3.mul(g, h)) for g in shifts)
-            )
-            assert intersection_count(e, shifts, fh, N) == brute
+    z2 = GroupSpec("Zd", 2)
+    # the coordinate path also serves Z^2 boxes and complements
+    cases = [
+        (fh, e, [((0, 0, 0),), ((1, 0, 0), (0, 1, 1))], (2, 3)),
+        (fh, Complement(e), [((0, 0, 0),), ((1, 0, 0), (0, 1, 1))], (2, 3)),
+        (FolnerSpec(z2, "box", anchor=(1, -2)), ComponentCongruence(z2, [(1, 3), (0, 2)]),
+         [((0, 0),), ((1, 0), (0, -1)), ((2, 1), (-1, 3), (0, 0))], (3, 5)),
+    ]
+    for f, E, queries, Ns in cases:
+        for shifts in queries:
+            for N in Ns:
+                brute = sum(
+                    1 for h in f.elements(N)
+                    if all(E.member(E.group.mul(g, h)) for g in shifts)
+                )
+                assert intersection_count(E, shifts, f, N) == brute
 
 
 def test_intersection_count_validation():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from folnersys import GroupSpec, FolnerSpec, folner_set, folner_defect
+from folnersys import GroupSpec, FolnerSpec
 from folnersys.errors import GroupMismatchError
 
 
@@ -54,15 +54,15 @@ def test_group_axioms_exhaustive(group, box):
 
 def test_folner_set_examples():
     f = FolnerSpec(Z, "interval", start=1)
-    assert folner_set(f, 4) == [1, 2, 3, 4]
+    assert list(f.elements(4)) == [1, 2, 3, 4]
 
     fh = FolnerSpec(H3, "heisenberg_box")
-    s = folner_set(fh, 2)
+    s = list(fh.elements(2))
     assert len(s) == 16
     assert set(s) == {(a, b, c) for a in range(2) for b in range(2) for c in range(4)}
 
     fb = FolnerSpec(Z2, "box", anchor=(0, 0))
-    assert set(folner_set(fb, 3)) == {(i, j) for i in range(3) for j in range(3)}
+    assert set(fb.elements(3)) == {(i, j) for i in range(3) for j in range(3)}
 
 
 def test_folner_set_no_duplicates_and_sizes():
@@ -73,7 +73,7 @@ def test_folner_set_no_duplicates_and_sizes():
     ]:
         sizes = []
         for N in Ns:
-            s = folner_set(f, N)
+            s = list(f.elements(N))
             assert len(s) == len(set(s)) == f.size(N)
             sizes.append(len(s))
         assert sizes == sorted(set(sizes))
@@ -82,20 +82,20 @@ def test_folner_set_no_duplicates_and_sizes():
 def test_folner_index_zero():
     f = FolnerSpec(Z, "interval", start=1)
     with pytest.raises(ValueError, match="empty Folner index"):
-        folner_set(f, 0)
+        list(f.elements(0))
 
 
 def test_defect_examples():
     f = FolnerSpec(Z, "interval", start=1)
-    assert folner_defect(f, 10, 1) == Fraction(2, 10)
-    assert folner_defect(f, 10, 0) == 0
+    assert f.defect(10, 1) == Fraction(2, 10)
+    assert f.defect(10, 0) == 0
 
     fh = FolnerSpec(H3, "heisenberg_box")
-    F8 = set(folner_set(fh, 8))
+    F8 = set(fh.elements(8))
     g = (1, 0, 0)
     gF8 = {H3.mul(g, x) for x in F8}
     brute = Fraction(len(F8 ^ gF8), len(F8))
-    v = folner_defect(fh, 8, g)
+    v = fh.defect(8, g)
     assert v == brute
     assert v <= Fraction(4, 8)
 
@@ -103,7 +103,7 @@ def test_defect_examples():
 def test_defect_brute_force_cross_check():
     fb = FolnerSpec(Z2, "box", anchor=(0, 0))
     for N in (2, 4):
-        F = set(folner_set(fb, N))
+        F = set(fb.elements(N))
         for g in [(1, 0), (0, -2), (2, 1)]:
             gF = {Z2.mul(g, x) for x in F}
             assert fb.defect(N, g) == Fraction(len(F ^ gF), len(F))
@@ -125,9 +125,9 @@ def test_empirical_folner_property(f, gens):
 
 def test_nested_windows():
     f = FolnerSpec(Z, "interval", start=2)
-    assert set(folner_set(f, 3)) <= set(folner_set(f, 7))
+    assert set(f.elements(3)) <= set(f.elements(7))
     fb = FolnerSpec(Z2, "box", anchor=(0, 1))
-    assert set(folner_set(fb, 2)) <= set(folner_set(fb, 5))
+    assert set(fb.elements(2)) <= set(fb.elements(5))
 
 
 def test_word_ball():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from folnersys import (
-    AveragingScheme, Congruence, DyadicBlocks, ExponentialFn, FolnerSpec,
+    AveragingScheme, ComponentCongruence, Congruence, DyadicBlocks, ExponentialFn, FolnerSpec,
     GroupSpec, IndicatorFn, NormalizerRule, ProductFn, RandomDiskFn,
     WeightRule, accordance_check, density_at, exponential_oracle,
     scheme_normalization, weighted_moment,
@@ -45,6 +45,23 @@ def test_indicator_reduction_exact():
     assert moment_exact(family, q, UNIT, 1000) == density_at(evens, (0,), FZ1, 1000)
     q2 = [(1, False, 0), (1, False, 3)]
     assert moment_exact(family, q2, UNIT, 777) == density_at(evens, (0, 3), FZ1, 777)
+
+    # two different sets, on the Z window path and the H3 coordinate path
+    h3 = GroupSpec("H3")
+    cases = [
+        ([evens, DyadicBlocks()], [(1, False, 0), (2, False, 1), (1, False, 4)], UNIT, 90),
+        ([ComponentCongruence(h3, [(0, 2), None, None]),
+          ComponentCongruence(h3, [None, (1, 3), (0, 2)])],
+         [(1, False, (0, 0, 0)), (2, False, (1, 0, 1))],
+         AveragingScheme(FolnerSpec(h3, "heisenberg_box")), 3),
+    ]
+    for sets, q, s, N in cases:
+        brute = sum(
+            1 for h in s.folner.elements(N)
+            if all(sets[i - 1].member(s.folner.group.mul(g, h)) for i, _, g in q)
+        )
+        family = [IndicatorFn(E) for E in sets]
+        assert moment_exact(family, q, s, N) == Fraction(brute, s.folner.size(N))
 
 
 def test_indicator_reduction_skips_weighted():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from folnersys import (
     Bitmask, Complement, ComponentCongruence, Congruence, DyadicBlocks,
-    GroupSpec, RotationSet, indicator_bits, indicator_window,
+    FolnerSpec, GroupSpec, RotationSet, indicator_bits, intersection_count,
 )
 from folnersys.errors import WindowExceededError
 from folnersys.sets import FRAC_BITS, SCALE, to_fixed
@@ -83,6 +83,22 @@ def test_dyadic_blocks():
     assert not d.member(-3)
 
 
+def test_dyadic_blocks_beyond_float_precision():
+    # float frexp rounds 2^54 - 1 up to 2^54 and misreads its block
+    d = DyadicBlocks()
+    f = FolnerSpec(GroupSpec("Z"), "interval", start=2**54 - 4)
+    assert intersection_count(d, (0,), f, 8) == 4
+
+
+@settings(max_examples=50, deadline=None)
+@given(base=st.sampled_from([2**53, 2**62]), off=st.integers(-80, 80),
+       n=st.integers(0, 80))
+def test_dyadic_bits_match_member_near_large_powers(base, off, n):
+    d = DyadicBlocks()
+    lo = base + off
+    assert [bool(b) for b in d.bits(lo, lo + n)] == [d.member(k) for k in range(lo, lo + n)]
+
+
 def test_bitmask_window():
     b = Bitmask(5, [1, 0, 1, 1])
     assert b.member(5) and not b.member(6) and b.member(8)
@@ -110,13 +126,6 @@ def test_complement_roundtrip():
     assert c.complement() is e
     np.testing.assert_array_equal(c.bits(0, 10), ~e.bits(0, 10))
     assert c.member(0) and not c.member(2)
-
-
-def test_indicator_window_packing():
-    evens = Congruence(0, 2)
-    # over [1, 9): members 2,4,6,8 at offsets 1,3,5,7 -> 0xAA
-    assert indicator_window(evens, 1, 9).tobytes() == b"\xaa"
-    assert indicator_window(evens, 0, 8).tobytes() == b"\x55"
 
 
 @settings(max_examples=50, deadline=None)
