@@ -16,8 +16,7 @@ from .sets import (
 )
 from .density import (
     density_at, extract_subsequence, intersection_count,
-    pair_correlation_fft, pair_correlation_naive, pair_correlation_popcount,
-    upper_density,
+    pair_correlation_fft, pair_correlation_naive, upper_density,
 )
 from .cylinders import (
     CylinderSpec, MeasureTable, additivity_check, cylinder_measure,

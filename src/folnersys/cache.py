@@ -1,8 +1,8 @@
 """Content-addressed result cache.
 
 Keys are sha256 digests of the canonical JSON of (shared config sections,
-task).  Entries are JSON files; anything unreadable is treated as a miss
-with a warning, never an error.
+task, digest of the package sources).  Entries are JSON files; anything
+unreadable is treated as a miss with a warning, never an error.
 """
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import hashlib
 import json
 import logging
 import os
+from pathlib import Path
 from typing import Optional
 
 log = logging.getLogger(__name__)
@@ -18,6 +19,14 @@ log = logging.getLogger(__name__)
 def digest(obj) -> str:
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def source_digest() -> str:
+    """sha256 of the package's .py sources, so other code never shares a key."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
 
 
 class ResultCache:

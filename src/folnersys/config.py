@@ -14,7 +14,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import CapExceededError, ConfigError
 from .groups import GroupSpec, FolnerSpec, INT_Z, INT_ZD, HEISENBERG3
 from . import sets as setmod
 from . import oracles as oraclemod
@@ -78,18 +78,34 @@ def _build_schedule(node) -> List[int]:
     if isinstance(node, dict) and "dyadic" in node:
         d = node["dyadic"]
         lo, hi = int(d["min_exp"]), int(d["max_exp"])
+        if not 0 <= lo <= hi <= 62:  # indices stay in the int64 range
+            raise ConfigError("dyadic schedule needs 0 <= min_exp <= max_exp <= 62")
         return [1 << k for k in range(lo, hi + 1)]
     if isinstance(node, list):
         out = [int(x) for x in node]
         if out != sorted(set(out)):
             raise ConfigError("schedule must be strictly increasing")
+        if out and out[0] < 1:
+            raise ConfigError("schedule indices must be >= 1")
         return out
     raise ConfigError("schedule must be a list or a dyadic range")
+
+
+def task_schedule(task: dict, cfg: "ExperimentConfig") -> List[int]:
+    return _build_schedule(task["schedule"]) if "schedule" in task else cfg.schedule
 
 
 DEFAULT_SCHEDULE = [1 << k for k in range(10, 21)]
 DEFAULT_CAPS = {"cylinders": 20000, "window": 1 << 26}
 DEFAULT_TOLERANCES = {"tau": 1e-3}
+
+
+def check_window(cfg: "ExperimentConfig", n: int, where: str) -> None:
+    """Refuse, before anything is allocated, a window of n elements over the cap."""
+    cap = cfg.caps["window"]
+    if n > cap:
+        size = n if n < 1 << 64 else f"over 2^{n.bit_length() - 1}"
+        raise CapExceededError(f"{where}: window of {size} elements exceeds cap {cap}")
 
 
 class Workspace:
@@ -147,6 +163,7 @@ class Workspace:
                 bits = [int(b) for b in str(d["bits"])]
             else:
                 n = int(_need(d, "n", name))
+                check_window(self.cfg, n, f"set {name}")
                 if self.cfg.seed is None:
                     raise ConfigError(f"set {name}: random bitmask requires a seed")
                 rng = np.random.default_rng(self.cfg.seed)
@@ -161,8 +178,7 @@ class Workspace:
         if rule == "orbit":
             system = self.system(_need(d, "system", name))
             lo, hi = int(_need(d, "lo", name)), int(_need(d, "hi", name))
-            if hi - lo > self.cfg.caps.get("window", DEFAULT_CAPS["window"]):
-                raise ConfigError(f"set {name}: window cap exceeded")
+            check_window(self.cfg, hi - lo, f"set {name}")
             if isinstance(system, oraclemod.MarkovSystem):
                 if self.cfg.seed is None and "seed" not in d:
                     raise ConfigError(f"set {name}: Markov orbit requires a seed")
@@ -254,8 +270,21 @@ def _validate(cfg: ExperimentConfig) -> None:
         kind = _need(task, "task", where)
         if kind not in _TASK_KINDS:
             raise ConfigError(f"{where}: unknown task {kind!r}")
-        if kind == "cylinders" and "eps" in task and float(task["eps"]) <= 0:
-            raise ConfigError(f"{where}: eps must be positive")
+        eps = task.get("eps", 1)
+        try:
+            ok = not isinstance(eps, bool) and float(eps) > 0
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"{where}: eps must be positive, got {eps!r}")
+        for key, least in (("N", 1), ("H", 0)):
+            v = task.get(key, least)
+            if isinstance(v, bool) or not isinstance(v, int) or v < least:
+                raise ConfigError(f"{where}: {key} must be an integer >= {least}, got {v!r}")
+        # a task runs at one index N or over a schedule, never both
+        largest = task["N"] if "N" in task else max(task_schedule(task, cfg), default=0)
+        if largest:
+            check_window(cfg, cfg.folner.size(largest), where)
         for key in ("set", "set1", "set2"):
             if key in task and task[key] not in cfg.sets:
                 raise ConfigError(f"{where}: undefined set {task[key]!r}")

@@ -56,9 +56,6 @@ class CylinderSpec:
         """S_g^{-1} C: constraints {g*h_i -> eps_i}."""
         return CylinderSpec.make(group, {group.mul(g, h): eps for h, eps in self.constraints})
 
-    def flipped(self) -> "CylinderSpec":
-        return CylinderSpec(tuple((h, 1 - eps) for h, eps in self.constraints))
-
 
 def cylinder_count(E: SetSpec, C: CylinderSpec, f: FolnerSpec, N: int) -> int:
     """Exact |{g in F_N : 1_E(g*h_i) = eps_i for all i}|."""
@@ -92,18 +89,20 @@ def additivity_check(
 def invariance_defect(
     E: SetSpec, C: CylinderSpec, g: Element, f: FolnerSpec, N: int,
 ) -> Fraction:
-    """|nu_N(S_g^{-1} C) - nu_N(C)|, guaranteed <= the Folner defect of g.
+    r"""|nu_N(S_g^{-1} C) - nu_N(C)|, guaranteed <= |F_N \ F_N g| / |F_N|.
 
-    The counts of the two cylinders coincide off F_N symdiff F_N g, which
-    keeps the difference below the window defect; the bound is asserted.
+    The moved cylinder is counted over F_N g and the base one over F_N, so
+    the counts differ by at most |F_N \ F_N g|, half the right defect of g;
+    that bound is asserted.
     """
     base = cylinder_measure(E, C, f, N)
     moved = cylinder_measure(E, C.shifted(E.group, g), f, N)
     value = abs(moved - base)
-    bound = f.defect(N, g)
+    bound = f.right_defect(N, g) / 2
     if value > bound:
         raise AssertionError(
-            f"invariance defect {value} exceeded Folner defect {bound} for g={g}")
+            f"invariance defect {value} exceeded half the right Folner defect {bound} "
+            f"for g={g}")
     return value
 
 

@@ -5,9 +5,8 @@ The central count is, for shifts (g_1,...,g_r) and the window F_N,
     |{h in F_N : g_i * h in E for all i}|
 
 i.e. the window count of the intersection of the left-translated sets
-g_i^{-1} E.  Counts are exact integers, ratios exact `Fraction`s.  A fast
-FFT / bit-parallel kernel covers the abelian pair-correlation case and is
-required to agree with the naive count bit for bit.
+g_i^{-1} E.  Counts are exact integers, ratios exact `Fraction`s.  Every
+count, pair correlation included, goes through `window_count`.
 """
 from __future__ import annotations
 
@@ -134,21 +133,16 @@ def extract_subsequence(
 
 
 # ---------------------------------------------------------------------------
-# pair-correlation kernels (abelian only)
-
-
-def _z_windows(E, f, N, H):
-    s = f.start
-    x = indicator_bits(E, s, s + N)
-    y = indicator_bits(E, s - H, s + N + H)
-    return x, y
+# pair correlation (abelian windows only)
 
 
 def pair_correlation_naive(E: SetSpec, f: FolnerSpec, N: int, H: int) -> Dict[Element, int]:
-    """Reference double loop; the oracle the fast kernels must match."""
+    """Reference loops over windows of 1_E; the oracle the kernel must match."""
     _require_abelian(f)
     if f.shape == SHAPE_INTERVAL:
-        x, y = _z_windows(E, f, N, H)
+        s = f.start
+        x = indicator_bits(E, s, s + N)
+        y = indicator_bits(E, s - H, s + N + H)
         out = {}
         for h in range(-H, H + 1):
             c = 0
@@ -157,88 +151,31 @@ def pair_correlation_naive(E: SetSpec, f: FolnerSpec, N: int, H: int) -> Dict[El
                     c += 1
             out[h] = c
         return out
-    return _box_pair_correlation(E, f, N, H, naive=True)
+
+    def grid(lo, hi):
+        axes = [np.arange(a + lo, a + hi, dtype=np.int64) for a in f.anchor]
+        coords = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+        return E.member_coords(coords).reshape([hi - lo] * len(axes))
+
+    x = grid(0, N)
+    y = grid(-H, N + H)
+    out = {}
+    for h in itertools.product(range(-H, H + 1), repeat=f.group.d):
+        sl = tuple(slice(H + t, H + t + N) for t in h)
+        out[h] = int(np.count_nonzero(x & y[sl]))
+    return out
 
 
-def pair_correlation_popcount(E: SetSpec, f: FolnerSpec, N: int, H: int) -> Dict[Element, int]:
-    """Bit-parallel kernel: big-int AND plus popcount per shift."""
-    _require_abelian(f)
-    if f.shape != SHAPE_INTERVAL:
-        return _box_pair_correlation(E, f, N, H, naive=False)
-    x, y = _z_windows(E, f, N, H)
-    X = _bits_to_int(x)
-    Y = _bits_to_int(y)
-    return {h: (X & (Y >> (h + H))).bit_count() for h in range(-H, H + 1)}
+def pair_correlation_fft(E: SetSpec, f: FolnerSpec, N: int, H: int) -> Dict[Element, int]:
+    """|{x in F_N : x in E, h*x in E}| for every h in the radius-H word ball.
 
-
-def pair_correlation_fft(
-    E: SetSpec, f: FolnerSpec, N: int, H: int, verify_samples: int = 8,
-) -> Dict[Element, int]:
-    """FFT cross-correlation kernel, rounded to exact integer counts.
-
-    A random subsample of shifts is re-checked against the popcount kernel;
-    disagreement means the float FFT lost exactness and is a hard error.
+    The counts are exact window counts, one `window_count` per shift.
     """
     _require_abelian(f)
-    if f.shape != SHAPE_INTERVAL:
-        return _box_pair_correlation(E, f, N, H, naive=False)
-    x, y = _z_windows(E, f, N, H)
-    L = len(y)
-    nfft = 1 << (2 * L - 1).bit_length()
-    fx = np.fft.rfft(x.astype(np.float64), nfft)
-    fy = np.fft.rfft(y.astype(np.float64), nfft)
-    corr = np.fft.irfft(np.conj(fx) * fy, nfft)  # corr[k] = sum_n x[n] y[n+k]
-    out = {h: int(round(corr[h + H])) for h in range(-H, H + 1)}
-    check = pair_correlation_popcount(E, f, N, H)
-    rng = np.random.default_rng(len(x) * 2654435761 % (1 << 32))
-    sample = rng.choice(np.arange(-H, H + 1), size=min(verify_samples, 2 * H + 1), replace=False)
-    for h in sample:
-        h = int(h)
-        if out[h] != check[h]:
-            raise ArithmeticError("FFT correlation lost exactness; popcount disagreed")
-    return out
-
-
-def _box_pair_correlation(E, f, N, H, naive: bool) -> Dict[Element, int]:
-    d = f.group.d
-    anchor = f.anchor
-    axes_x = [np.arange(a, a + N, dtype=np.int64) for a in anchor]
-    axes_y = [np.arange(a - H, a + N + H, dtype=np.int64) for a in anchor]
-
-    def grid(axes):
-        grids = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([g.ravel() for g in grids])
-        return E.member_coords(coords).reshape([len(ax) for ax in axes])
-
-    x = grid(axes_x)
-    y = grid(axes_y)
-    shifts = list(itertools.product(range(-H, H + 1), repeat=d))
-    out = {}
-    if naive:
-        for h in shifts:
-            sl = tuple(slice(H + t, H + t + N) for t in h)
-            out[h] = int(np.count_nonzero(x & y[sl]))
-        return out
-    nfft = [1 << (2 * (N + 2 * H) - 1).bit_length()] * d
-    axes = list(range(d))
-    fx = np.fft.rfftn(x.astype(np.float64), nfft, axes=axes)
-    fy = np.fft.rfftn(y.astype(np.float64), nfft, axes=axes)
-    corr = np.fft.irfftn(np.conj(fx) * fy, nfft, axes=axes)
-    for h in shifts:
-        idx = tuple((H + t) % nfft[0] for t in h)
-        out[h] = int(round(corr[idx]))
-    # spot check against direct slicing
-    for h in shifts[:: max(1, len(shifts) // 8)]:
-        sl = tuple(slice(H + t, H + t + N) for t in h)
-        if out[h] != int(np.count_nonzero(x & y[sl])):
-            raise ArithmeticError("FFT correlation lost exactness on box kernel")
-    return out
+    e = f.group.identity()
+    return {h: window_count([(E, e, 1), (E, h, 1)], f, N) for h in f.group.word_ball(H)}
 
 
 def _require_abelian(f: FolnerSpec) -> None:
     if f.shape not in (SHAPE_INTERVAL, SHAPE_BOX):
-        raise ValueError("FFT path unsupported")
-
-
-def _bits_to_int(bits: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+        raise ValueError("pair correlation needs an interval or box window")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Tuple, Union
+from typing import Iterator, Tuple, Union
 
 import numpy as np
 
@@ -102,11 +102,6 @@ class GroupSpec:
     #
     # coords arrays have shape (ncoords, n), one column per element, in the
     # canonical enumeration order of whatever produced them.
-
-    def coords_of(self, elems: Sequence[Element]) -> np.ndarray:
-        if self.kind == INT_Z:
-            return np.asarray(elems, dtype=np.int64).reshape(1, -1)
-        return np.asarray(elems, dtype=np.int64).T.reshape(self.ncoords, -1)
 
     def translate_left(self, g: Element, coords: np.ndarray) -> np.ndarray:
         """Columns g*x for the fixed element g."""

@@ -6,8 +6,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .cache import ResultCache, digest
-from .config import ExperimentConfig, Workspace
+from .cache import ResultCache, digest, source_digest
+from .config import ExperimentConfig, Workspace, task_schedule
 from .cylinders import CylinderSpec, additivity_check, furstenberg_report, invariance_defect
 from .density import extract_subsequence, intersection_count, pair_correlation_fft, upper_density
 from .errors import ConfigError, NoConvergentSubsequenceError
@@ -33,11 +33,6 @@ def _query(group, node):
     return tuple(_element(group, g) for g in node)
 
 
-def _schedule(task, cfg):
-    from .config import _build_schedule
-    return _build_schedule(task["schedule"]) if "schedule" in task else cfg.schedule
-
-
 def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
     kind = task["task"]
     group = cfg.group
@@ -53,14 +48,14 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
     if kind == "upper_density":
         E = ws.set_spec(task["set"])
         tau = Fraction(str(task.get("tau", cfg.tolerances["tau"])))
-        est, attaining = upper_density(E, f, _schedule(task, cfg), tol=tau)
+        est, attaining = upper_density(E, f, task_schedule(task, cfg), tol=tau)
         return {"estimate": frac(est), "attaining": attaining}
 
     if kind == "subsequence":
         E = ws.set_spec(task["set"])
         queries = [_query(group, q) for q in task["queries"]]
         try:
-            sub = extract_subsequence(E, queries, f, _schedule(task, cfg), float(task["eps"]))
+            sub = extract_subsequence(E, queries, f, task_schedule(task, cfg), float(task["eps"]))
             return {"subsequence": sub, "passed": True}
         except NoConvergentSubsequenceError as e:
             return {"subsequence": None, "error": str(e), "passed": False}
@@ -73,7 +68,7 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
     if kind == "cylinders":
         E = ws.set_spec(task["set"])
         table = furstenberg_report(
-            E, f, int(task["radius"]), int(task["depth"]), _schedule(task, cfg),
+            E, f, int(task["radius"]), int(task["depth"]), task_schedule(task, cfg),
             cylinder_cap=cfg.caps["cylinders"],
             subsequence_eps=float(task.get("eps", 0.05)),
             collect_patterns=bool(task.get("patterns", False)),
@@ -102,7 +97,7 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
         system = ws.system(sysname)
         queries = [_query(group, q) for q in task["queries"]]
         report = verify_correspondence(
-            system, queries, f, _schedule(task, cfg),
+            system, queries, f, task_schedule(task, cfg),
             x0=task.get("x0", 0), seed=int(task.get("seed", cfg.seed or 0)),
         )
         out = report.to_dict()
@@ -112,7 +107,7 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
     if kind == "spectrum":
         E = ws.set_spec(task["set"])
         spec = correlation_spectrum(
-            E, f, int(task["depth"]), int(task["radius"]), _schedule(task, cfg))
+            E, f, int(task["depth"]), int(task["radius"]), task_schedule(task, cfg))
         return {"rows": spec.to_rows(), "final_N": spec.final_N}
 
     if kind == "compare":
@@ -120,7 +115,7 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
         p2 = (ws.set_spec(task["set2"]), f)
         verdict = compare_pairs(
             p1, p2, int(task["depth"]), int(task["radius"]),
-            _schedule(task, cfg), float(task["eps"]))
+            task_schedule(task, cfg), float(task["eps"]))
         out = verdict.to_dict()
         if "expect" in task:
             out["passed"] = verdict.verdict == task["expect"]
@@ -150,7 +145,7 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
             for qnode in task["queries"]
         ]
         rows = accordance_check(
-            family, queries, scheme, _schedule(task, cfg), float(task["eps"]),
+            family, queries, scheme, task_schedule(task, cfg), float(task["eps"]),
             conj_depth=int(task.get("conj_depth", 3)))
         return {
             "rows": [
@@ -200,9 +195,10 @@ def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, use_cache: bool = 
     }
     cache = ResultCache(f"{out_dir}/.cache") if (out_dir and use_cache) else None
     config_digest = digest(shared)
+    code = source_digest()
     results = []
     for i, task in enumerate(cfg.tasks):
-        key = digest({"config": shared, "task": task})
+        key = digest({"config": shared, "task": task, "code": code})
         t0 = time.perf_counter()
         cached = cache.get(key) if cache else None
         if cached is not None:

@@ -63,10 +63,7 @@ class SetSpec:
 
     def member_coords(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (ncoords, n) array of elements."""
-        cols = [tuple(int(x) for x in coords[:, j]) for j in range(coords.shape[1])]
-        if self.group.kind == INT_Z:
-            return np.fromiter((self.member(c[0]) for c in cols), dtype=bool, count=len(cols))
-        return np.fromiter((self.member(c) for c in cols), dtype=bool, count=len(cols))
+        raise NotImplementedError
 
     def complement(self) -> "SetSpec":
         return Complement(self)
@@ -275,7 +272,4 @@ def indicator_bits(E: SetSpec, lo: int, hi: int) -> np.ndarray:
     """Boolean window of 1_E over [lo, hi) on the integer group."""
     if E.group.kind != INT_Z:
         raise ValueError("integer windows require a Z set")
-    if isinstance(E, ZSetSpec) or hasattr(E, "bits"):
-        return np.asarray(E.bits(lo, hi), dtype=bool)
-    n = np.arange(lo, hi, dtype=np.int64).reshape(1, -1)
-    return E.member_coords(n)
+    return np.asarray(E.bits(lo, hi), dtype=bool)

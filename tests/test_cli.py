@@ -3,6 +3,7 @@ import json
 import pytest
 import yaml
 
+from folnersys import runner
 from folnersys.cache import ResultCache, digest
 from folnersys.cli import main
 from folnersys.config import load_config, parse_config
@@ -206,3 +207,51 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
                                  "depth": 1, "eps": 0}])
     assert main(["run", "--config", path]) == 2
     assert "eps must be positive" in capsys.readouterr().err
+    bad = [
+        ({"task": "compare", "set1": "evens", "set2": "odds", "depth": 1, "radius": 2,
+          "schedule": [60, 600]}, "eps", [0, "abc"], "eps must be positive"),
+        ({"task": "subsequence", "set": "evens", "queries": [[0]]},
+         "eps", [0], "eps must be positive"),
+        ({"task": "accordance", "family": ["e1"], "scheme": "unit", "queries": [[[1, 0, 0]]]},
+         "eps", [-1], "eps must be positive"),
+        ({"task": "density", "set": "evens"}, "N", [0, "abc"], "N must be an integer >= 1"),
+        ({"task": "pair_correlation", "set": "evens", "N": 10}, "H", [-2],
+         "H must be an integer >= 0"),
+        ({"task": "upper_density", "set": "evens"}, "schedule",
+         [{"dyadic": {"min_exp": 1, "max_exp": 30000}}], "dyadic schedule needs"),
+    ]
+    for task, key, values, message in bad:
+        for value in values:
+            path = write_cfg(tmp_path, [{**task, key: value}])
+            assert main(["run", "--config", path]) == 2, (task, value)
+            assert message in capsys.readouterr().err
+
+
+def test_cache_miss_under_other_code(tmp_path, monkeypatch):
+    path = write_cfg(tmp_path, [{"task": "density", "set": "evens", "shifts": [0], "N": 100}])
+    out = str(tmp_path / "out")
+    first = run(load_config(path), out_dir=out)
+    assert run(load_config(path), out_dir=out)["tasks"][0]["cache_hit"]
+    monkeypatch.setattr(runner, "source_digest", lambda: "0" * 64)
+    other = run(load_config(path), out_dir=out)
+    assert not other["tasks"][0]["cache_hit"]
+    assert other["tasks"][0]["key"] != first["tasks"][0]["key"]
+    assert other["config_digest"] == first["config_digest"]
+
+
+def test_cli_window_cap_exit_code(tmp_path, capsys):
+    # a 10^11-element random bitmask and a 10^11-element window are both refused
+    # before numpy is asked for the memory
+    raw_sets = {**BASE["sets"], "huge": {"rule": "bitmask", "lo": 0, "n": 10 ** 11}}
+    path = write_cfg(tmp_path, [{"task": "density", "set": "huge", "N": 10}], sets=raw_sets)
+    assert main(["run", "--config", path]) == 3
+    assert "set huge: window of 100000000000 elements exceeds cap" in capsys.readouterr().err
+    path = write_cfg(tmp_path, [])
+    assert main(["density", "--config", path, "--set", "evens", "-N", str(10 ** 11)]) == 3
+    assert "window of 100000000000 elements exceeds cap" in capsys.readouterr().err
+    # |F_N| = N^3 has 6001 digits, too many to print
+    path = write_cfg(tmp_path, [{"task": "density", "set": "lat", "N": 10 ** 2000}],
+                     group={"kind": "Zd", "d": 3}, folner={"shape": "box", "anchor": [0, 0, 0]},
+                     sets={"lat": {"rule": "component", "rules": [[0, 2], None, None]}})
+    assert main(["run", "--config", path]) == 3
+    assert "window of over 2^19931 elements exceeds cap" in capsys.readouterr().err

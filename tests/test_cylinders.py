@@ -116,7 +116,7 @@ def test_invariance_defect_bound_z():
     C = CylinderSpec.make(Z, {0: 1})
     assert invariance_defect(evens, C, 2, FZ, 100) == 0
     v = invariance_defect(evens, C, 1, FZ, 101)
-    assert v <= FZ.defect(101, 1)
+    assert v <= FZ.right_defect(101, 1) / 2
 
 
 def test_invariance_defect_bound_h3():
@@ -125,7 +125,7 @@ def test_invariance_defect_bound_h3():
     for g in [(1, 0, 0), (0, 1, 0), (1, -1, 2), (0, 0, 1)]:
         for N in (4, 8, 16):
             v = invariance_defect(e, C, g, FH, N)
-            assert v <= FH.defect(N, g)
+            assert v <= FH.right_defect(N, g) / 2
 
 
 def test_enumerate_cylinders_counts():

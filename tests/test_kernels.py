@@ -4,7 +4,6 @@ import pytest
 from folnersys import (
     Bitmask, ComponentCongruence, Congruence, FolnerSpec, GroupSpec,
     RotationSet, pair_correlation_fft, pair_correlation_naive,
-    pair_correlation_popcount,
 )
 
 Z = GroupSpec("Z")
@@ -15,7 +14,6 @@ def test_evens_pair_correlation():
     evens = Congruence(0, 2)
     expected = {-2: 500, -1: 0, 0: 500, 1: 0, 2: 500}
     assert pair_correlation_naive(evens, FZ, 1000, 2) == expected
-    assert pair_correlation_popcount(evens, FZ, 1000, 2) == expected
     assert pair_correlation_fft(evens, FZ, 1000, 2) == expected
 
 
@@ -28,7 +26,6 @@ def test_kernels_agree_random_bitmasks():
         E = Bitmask(-H - 20, bits)
         f = FolnerSpec(Z, "interval", start=0)
         naive = pair_correlation_naive(E, f, N, H)
-        assert pair_correlation_popcount(E, f, N, H) == naive
         assert pair_correlation_fft(E, f, N, H) == naive
 
 
@@ -53,5 +50,5 @@ def test_box_kernels_agree():
 def test_nonabelian_rejected():
     fh = FolnerSpec(GroupSpec("H3"), "heisenberg_box")
     e = ComponentCongruence(GroupSpec("H3"), [(0, 2), None, None])
-    with pytest.raises(ValueError, match="FFT path unsupported"):
+    with pytest.raises(ValueError, match="pair correlation needs an interval or box window"):
         pair_correlation_fft(e, fh, 4, 1)
