@@ -7,7 +7,7 @@ fails before any computation starts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
@@ -20,10 +20,21 @@ from . import sets as setmod
 from . import oracles as oraclemod
 from . import moments as momentmod
 
-_TASK_KINDS = {
-    "density", "upper_density", "subsequence", "pair_correlation",
-    "cylinders", "additivity", "invariance",
-    "verify", "spectrum", "compare", "moments", "accordance", "normcheck",
+# each task kind -> the keys `runner.run_task` requires of it
+_TASK_KEYS = {
+    "density": ("set", "N"),
+    "upper_density": ("set",),
+    "subsequence": ("set", "queries", "eps"),
+    "pair_correlation": ("set", "N", "H"),
+    "cylinders": ("set", "radius", "depth"),
+    "additivity": ("set", "element", "N"),
+    "invariance": ("set", "shift", "N"),
+    "verify": ("system", "queries"),
+    "spectrum": ("set", "depth", "radius"),
+    "compare": ("set1", "set2", "depth", "radius", "eps"),
+    "moments": ("family", "queries", "N"),
+    "accordance": ("family", "scheme", "queries", "eps"),
+    "normcheck": ("scheme", "N"),
 }
 
 
@@ -40,7 +51,6 @@ class ExperimentConfig:
     schemes: Dict[str, Any]
     functions: Dict[str, Any]
     tasks: List[dict]
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def _need(d: dict, key: str, where: str):
@@ -231,7 +241,7 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
-    except yaml.YAMLError as e:
+    except (yaml.YAMLError, ValueError) as e:  # ValueError: int literals over 4300 digits
         raise ConfigError(f"parse error in {path}: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
@@ -256,7 +266,6 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
         schemes=raw.get("schemes", {}) or {},
         functions=raw.get("functions", {}) or {},
         tasks=raw.get("tasks", []) or [],
-        raw=raw,
     )
     _validate(cfg)
     return cfg
@@ -268,8 +277,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         if not isinstance(task, dict):
             raise ConfigError(f"{where}: must be a mapping")
         kind = _need(task, "task", where)
-        if kind not in _TASK_KINDS:
+        if kind not in _TASK_KEYS:
             raise ConfigError(f"{where}: unknown task {kind!r}")
+        for key in _TASK_KEYS[kind]:
+            _need(task, key, where)
         eps = task.get("eps", 1)
         try:
             ok = not isinstance(eps, bool) and float(eps) > 0

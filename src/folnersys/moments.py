@@ -23,13 +23,21 @@ import numpy as np
 
 from .density import window_count
 from .groups import FolnerSpec, GroupSpec, INT_Z, SHAPE_INTERVAL, Element
-from .sets import SetSpec, indicator_bits
+from .sets import SetSpec
 
 Factor = Tuple[int, bool, Element]  # (1-based function index, conjugate?, shift)
 
 
 # ---------------------------------------------------------------------------
 # weights and normalizers
+
+
+def _linear_points(coords: np.ndarray) -> np.ndarray:
+    """The window points as linear weights a(n) = n; a weight must be nonnegative."""
+    n = coords.reshape(-1)
+    if np.any(n < 0):
+        raise ValueError("linear weight needs a nonnegative window")
+    return n
 
 
 @dataclass(frozen=True)
@@ -40,33 +48,18 @@ class WeightRule:
     rate: float = 0.0
     table: Optional[tuple] = None
 
-    def values(self, coords: np.ndarray) -> Union[np.ndarray, None]:
+    def values(self, coords: np.ndarray) -> np.ndarray:
         n = coords.reshape(-1)
         if self.kind == "one":
-            return np.ones(len(n))
+            return np.ones(coords.shape[-1])
         if self.kind == "linear":
-            if np.any(n < 0):
-                raise ValueError("linear weight needs a nonnegative window")
-            return n.astype(np.float64)
+            return _linear_points(coords).astype(np.float64)
         if self.kind == "exp_decay":
             return np.exp(-self.rate * np.abs(n).astype(np.float64))
         if self.kind == "custom":
             lookup = dict(self.table)
             return np.array([lookup[int(v)] for v in n], dtype=np.float64)
         raise ValueError(f"unknown weight rule {self.kind!r}")
-
-    def exact_values(self, coords: np.ndarray) -> Optional[List[Fraction]]:
-        n = coords.reshape(-1)
-        if self.kind == "one":
-            return [Fraction(1)] * len(n)
-        if self.kind == "linear":
-            return [Fraction(int(v)) for v in n]
-        if self.kind == "custom" and all(
-            isinstance(v, (int, Fraction)) for _, v in self.table
-        ):
-            lookup = dict(self.table)
-            return [Fraction(lookup[int(v)]) for v in n]
-        return None
 
     @property
     def is_unit(self) -> bool:
@@ -109,12 +102,21 @@ def scheme_normalization(s: AveragingScheme, N: int) -> Union[Fraction, float]:
     b = s.normalizer.value(N)
     if b == 0:
         raise ValueError("degenerate normalizer")
+    w, size = s.weight, s.folner.size(N)
+    rational = w.kind in ("one", "linear") or (
+        w.kind == "custom" and all(isinstance(v, (int, Fraction)) for _, v in w.table))
+    if not (rational and isinstance(b, Fraction)):
+        return float(np.sum(w.values(s.folner.coords(N)))) / (float(b) * size)
+    if w.kind == "one":
+        return Fraction(size) / (b * size)
     coords = s.folner.coords(N)
-    exact = s.weight.exact_values(coords)
-    size = s.folner.size(N)
-    if exact is not None and isinstance(b, Fraction):
-        return sum(exact, Fraction(0)) / (b * size)
-    return float(np.sum(s.weight.values(coords))) / (float(b) * size)
+    # summed as Python ints: an int64 sum wraps for windows near 2^62
+    if w.kind == "linear":
+        total = sum(_linear_points(coords).tolist())
+    else:
+        lookup = dict(w.table)
+        total = sum(lookup[v] for v in coords.reshape(-1).tolist())
+    return Fraction(total) / (b * size)
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +126,14 @@ def scheme_normalization(s: AveragingScheme, N: int) -> Union[Fraction, float]:
 class FunctionSpec:
     """A function G -> closed unit disk, evaluatable on windows."""
 
-    def eval_range(self, lo: int, hi: int) -> np.ndarray:
+    def at(self, n: np.ndarray) -> np.ndarray:
+        """Values at a 1-D int64 array of Z points."""
         raise NotImplementedError
 
     def eval_coords(self, group: GroupSpec, coords: np.ndarray) -> np.ndarray:
         if group.kind != INT_Z:
             raise ValueError(f"{type(self).__name__} is defined on Z only")
-        n = coords.reshape(-1)
-        lo, hi = int(n.min()), int(n.max()) + 1
-        return self.eval_range(lo, hi)[n - lo]
+        return self.at(coords.reshape(-1))
 
     def conj(self) -> "FunctionSpec":
         return ConjFn(self)
@@ -144,17 +145,13 @@ class ExponentialFn(FunctionSpec):
     def __init__(self, theta: float):
         self.theta = float(theta)
 
-    def eval_range(self, lo, hi):
-        n = np.arange(lo, hi, dtype=np.float64)
-        return np.exp(2j * np.pi * self.theta * n)
+    def at(self, n):
+        return np.exp(2j * np.pi * self.theta * n.astype(np.float64))
 
 
 class IndicatorFn(FunctionSpec):
     def __init__(self, E: SetSpec):
         self.E = E
-
-    def eval_range(self, lo, hi):
-        return indicator_bits(self.E, lo, hi).astype(np.complex128)
 
     def eval_coords(self, group, coords):
         return self.E.member_coords(coords).astype(np.complex128)
@@ -166,10 +163,10 @@ class RandomDiskFn(FunctionSpec):
     def __init__(self, seed: int):
         self.seed = int(seed)
 
-    def eval_range(self, lo, hi):
-        # int64 first so negative points wrap into the hash domain
-        n = np.arange(lo, hi, dtype=np.int64).astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-        x = n * np.uint64(self.seed * 2 + 1)
+    def at(self, n):
+        # negative int64 points wrap into the hash domain
+        x = n.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+        x *= np.uint64(self.seed * 2 + 1)
         # splitmix64 finalizer
         x ^= x >> np.uint64(30)
         x *= np.uint64(0xBF58476D1CE4E5B9)
@@ -185,9 +182,6 @@ class ConjFn(FunctionSpec):
     def __init__(self, inner: FunctionSpec):
         self.inner = inner
 
-    def eval_range(self, lo, hi):
-        return np.conj(self.inner.eval_range(lo, hi))
-
     def eval_coords(self, group, coords):
         return np.conj(self.inner.eval_coords(group, coords))
 
@@ -198,9 +192,6 @@ class ConjFn(FunctionSpec):
 class ProductFn(FunctionSpec):
     def __init__(self, a: FunctionSpec, b: FunctionSpec):
         self.a, self.b = a, b
-
-    def eval_range(self, lo, hi):
-        return self.a.eval_range(lo, hi) * self.b.eval_range(lo, hi)
 
     def eval_coords(self, group, coords):
         return self.a.eval_coords(group, coords) * self.b.eval_coords(group, coords)
@@ -244,10 +235,9 @@ def weighted_moment(
     N: int,
 ) -> complex:
     """Finite-N weighted moment; exact counting path taken when available."""
-    exact = moment_exact(family, query, s, N)
+    exact = moment_exact(family, query, s, N)  # also validates the query
     if exact is not None:
         return complex(exact)
-    _check_query(family, query)
     group = s.folner.group
     coords = s.folner.coords(N)
     prod = None
@@ -255,9 +245,8 @@ def weighted_moment(
         fn = family[i - 1].conj() if conj else family[i - 1]
         vals = fn.eval_coords(group, group.translate_left(g, coords))
         prod = vals if prod is None else prod * vals
-    weights = s.weight.values(coords)
-    if s.weight.kind != "one":
-        prod = prod * weights
+    if not s.weight.is_unit:
+        prod = prod * s.weight.values(coords)
     total = complex(np.sum(prod))  # numpy pairwise summation keeps error tiny
     b = float(s.normalizer.value(N))
     if b == 0:

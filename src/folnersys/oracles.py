@@ -45,7 +45,6 @@ class RotationSystem(OracleSystem):
         self.beta_fp = to_fixed(beta)
         if not (0 < self.beta_fp <= SCALE):
             raise ValueError("beta must lie in (0, 1]")
-        self.alpha_label = alpha if isinstance(alpha, str) else None
 
     def _arcs(self, h: int) -> List[Tuple[int, int]]:
         """[0,beta) - h*alpha as one or two half-open arcs in [0, SCALE)."""

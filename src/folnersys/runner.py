@@ -204,7 +204,12 @@ def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, use_cache: bool = 
         if cached is not None:
             value, hit = cached, True
         else:
-            value, hit = run_task(ws, task, cfg), False
+            try:
+                value, hit = run_task(ws, task, cfg), False
+            except ConfigError:
+                raise
+            except ValueError as e:  # a refused parameter or query: exit 2
+                raise ConfigError(f"task {i}: {e}") from e
             if cache:
                 cache.put(key, value)
         results.append({

@@ -95,10 +95,6 @@ class ZSetSpec(SetSpec):
     def _compute_bits(self, lo: int, hi: int) -> np.ndarray:
         raise NotImplementedError
 
-    def member(self, g: int) -> bool:
-        self.group.check(g)
-        return bool(self.bits(g, g + 1)[0])
-
     def member_coords(self, coords: np.ndarray) -> np.ndarray:
         n = coords.reshape(-1)
         lo = int(n.min())
@@ -144,7 +140,6 @@ class RotationSet(ZSetSpec):
         self.x0_fp = to_fixed(x0) % SCALE
         if not (0 < self.beta_fp <= SCALE):
             raise ValueError("beta must lie in (0, 1]")
-        self.alpha_label = alpha if isinstance(alpha, str) else None
 
     def _compute_bits(self, lo, hi):
         return rotation_bits(self.x0_fp, self.alpha_fp, self.beta_fp, lo, hi)

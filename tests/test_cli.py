@@ -225,6 +225,28 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
             path = write_cfg(tmp_path, [{**task, key: value}])
             assert main(["run", "--config", path]) == 2, (task, value)
             assert message in capsys.readouterr().err
+    # a missing key, a set parameter the set refuses, a query outside a bitmask
+    # and a linear weight on negative points are each a config error of task 0
+    refused = [
+        ({"task": "pair_correlation", "set": "evens", "N": 100}, {}, "missing key 'H'"),
+        ({"task": "density", "set": "b", "N": 10},
+         {"sets": {"b": {"rule": "bitmask", "n": "abc"}}}, "invalid literal for int()"),
+        ({"task": "density", "set": "c", "N": 10},
+         {"sets": {"c": {"rule": "congruence", "a": 0, "m": 0}}}, "modulus must be positive"),
+        ({"task": "density", "set": "b", "N": 10},
+         {"sets": {"b": {"rule": "bitmask", "bits": "1011"}}}, "window exceeded"),
+        ({"task": "normcheck", "scheme": "lin", "N": 11},
+         {"folner": {"shape": "interval", "start": -5}}, "linear weight needs a nonnegative"),
+    ]
+    for task, overrides, message in refused:
+        path = write_cfg(tmp_path, [task], **overrides)
+        assert main(["run", "--config", path]) == 2, (task, overrides)
+        assert f"task 0: {message}" in capsys.readouterr().err
+    # PyYAML refuses an integer literal of over 4300 digits with a ValueError
+    path = tmp_path / "huge.yaml"
+    path.write_text(f"tasks: [{{task: density, set: evens, N: {'9' * 5000}}}]\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_cache_miss_under_other_code(tmp_path, monkeypatch):

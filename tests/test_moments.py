@@ -20,6 +20,9 @@ UNIT = AveragingScheme(FZ1)
 
 def test_scheme_normalization_trivial():
     assert scheme_normalization(UNIT, 123) == 1
+    # the unit weight counts elements, not coordinates, on multi-coordinate groups
+    for f in (FolnerSpec(GroupSpec("H3"), "heisenberg_box"), FolnerSpec(GroupSpec("Zd", 2), "box", anchor=(0, 0))):
+        assert scheme_normalization(AveragingScheme(f), 4) == 1
     s = AveragingScheme(FZ1, WeightRule("custom", table=tuple(
         (n, 2) for n in range(1, 51))), NormalizerRule("const", c=2))
     assert scheme_normalization(s, 50) == 1
@@ -29,6 +32,48 @@ def test_scheme_normalization_linear():
     s = AveragingScheme(FZ1, WeightRule("linear"), NormalizerRule("linear_mean"))
     for N in (1, 2, 7, 100, 12345):
         assert scheme_normalization(s, N) == 1
+    # a(n) = n is a weight only on nonnegative points
+    s = AveragingScheme(FolnerSpec(Z, "interval", start=-5), s.weight, s.normalizer)
+    with pytest.raises(ValueError, match="nonnegative window"):
+        scheme_normalization(s, 11)
+
+
+def test_direct_evaluation_matches_range_gather():
+    def gather(fn, n):  # the range-and-gather oracle: evaluate [min, max], index [n - min]
+        lo, hi = int(n.min()), int(n.max()) + 1
+        if isinstance(fn, ExponentialFn):
+            vals = np.exp(2j * np.pi * fn.theta * np.arange(lo, hi, dtype=np.float64))
+            return vals[n - lo]
+        x = np.arange(lo, hi, dtype=np.int64).astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+        x = x * np.uint64(fn.seed * 2 + 1)
+        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            x = (x ^ (x >> np.uint64(shift))) * np.uint64(mult)
+        x = x ^ (x >> np.uint64(31))
+        r = (x >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+        phase = (x & np.uint64((1 << 53) - 1)).astype(np.float64) / float(1 << 53)
+        return (np.sqrt(r) * np.exp(2j * np.pi * phase))[n - lo]
+
+    rng = np.random.default_rng(5)
+    fns = [ExponentialFn(0.3), ExponentialFn(0.123456789), RandomDiskFn(1), RandomDiskFn(7)]
+    for base in (1, -12345, 10**15):
+        # contiguous, then sparse and unsorted, with a repeated point
+        for n in (np.arange(base, base + 3000, dtype=np.int64),
+                  base + rng.integers(-5000, 5000, size=400)):
+            n = np.append(n, n[0])
+            for fn in fns:
+                assert fn.eval_coords(Z, n.reshape(1, -1)).tobytes() == gather(fn, n).tobytes()
+
+    # exact weight sums against brute force, including a window from 2^62 where
+    # an int64 sum of the points would wrap
+    for start, N in ((0, 1), (1, 1000), (7, 333), (1 << 62, 64)):
+        f = FolnerSpec(Z, "interval", start=start)
+        pts = range(start, start + N)
+        s = AveragingScheme(f, WeightRule("linear"), NormalizerRule("linear_mean"))
+        assert scheme_normalization(s, N) == sum(Fraction(n) for n in pts) / (
+            Fraction(N + 1, 2) * N)
+        table = tuple((n, Fraction(n % 5 + 1, 3) if n % 2 else n % 7) for n in pts)
+        s = AveragingScheme(f, WeightRule("custom", table=table), NormalizerRule("const", c=3))
+        assert scheme_normalization(s, N) == sum(Fraction(v) for _, v in table) / (3 * N)
 
 
 def test_scheme_normalization_degenerate():
@@ -110,7 +155,7 @@ def test_conjugation_symmetry():
 def test_disk_constraint():
     for fn in (RandomDiskFn(4), ExponentialFn(0.123),
                ProductFn(RandomDiskFn(4), ExponentialFn(0.5))):
-        vals = fn.eval_range(-100, 100)
+        vals = fn.eval_coords(Z, np.arange(-100, 100, dtype=np.int64).reshape(1, -1))
         assert np.all(np.abs(vals) <= 1 + 1e-12)
 
 
