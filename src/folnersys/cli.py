@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .config import load_config
+from .config import _validate, load_config
 from .errors import CapExceededError, ConfigError
 from .runner import run
 
@@ -28,90 +28,71 @@ def _shared_flags(p):
     p.add_argument("--format", choices=("csv", "json"), default="json", dest="fmt")
 
 
+# argparse names each converter in its "invalid <name> value" message
+def shift_list(text: str) -> list:
+    return [int(x) for x in text.split(",")]
+
+
+def shift_lists(text: str) -> list:
+    return [shift_list(q) for q in text.split(";")]
+
+
+def factor_lists(text: str) -> list:
+    """`i:c:g,...;...`, the factor conjugated when c is 1, c or true"""
+    def factor(i, c, g):
+        return [int(i), c in ("1", "c", "true"), int(g)]
+    return [[factor(*fs.split(":")) for fs in q.split(",")] for q in text.split(";")]
+
+
+def name_list(text: str) -> list:
+    return text.split(",")
+
+
+REQ = {"required": True}
+N = ("-N", {"type": int, "required": True, "dest": "N"})
+
+
+def _int(default):
+    return {"type": int, "default": default}
+
+
+# subcommand -> (help, flags); each flag's dest is the task key it fills
+COMMANDS = {
+    "density": ("multi-shift intersection density", [
+        ("--set", REQ),
+        ("--shifts", {"type": shift_list, "default": "0",
+                      "help": "comma-separated integer shifts"}),
+        N]),
+    "spectrum": ("correlation spectrum of a set", [
+        ("--set", REQ), ("--depth", _int(2)), ("--radius", _int(4))]),
+    "cylinders": ("cylinder-measure table", [
+        ("--set", REQ), ("--radius", _int(2)), ("--depth", _int(2))]),
+    "verify": ("correspondence check against an oracle system", [
+        ("--system", REQ),
+        ("--queries", {"type": shift_lists, "default": "0",
+                       "help": "semicolon-separated shift lists"})]),
+    "compare": ("spectrum comparison of two sets", [
+        ("--set1", REQ), ("--set2", REQ), ("--depth", _int(2)), ("--radius", _int(4)),
+        ("--eps", {"type": float, "default": 1e-6})]),
+    "moments": ("weighted correlation moments", [
+        ("--family", {**REQ, "type": name_list, "help": "comma-separated function names"}),
+        ("--scheme", REQ),
+        ("--queries", {**REQ, "type": factor_lists,
+                       "help": "semicolon-separated factor lists i:c:g,i:c:g"}),
+        N]),
+    "normcheck": ("averaging-scheme normalization", [("--scheme", REQ), N]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="folnersys")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    runp = sub.add_parser("run", help="execute the config's task list")
-    _shared_flags(runp)
-
-    def task_cmd(name, help_, args):
+    _shared_flags(sub.add_parser("run", help="execute the config's task list"))
+    for name, (help_, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         _shared_flags(p)
-        for flag, kw in args:
-            p.add_argument(flag, **kw)
-        return p
-
-    task_cmd("density", "multi-shift intersection density", [
-        ("--set", {"required": True}),
-        ("--shifts", {"default": "0", "help": "comma-separated integer shifts"}),
-        ("-N", {"type": int, "required": True, "dest": "N"}),
-    ])
-    task_cmd("spectrum", "correlation spectrum of a set", [
-        ("--set", {"required": True}),
-        ("--depth", {"type": int, "default": 2}),
-        ("--radius", {"type": int, "default": 4}),
-    ])
-    task_cmd("cylinders", "cylinder-measure table", [
-        ("--set", {"required": True}),
-        ("--radius", {"type": int, "default": 2}),
-        ("--depth", {"type": int, "default": 2}),
-    ])
-    task_cmd("verify", "correspondence check against an oracle system", [
-        ("--system", {"required": True}),
-        ("--queries", {"default": "0", "help": "semicolon-separated shift lists"}),
-    ])
-    task_cmd("compare", "spectrum comparison of two sets", [
-        ("--set1", {"required": True}),
-        ("--set2", {"required": True}),
-        ("--depth", {"type": int, "default": 2}),
-        ("--radius", {"type": int, "default": 4}),
-        ("--eps", {"type": float, "default": 1e-6}),
-    ])
-    task_cmd("moments", "weighted correlation moments", [
-        ("--family", {"required": True, "help": "comma-separated function names"}),
-        ("--scheme", {"required": True}),
-        ("--queries", {"required": True,
-                       "help": "semicolon-separated factor lists i:c:g,i:c:g"}),
-        ("-N", {"type": int, "required": True, "dest": "N"}),
-    ])
-    task_cmd("normcheck", "averaging-scheme normalization", [
-        ("--scheme", {"required": True}),
-        ("-N", {"type": int, "required": True, "dest": "N"}),
-    ])
+        p.set_defaults(task_keys=[p.add_argument(flag, **kw).dest for flag, kw in flags])
     return parser
-
-
-def _task_from_args(args) -> dict:
-    cmd = args.command
-    if cmd == "density":
-        return {"task": "density", "set": args.set,
-                "shifts": [int(x) for x in args.shifts.split(",")], "N": args.N}
-    if cmd == "spectrum":
-        return {"task": "spectrum", "set": args.set,
-                "depth": args.depth, "radius": args.radius}
-    if cmd == "cylinders":
-        return {"task": "cylinders", "set": args.set,
-                "radius": args.radius, "depth": args.depth}
-    if cmd == "verify":
-        queries = [[int(x) for x in q.split(",")] for q in args.queries.split(";")]
-        return {"task": "verify", "system": args.system, "queries": queries}
-    if cmd == "compare":
-        return {"task": "compare", "set1": args.set1, "set2": args.set2,
-                "depth": args.depth, "radius": args.radius, "eps": args.eps}
-    if cmd == "moments":
-        queries = []
-        for qs in args.queries.split(";"):
-            factors = []
-            for fs in qs.split(","):
-                i, c, g = fs.split(":")
-                factors.append([int(i), c in ("1", "c", "true"), int(g)])
-            queries.append(factors)
-        return {"task": "moments", "family": args.family.split(","),
-                "scheme": args.scheme, "queries": queries, "N": args.N}
-    if cmd == "normcheck":
-        return {"task": "normcheck", "scheme": args.scheme, "N": args.N}
-    raise ConfigError(f"unknown command {cmd}")
 
 
 def _write_report(report: dict, out_dir, fmt: str) -> None:
@@ -141,8 +122,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, seed_override=args.seed)
         if args.command != "run":
-            cfg.tasks = [_task_from_args(args)]
-            from .config import _validate
+            cfg.tasks = [{"task": args.command,
+                          **{key: getattr(args, key) for key in args.task_keys}}]
             _validate(cfg)
         report = run(cfg, out_dir=args.out, use_cache=not args.no_cache)
     except ConfigError as e:

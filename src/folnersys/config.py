@@ -15,7 +15,7 @@ import numpy as np
 import yaml
 
 from .errors import CapExceededError, ConfigError
-from .groups import GroupSpec, FolnerSpec, INT_Z, INT_ZD, HEISENBERG3
+from .groups import GroupSpec, FolnerSpec, INT_Z, INT_ZD, HEISENBERG3, SHAPE_BOX, SHAPE_INTERVAL
 from . import sets as setmod
 from . import oracles as oraclemod
 from . import moments as momentmod
@@ -76,10 +76,11 @@ def _build_folner(d: dict, group: GroupSpec) -> FolnerSpec:
         if shape == "interval":
             return FolnerSpec(group, "interval", start=int(d.get("start", 0)))
         if shape == "box":
-            return FolnerSpec(group, "box", anchor=tuple(d.get("anchor", (0,) * group.d)))
+            anchor = tuple(int(a) for a in d.get("anchor", (0,) * group.d))
+            return FolnerSpec(group, "box", anchor=anchor)
         if shape == "heisenberg_box":
             return FolnerSpec(group, "heisenberg_box")
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"folner: {e}") from e
     raise ConfigError(f"folner: unknown shape {shape!r}")
 
@@ -118,43 +119,78 @@ def check_window(cfg: "ExperimentConfig", n: int, where: str) -> None:
         raise CapExceededError(f"{where}: window of {size} elements exceeds cap {cap}")
 
 
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _task_shifts(task: dict, group: GroupSpec) -> list:
+    """Every element a task moves its window by, a ball standing in as its
+    extreme elements.  Malformed elements are left to the runner to refuse."""
+    def walk(node):
+        g = tuple(node) if isinstance(node, list) else node
+        if group.contains(g):
+            return [g]
+        return [h for x in node for h in walk(x)] if isinstance(node, list) else []
+
+    kind = task["task"]
+    gs = walk([task.get(k) for k in ("shifts", "queries", "element", "shift", "cylinder")])
+    gs += [group.mul(g, h) for g in walk(task.get("shift")) for h in walk(task.get("cylinder"))]
+    try:
+        R = max(0, int(task.get("H" if kind == "pair_correlation" else "radius", 0)))
+    except (TypeError, ValueError, OverflowError):
+        return gs
+    if group.kind == INT_Z:
+        return gs + [R, 0 if kind in ("spectrum", "compare") else -R]
+    # no word of length R moves a coordinate further than R, or R^2 for c on H3
+    return gs + [(R,) * group.d if group.kind == INT_ZD else (R, R, R * R)]
+
+
+def check_extent(cfg: "ExperimentConfig", task: dict, N: int, where: str) -> None:
+    """Refuse, by arithmetic alone, a task whose windows at index N exceed
+    `caps.window` (exit 3) or hold a point outside int64 (exit 2)."""
+    f, shifts = cfg.folner, _task_shifts(task, cfg.group)
+    if f.shape == SHAPE_INTERVAL:
+        lo, hi = min(shifts + [0]), max(shifts + [0])
+        check_window(cfg, N + hi - lo, where)
+        # the verify orbit reads [start + lo, start + N + hi], one point past the window
+        if f.start + lo < INT64_MIN or f.start + N + hi > INT64_MAX:
+            raise ConfigError(f"{where}: window [{f.start + lo}, {f.start + N + hi}) "
+                              f"leaves the int64 range")
+        return
+    check_window(cfg, f.size(N), where)
+    M = max((abs(c) for g in shifts for c in g), default=0)
+    # box: anchor + [0, N) + shift; H3: c < N^2 moved by c0 + a0*b or c0 + a*b0
+    reach = max(map(abs, f.anchor)) + N + M if f.shape == SHAPE_BOX else N * N + M * (N + 1)
+    if reach > INT64_MAX:
+        raise ConfigError(f"{where}: window coordinates reach {reach}, outside the int64 range")
+
+
 class Workspace:
     """Resolves and memoizes the named objects of a config."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self._sets: Dict[str, setmod.SetSpec] = {}
-        self._systems: Dict[str, oraclemod.OracleSystem] = {}
-        self._schemes: Dict[str, momentmod.AveragingScheme] = {}
-        self._functions: Dict[str, momentmod.FunctionSpec] = {}
+        self._built: Dict[tuple, Any] = {}
+
+    def _get(self, kind: str, name: str, build) -> Any:
+        """The object named `name` among the config's `kind`s, built once."""
+        if (kind, name) not in self._built:
+            defs = getattr(self.cfg, kind + "s")
+            if name not in defs:
+                raise ConfigError(f"undefined {kind} {name!r}")
+            self._built[kind, name] = build(defs[name])
+        return self._built[kind, name]
 
     def set_spec(self, name: str) -> setmod.SetSpec:
-        if name not in self._sets:
-            if name not in self.cfg.sets:
-                raise ConfigError(f"undefined set {name!r}")
-            self._sets[name] = self._build_set(name, self.cfg.sets[name])
-        return self._sets[name]
+        return self._get("set", name, lambda d: self._build_set(name, d))
 
     def system(self, name: str) -> oraclemod.OracleSystem:
-        if name not in self._systems:
-            if name not in self.cfg.systems:
-                raise ConfigError(f"undefined system {name!r}")
-            self._systems[name] = self._build_system(self.cfg.systems[name])
-        return self._systems[name]
+        return self._get("system", name, self._build_system)
 
     def scheme(self, name: str) -> momentmod.AveragingScheme:
-        if name not in self._schemes:
-            if name not in self.cfg.schemes:
-                raise ConfigError(f"undefined scheme {name!r}")
-            self._schemes[name] = self._build_scheme(self.cfg.schemes[name])
-        return self._schemes[name]
+        return self._get("scheme", name, self._build_scheme)
 
     def function(self, name: str) -> momentmod.FunctionSpec:
-        if name not in self._functions:
-            if name not in self.cfg.functions:
-                raise ConfigError(f"undefined function {name!r}")
-            self._functions[name] = self._build_function(self.cfg.functions[name])
-        return self._functions[name]
+        return self._get("function", name, self._build_function)
 
     # -- builders ---------------------------------------------------------
 
@@ -208,18 +244,18 @@ class Workspace:
         raise ConfigError(f"system: unknown kind {kind!r}")
 
     def _build_scheme(self, d: dict) -> momentmod.AveragingScheme:
+        def table(t):
+            return tuple(sorted((int(k), v) for k, v in t.items()))
+
         wd = d.get("weight", {"kind": "one"})
         nd = d.get("normalizer", {"kind": "one"})
         weight = momentmod.WeightRule(
             wd.get("kind", "one"), rate=float(wd.get("rate", 0.0)),
-            table=tuple(sorted((int(k), v) for k, v in wd.get("table", {}).items()))
-            if "table" in wd else None,
-        )
+            table=table(wd["table"]) if "table" in wd else None)
         if nd.get("kind") == "const":
             norm = momentmod.NormalizerRule("const", c=Fraction(str(nd["c"])))
         elif nd.get("kind") == "custom":
-            norm = momentmod.NormalizerRule(
-                "custom", table=tuple(sorted((int(k), v) for k, v in nd["table"].items())))
+            norm = momentmod.NormalizerRule("custom", table=table(nd["table"]))
         else:
             norm = momentmod.NormalizerRule(nd.get("kind", "one"))
         return momentmod.AveragingScheme(self.cfg.folner, weight, norm)
@@ -295,7 +331,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         # a task runs at one index N or over a schedule, never both
         largest = task["N"] if "N" in task else max(task_schedule(task, cfg), default=0)
         if largest:
-            check_window(cfg, cfg.folner.size(largest), where)
+            check_extent(cfg, task, largest, where)
         for key in ("set", "set1", "set2"):
             if key in task and task[key] not in cfg.sets:
                 raise ConfigError(f"{where}: undefined set {task[key]!r}")

@@ -12,17 +12,24 @@ is an integer counting identity and must hold with residual exactly zero.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CapExceededError, NoConvergentSubsequenceError
+from .errors import NoConvergentSubsequenceError
 from .groups import FolnerSpec, GroupSpec, Element
 from .sets import SetSpec
 from .density import extract_subsequence, upper_density, window_count
+from .spectrum import check_subset_count
+
+
+def frac(x) -> dict:
+    """An exact rational (or a float) as report JSON."""
+    if isinstance(x, Fraction):
+        return {"num": x.numerator, "den": x.denominator, "dec": f"{float(x):.12g}"}
+    return {"dec": f"{float(x):.12g}"}
 
 
 @dataclass(frozen=True)
@@ -130,9 +137,6 @@ class MeasureTable:
     observed_patterns: Optional[List[Tuple[int, ...]]] = None
 
     def to_dict(self) -> dict:
-        def frac(x: Fraction):
-            return {"num": x.numerator, "den": x.denominator, "dec": f"{float(x):.12g}"}
-
         return {
             "source": self.source,
             "schedule": list(self.schedule),
@@ -164,12 +168,9 @@ def enumerate_cylinders(
     Canonical order: supports in lexicographic element order, polarities
     enumerated 0 before 1.
     """
+    check_subset_count("cylinder", group.ball_size(support_radius, cap), max_depth, cap,
+                       weight=lambda r: 2 ** r)
     ball = group.word_ball(support_radius)
-    total = sum(
-        math.comb(len(ball), r) * (2 ** r) for r in range(1, max_depth + 1)
-    )
-    if total > cap:
-        raise CapExceededError(f"cylinder count {total} exceeds cap {cap}")
     out = []
     for r in range(1, max_depth + 1):
         for support in itertools.combinations(ball, r):

@@ -114,17 +114,8 @@ def extract_subsequence(
     est = max(dens[first].values())
     chosen: List[int] = []
     for N in schedule:
-        if abs(dens[first][N] - est) > eps:
-            continue
-        ok = True
-        for q in queries:
-            for M in chosen:
-                if abs(dens[q][N] - dens[q][M]) > eps:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if abs(dens[first][N] - est) <= eps and all(
+                abs(dens[q][N] - dens[q][M]) <= eps for q in queries for M in chosen):
             chosen.append(N)
     if len(chosen) < 2:
         raise NoConvergentSubsequenceError(

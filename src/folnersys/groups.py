@@ -9,6 +9,7 @@ arithmetic; ratios are `fractions.Fraction`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Tuple, Union
@@ -38,7 +39,7 @@ class GroupSpec:
             raise ValueError(f"unknown group kind {self.kind!r}")
         if self.kind == INT_ZD and self.d < 1:
             raise ValueError("lattice dimension must be >= 1")
-        if self.kind == HEISENBERG3 and self.d != 1:
+        if self.kind != INT_ZD and self.d != 1:
             object.__setattr__(self, "d", 1)
 
     # -- element structure ------------------------------------------------
@@ -46,11 +47,7 @@ class GroupSpec:
     @property
     def ncoords(self) -> int:
         """Number of integer coordinates in one element."""
-        if self.kind == INT_Z:
-            return 1
-        if self.kind == INT_ZD:
-            return self.d
-        return 3
+        return 3 if self.kind == HEISENBERG3 else self.d
 
     def identity(self) -> Element:
         if self.kind == INT_Z:
@@ -123,14 +120,10 @@ class GroupSpec:
         a, b, c = coords
         return np.stack([a + a0, b + b0, c + c0 + a * b0])
 
-    def word_ball(self, radius: int) -> list:
-        """Elements of word length <= radius in the standard generators.
-
-        Z and Z^d use the coordinate generators (sup-norm box would be the
-        radius-R box; the word-length ball for Z^d is the l1 ball, but
-        consumers want the sup-norm ball there, so lattices return the box).
-        H3 uses BFS over {x, y, x^-1, y^-1} with x=(1,0,0), y=(0,1,0).
-        """
+    def word_ball(self, radius: int, limit: float = float("inf")) -> list:
+        """The radius ball: the sup-norm box on Z and Z^d; on H3 the elements
+        of word length <= radius in {x, y, x^-1, y^-1}, x=(1,0,0), y=(0,1,0),
+        by BFS stopped once the ball has more than `limit` elements."""
         if self.kind == INT_Z:
             return list(range(-radius, radius + 1))
         if self.kind == INT_ZD:
@@ -139,6 +132,8 @@ class GroupSpec:
         seen = {self.identity()}
         frontier = [self.identity()]
         for _ in range(radius):
+            if len(seen) > limit:
+                break
             nxt = []
             for g in frontier:
                 for s in gens:
@@ -148,6 +143,13 @@ class GroupSpec:
                         nxt.append(h)
             frontier = nxt
         return sorted(seen, key=self.element_key)
+
+    def ball_size(self, radius: int, limit: int) -> int:
+        """len(word_ball(radius)), counted on Z and Z^d; on H3 any count over
+        `limit` once the ball outgrows it."""
+        if self.kind != HEISENBERG3:
+            return max(0, 2 * radius + 1) ** self.d
+        return len(self.word_ball(radius, limit))
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +239,20 @@ class FolnerSpec:
         return Fraction(2 * (size - self._left_overlap(N, g)), size)
 
     def right_defect(self, N: int, g: Element) -> Fraction:
-        """Exact |F_N symdiff F_N*g| / |F_N| (right translation)."""
-        self._check_index(N)
+        """Exact |F_N symdiff F_N*g| / |F_N| (right translation).
+
+        On the Heisenberg box F_N*(a0,b0,c0) overlaps F_N in as many elements
+        as (b0,a0,c0)*F_N does: both overlaps sum N^2 - |c0 + t*s| over the
+        same columns with the roles of a and b exchanged.
+        """
         self.group.check(g)
-        size = self.size(N)
-        return Fraction(2 * (size - self._right_overlap(N, g)), size)
+        if self.shape == SHAPE_HEISENBERG_BOX:
+            g = (g[1], g[0], g[2])
+        return self.defect(N, g)
 
     def _left_overlap(self, N: int, g: Element) -> int:
-        if self.shape == SHAPE_INTERVAL:
-            return max(0, N - abs(g))
-        if self.shape == SHAPE_BOX:
-            out = 1
-            for t in g:
-                out *= max(0, N - abs(t))
-            return out
+        if self.shape != SHAPE_HEISENBERG_BOX:
+            return math.prod(max(0, N - abs(t)) for t in (g if self.shape == SHAPE_BOX else [g]))
         # g*F shifts (a,b) by (a0,b0) and, on the column over b' = b0+b,
         # shifts the c-range by c0 + a0*b.
         a0, b0, c0 = g
@@ -261,20 +263,6 @@ class FolnerSpec:
         for b in range(max(0, -b0), min(N, N - b0)):
             total += max(0, N * N - abs(c0 + a0 * b))
         return ab * total
-
-    def _right_overlap(self, N: int, g: Element) -> int:
-        if self.shape != SHAPE_HEISENBERG_BOX:
-            return self._left_overlap(N, g)  # abelian
-        # F*g shifts (a,b) by (a0,b0) and, on the column over a' = a+a0,
-        # shifts the c-range by c0 + a*b0.
-        a0, b0, c0 = g
-        bb = max(0, N - abs(b0))
-        if bb == 0 or abs(a0) >= N:
-            return 0
-        total = 0
-        for a in range(max(0, -a0), min(N, N - a0)):
-            total += max(0, N * N - abs(c0 + a * b0))
-        return bb * total
 
     def _check_index(self, N: int) -> None:
         if N < 1:

@@ -32,12 +32,20 @@ Factor = Tuple[int, bool, Element]  # (1-based function index, conjugate?, shift
 # weights and normalizers
 
 
-def _linear_points(coords: np.ndarray) -> np.ndarray:
+def _linear_points(n: np.ndarray) -> np.ndarray:
     """The window points as linear weights a(n) = n; a weight must be nonnegative."""
-    n = coords.reshape(-1)
     if np.any(n < 0):
         raise ValueError("linear weight needs a nonnegative window")
     return n
+
+
+def _table_values(table: tuple, keys, what: str) -> list:
+    """The entries of a custom table at `keys`; a missing one is refused."""
+    lookup = dict(table)
+    try:
+        return [lookup[k] for k in keys]
+    except KeyError as e:
+        raise ValueError(f"custom {what} table has no entry for {e.args[0]}") from None
 
 
 @dataclass(frozen=True)
@@ -48,17 +56,16 @@ class WeightRule:
     rate: float = 0.0
     table: Optional[tuple] = None
 
-    def values(self, coords: np.ndarray) -> np.ndarray:
-        n = coords.reshape(-1)
+    def values(self, n: np.ndarray) -> np.ndarray:
+        """Weights at the 1-D int64 window points n."""
         if self.kind == "one":
-            return np.ones(coords.shape[-1])
+            return np.ones(len(n))
         if self.kind == "linear":
-            return _linear_points(coords).astype(np.float64)
+            return _linear_points(n).astype(np.float64)
         if self.kind == "exp_decay":
             return np.exp(-self.rate * np.abs(n).astype(np.float64))
         if self.kind == "custom":
-            lookup = dict(self.table)
-            return np.array([lookup[int(v)] for v in n], dtype=np.float64)
+            return np.array(_table_values(self.table, n.tolist(), "weight"), dtype=np.float64)
         raise ValueError(f"unknown weight rule {self.kind!r}")
 
     @property
@@ -82,7 +89,7 @@ class NormalizerRule:
         if self.kind == "linear_mean":
             return Fraction(N + 1, 2)
         if self.kind == "custom":
-            return dict(self.table)[N]
+            return _table_values(self.table, [N], "normalizer")[0]
         raise ValueError(f"unknown normalizer rule {self.kind!r}")
 
     @property
@@ -97,25 +104,31 @@ class AveragingScheme:
     normalizer: NormalizerRule = NormalizerRule("one")
 
 
+def _weight_points(s: AveragingScheme, coords: np.ndarray) -> np.ndarray:
+    """The window coords as the points a non-unit weight is read at."""
+    if s.folner.group.kind != INT_Z:
+        raise ValueError(f"{s.weight.kind} weight is defined on Z only")
+    return coords.reshape(-1)
+
+
 def scheme_normalization(s: AveragingScheme, N: int) -> Union[Fraction, float]:
     """(1/(b(N)|F_N|)) sum_{g in F_N} a(g); exact when both rules are rational."""
     b = s.normalizer.value(N)
     if b == 0:
         raise ValueError("degenerate normalizer")
     w, size = s.weight, s.folner.size(N)
-    rational = w.kind in ("one", "linear") or (
+    if w.is_unit:
+        return Fraction(size) / (b * size) if isinstance(b, Fraction) else size / (float(b) * size)
+    n = _weight_points(s, s.folner.coords(N))
+    rational = w.kind == "linear" or (
         w.kind == "custom" and all(isinstance(v, (int, Fraction)) for _, v in w.table))
     if not (rational and isinstance(b, Fraction)):
-        return float(np.sum(w.values(s.folner.coords(N)))) / (float(b) * size)
-    if w.kind == "one":
-        return Fraction(size) / (b * size)
-    coords = s.folner.coords(N)
+        return float(np.sum(w.values(n))) / (float(b) * size)
     # summed as Python ints: an int64 sum wraps for windows near 2^62
     if w.kind == "linear":
-        total = sum(_linear_points(coords).tolist())
+        total = sum(_linear_points(n).tolist())
     else:
-        lookup = dict(w.table)
-        total = sum(lookup[v] for v in coords.reshape(-1).tolist())
+        total = sum(_table_values(w.table, n.tolist(), "weight"))
     return Fraction(total) / (b * size)
 
 
@@ -206,7 +219,7 @@ def _check_query(family: Sequence[FunctionSpec], query: Sequence[Factor]) -> Non
         raise ValueError("moment query must be nonempty")
     for idx, _, _ in query:
         if not 1 <= idx <= len(family):
-            raise IndexError(f"function index {idx} out of range for family of {len(family)}")
+            raise ValueError(f"function index {idx} out of range for family of {len(family)}")
 
 
 def moment_exact(
@@ -246,7 +259,7 @@ def weighted_moment(
         vals = fn.eval_coords(group, group.translate_left(g, coords))
         prod = vals if prod is None else prod * vals
     if not s.weight.is_unit:
-        prod = prod * s.weight.values(coords)
+        prod = prod * s.weight.values(_weight_points(s, coords))
     total = complex(np.sum(prod))  # numpy pairwise summation keeps error tiny
     b = float(s.normalizer.value(N))
     if b == 0:
@@ -316,7 +329,7 @@ def exponential_oracle(
         raise ValueError("oracle undefined")
     for idx, _, _ in query:
         if not 1 <= idx <= len(thetas):
-            raise IndexError("function index out of range")
+            raise ValueError(f"function index {idx} out of range for {len(thetas)} thetas")
     theta_total = 0.0
     phase = 0.0
     for i, conj, g in query:

@@ -60,12 +60,7 @@ class RotationSystem(OracleSystem):
         if not shifts:
             raise ValueError("shift list must be nonempty")
         arc_sets = [self._arcs(h) for h in shifts]
-        endpoints = {0, SCALE}
-        for arcs in arc_sets:
-            for a, b in arcs:
-                endpoints.add(a)
-                endpoints.add(b)
-        pts = sorted(endpoints)
+        pts = sorted({0, SCALE} | {x for arcs in arc_sets for arc in arcs for x in arc})
         total = 0
         for a, b in zip(pts, pts[1:]):
             mid = a + (b - a) // 2
@@ -123,6 +118,7 @@ class MarkovSystem(OracleSystem):
         self.accept = frozenset(int(s) for s in accept)
         if not self.accept or not all(0 <= s < k for s in self.accept):
             raise ValueError("accept states out of range")
+        self.accepted = np.isin(np.arange(k), sorted(self.accept))
         self.pi = self._stationary() if pi is None else np.asarray(pi, dtype=np.float64)
         if np.max(np.abs(self.pi @ self.P - self.pi)) > 1e-12:
             raise ValueError("pi is not stationary for P")
@@ -146,10 +142,7 @@ class MarkovSystem(OracleSystem):
         if not shifts:
             raise ValueError("shift list must be nonempty")
         hs = sorted(set(int(h) for h in shifts))
-        k = self.P.shape[0]
-        mask = np.zeros(k)
-        for s in self.accept:
-            mask[s] = 1.0
+        mask = self.accepted.astype(np.float64)
         v = self.pi * mask
         for prev, nxt in zip(hs, hs[1:]):
             v = (v @ np.linalg.matrix_power(self.P, nxt - prev)) * mask
@@ -159,7 +152,6 @@ class MarkovSystem(OracleSystem):
         """Sample a stationary trajectory over [lo, hi); deterministic per seed."""
         rng = np.random.default_rng(seed)
         n = hi - lo
-        k = self.P.shape[0]
         cum_pi = np.cumsum(self.pi)
         cum_P = np.cumsum(self.P, axis=1)
         u = rng.random(n)
@@ -169,10 +161,7 @@ class MarkovSystem(OracleSystem):
         for i in range(1, n):
             s = int(np.searchsorted(cum_P[s], u[i]))
             states[i] = s
-        accept = np.zeros(k, dtype=bool)
-        for a in self.accept:
-            accept[a] = True
-        return OrbitSet(lo, accept[states], self.label(), f"seed={seed}")
+        return OrbitSet(lo, self.accepted[states], self.label(), f"seed={seed}")
 
     def sigma_bound(self, orbit: OrbitSet, shifts: Sequence[int], nbatches: int = 32) -> float:
         """Batch-means standard error for the empirical product frequency."""

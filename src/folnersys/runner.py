@@ -7,19 +7,13 @@ from typing import Optional
 
 from . import __version__
 from .cache import ResultCache, digest, source_digest
-from .config import ExperimentConfig, Workspace, task_schedule
-from .cylinders import CylinderSpec, additivity_check, furstenberg_report, invariance_defect
+from .config import _TASK_KEYS, ExperimentConfig, Workspace, task_schedule
+from .cylinders import CylinderSpec, additivity_check, frac, furstenberg_report, invariance_defect
 from .density import extract_subsequence, intersection_count, pair_correlation_fft, upper_density
 from .errors import ConfigError, NoConvergentSubsequenceError
 from .moments import accordance_check, exponential_oracle, scheme_normalization, weighted_moment
 from .oracles import verify_correspondence
 from .spectrum import compare_pairs, correlation_spectrum
-
-
-def frac(x) -> dict:
-    if isinstance(x, Fraction):
-        return {"num": x.numerator, "den": x.denominator, "dec": f"{float(x):.12g}"}
-    return {"dec": f"{float(x):.12g}"}
 
 
 def _element(group, node):
@@ -33,26 +27,32 @@ def _query(group, node):
     return tuple(_element(group, g) for g in node)
 
 
+def _factors(group, node):
+    return [(int(i), bool(c), _element(group, g)) for i, c, g in node]
+
+
+def _cylinder(group, task):
+    constraints = task.get("cylinder", [])
+    return CylinderSpec.make(group, {_element(group, h): int(e) for h, e in constraints})
+
+
 def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
     kind = task["task"]
-    group = cfg.group
-    f = cfg.folner
+    group, f = cfg.group, cfg.folner
+    E = ws.set_spec(task["set"]) if "set" in _TASK_KEYS.get(kind, ()) else None
 
     if kind == "density":
-        E = ws.set_spec(task["set"])
         q = _query(group, task.get("shifts", [group.identity()]))
         N = int(task["N"])
         count = intersection_count(E, q, f, N)
         return {"count": count, "size": f.size(N), "density": frac(Fraction(count, f.size(N)))}
 
     if kind == "upper_density":
-        E = ws.set_spec(task["set"])
         tau = Fraction(str(task.get("tau", cfg.tolerances["tau"])))
         est, attaining = upper_density(E, f, task_schedule(task, cfg), tol=tau)
         return {"estimate": frac(est), "attaining": attaining}
 
     if kind == "subsequence":
-        E = ws.set_spec(task["set"])
         queries = [_query(group, q) for q in task["queries"]]
         try:
             sub = extract_subsequence(E, queries, f, task_schedule(task, cfg), float(task["eps"]))
@@ -61,12 +61,10 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
             return {"subsequence": None, "error": str(e), "passed": False}
 
     if kind == "pair_correlation":
-        E = ws.set_spec(task["set"])
         counts = pair_correlation_fft(E, f, int(task["N"]), int(task["H"]))
         return {"counts": {str(h): c for h, c in sorted(counts.items())}}
 
     if kind == "cylinders":
-        E = ws.set_spec(task["set"])
         table = furstenberg_report(
             E, f, int(task["radius"]), int(task["depth"]), task_schedule(task, cfg),
             cylinder_cap=cfg.caps["cylinders"],
@@ -76,20 +74,14 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
         return table.to_dict()
 
     if kind == "additivity":
-        E = ws.set_spec(task["set"])
-        C = CylinderSpec.make(group, {
-            _element(group, h): int(e) for h, e in task.get("cylinder", [])})
         ok, residual = additivity_check(
-            E, C, _element(group, task["element"]), f, int(task["N"]))
+            E, _cylinder(group, task), _element(group, task["element"]), f, int(task["N"]))
         return {"ok": ok, "residual": frac(residual), "passed": ok}
 
     if kind == "invariance":
-        E = ws.set_spec(task["set"])
-        C = CylinderSpec.make(group, {
-            _element(group, h): int(e) for h, e in task.get("cylinder", [])})
         g = _element(group, task["shift"])
         N = int(task["N"])
-        value = invariance_defect(E, C, g, f, N)
+        value = invariance_defect(E, _cylinder(group, task), g, f, N)
         return {"defect": frac(value), "folner_defect": frac(f.defect(N, g))}
 
     if kind == "verify":
@@ -105,7 +97,6 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
         return out
 
     if kind == "spectrum":
-        E = ws.set_spec(task["set"])
         spec = correlation_spectrum(
             E, f, int(task["depth"]), int(task["radius"]), task_schedule(task, cfg))
         return {"rows": spec.to_rows(), "final_N": spec.final_N}
@@ -127,7 +118,7 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
         N = int(task["N"])
         rows = []
         for qnode in task["queries"]:
-            q = [(int(i), bool(c), _element(group, g)) for i, c, g in qnode]
+            q = _factors(group, qnode)
             value = weighted_moment(family, q, scheme, N)
             row = {"query": qnode, "re": value.real, "im": value.imag}
             if "oracle_thetas" in task:
@@ -140,10 +131,7 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
     if kind == "accordance":
         family = [ws.function(n) for n in task["family"]]
         scheme = ws.scheme(task["scheme"])
-        queries = [
-            [(int(i), bool(c), _element(group, g)) for i, c, g in qnode]
-            for qnode in task["queries"]
-        ]
+        queries = [_factors(group, qnode) for qnode in task["queries"]]
         rows = accordance_check(
             family, queries, scheme, task_schedule(task, cfg), float(task["eps"]),
             conj_depth=int(task.get("conj_depth", 3)))

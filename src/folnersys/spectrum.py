@@ -42,6 +42,18 @@ def shift_ball(group: GroupSpec, radius: int) -> List[Element]:
     return group.word_ball(radius)
 
 
+def check_subset_count(what: str, n: int, depth: int, cap: int, weight=lambda r: 1) -> None:
+    """Refuse more than `cap` subsets of 1..depth of n elements, an r-subset
+    counting weight(r), before any is built; n over the cap may be a lower bound."""
+    last = min(depth, n)
+    total = 0
+    for r in range(1, last + 1):
+        total += math.comb(n, r) * weight(r)
+        if total > cap:
+            least = "at least " if r < last or n > cap else ""
+            raise CapExceededError(f"{what} count {least}{total} exceeds cap {cap}")
+
+
 def canonical_tuples(group: GroupSpec, r_max: int, radius: int) -> List[CanonicalTuple]:
     ball = sorted(shift_ball(group, radius), key=group.element_key)
     out: List[CanonicalTuple] = []
@@ -87,10 +99,9 @@ def correlation_spectrum(
 
     The tuple count is checked against `cap` before any tuple is built.
     """
-    n = len(shift_ball(E.group, radius))
-    total = sum(math.comb(n, r) for r in range(1, r_max + 1))
-    if total > cap:
-        raise CapExceededError(f"tuple count {total} exceeds cap {cap}")
+    Z = E.group.kind == INT_Z  # the shift ball is [0, radius] there
+    n = max(0, radius + 1) if Z else E.group.ball_size(radius, cap)
+    check_subset_count("tuple", n, r_max, cap)
     tuples = canonical_tuples(E.group, r_max, radius)
     final = max(schedule)
     densities = {}
@@ -154,7 +165,7 @@ def compare_pairs(
         raise ValueError("pairs must live on the same group")
     s1 = correlation_spectrum(E1, f1, r_max, radius, schedule)
     s2 = correlation_spectrum(E2, f2, r_max, radius, schedule)
-    tuples = canonical_tuples(E1.group, r_max, radius)
+    tuples = list(s1.densities)  # canonical order
     inconclusive = [
         t for t in tuples
         if s1.oscillations[t] > eps or s2.oscillations[t] > eps

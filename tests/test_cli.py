@@ -3,7 +3,7 @@ import json
 import pytest
 import yaml
 
-from folnersys import runner
+from folnersys import cli, runner
 from folnersys.cache import ResultCache, digest
 from folnersys.cli import main
 from folnersys.config import load_config, parse_config
@@ -238,6 +238,47 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
         ({"task": "normcheck", "scheme": "lin", "N": 11},
          {"folner": {"shape": "interval", "start": -5}}, "linear weight needs a nonnegative"),
     ]
+    # a function index outside the family or the oracle thetas, a custom table
+    # without the entry asked for, a non-unit weight off Z and a window outside int64
+    h3 = {"group": {"kind": "H3"}, "folner": {"shape": "heisenberg_box"}}
+    z2 = {"group": {"kind": "Zd", "d": 2}, "folner": {"shape": "box", "anchor": [0, 0]}}
+    weights = {"lin": {"weight": {"kind": "linear"}},
+               "decay": {"weight": {"kind": "exp_decay", "rate": 0.1}}}
+    moment = {"task": "moments", "family": ["e1"], "scheme": "unit", "N": 10}
+    refused += [
+        ({**moment, "queries": [[[2, 0, 0]]]}, {},
+         "function index 2 out of range for family of 1"),
+        ({**moment, "queries": [[[1, 0, 0]]], "oracle_thetas": []}, {},
+         "function index 1 out of range for 0 thetas"),
+        ({"task": "normcheck", "scheme": "w", "N": 3},
+         {"schemes": {"w": {"weight": {"kind": "custom", "table": {1: 1}}}}},
+         "custom weight table has no entry for 0"),
+        ({**moment, "scheme": "w", "queries": [[[1, 0, 0]]]},
+         {"schemes": {"w": {"weight": {"kind": "custom", "table": {1: 0.5}}}}},
+         "custom weight table has no entry for 0"),
+        ({"task": "normcheck", "scheme": "n", "N": 10},
+         {"schemes": {"n": {"normalizer": {"kind": "custom", "table": {1: 1}}}}},
+         "custom normalizer table has no entry for 10"),
+        ({"task": "normcheck", "scheme": "lin", "N": 3}, {**h3, "schemes": weights},
+         "linear weight is defined on Z only"),
+        ({"task": "normcheck", "scheme": "decay", "N": 3}, {**h3, "schemes": weights},
+         "exp_decay weight is defined on Z only"),
+        ({"task": "normcheck", "scheme": "lin", "N": 3}, {**z2, "schemes": weights},
+         "linear weight is defined on Z only"),
+        ({"task": "moments", "family": ["f"], "scheme": "decay", "N": 3,
+          "queries": [[[1, 0, [0, 0]]]]},
+         {**z2, "schemes": weights, "sets": {"s": {"rule": "component", "rules": [[0, 2], None]}},
+          "functions": {"f": {"kind": "indicator", "set": "s"}}},
+         "exp_decay weight is defined on Z only"),
+        # int64 wrapping past 2^63 used to make this count 33, not 34
+        ({"task": "density", "set": "thirds", "N": 100},
+         {"folner": {"shape": "interval", "start": 2 ** 63 - 8},
+          "sets": {"thirds": {"rule": "congruence", "a": 0, "m": 3}}},
+         "window [9223372036854775800, 9223372036854775900) leaves the int64 range"),
+        ({"task": "density", "set": "s", "shifts": [[0, 0, 2 ** 63 - 10]], "N": 4},
+         {**h3, "sets": {"s": {"rule": "component", "rules": [[0, 2], None, None]}}},
+         "window coordinates reach"),
+    ]
     for task, overrides, message in refused:
         path = write_cfg(tmp_path, [task], **overrides)
         assert main(["run", "--config", path]) == 2, (task, overrides)
@@ -277,3 +318,71 @@ def test_cli_window_cap_exit_code(tmp_path, capsys):
                      sets={"lat": {"rule": "component", "rules": [[0, 2], None, None]}})
     assert main(["run", "--config", path]) == 3
     assert "window of over 2^19931 elements exceeds cap" in capsys.readouterr().err
+
+
+def test_cli_extent_and_ball_caps_exit_code(tmp_path, capsys):
+    # each is refused before numpy or the word ball is asked for the memory
+    path = write_cfg(tmp_path, [])
+    assert main(["density", "--config", path, "--set", "evens",
+                 "--shifts", f"0,{10 ** 12}", "-N", "10"]) == 3
+    assert "window of 1000000000010 elements exceeds cap" in capsys.readouterr().err
+    assert main(["spectrum", "--config", path, "--set", "evens",
+                 "--radius", str(10 ** 12), "--depth", "1"]) == 3
+    assert "exceeds cap" in capsys.readouterr().err
+    z2 = {"group": {"kind": "Zd", "d": 2}, "folner": {"shape": "box", "anchor": [0, 0]},
+          "sets": {"s": {"rule": "component", "rules": [[0, 2], None]}}}
+    h3 = {"group": {"kind": "H3"}, "folner": {"shape": "heisenberg_box"},
+          "sets": {"s": {"rule": "component", "rules": [[0, 2], None, None]}}}
+    for overrides, task, message in [
+        (z2, {"task": "cylinders", "radius": 100000}, "cylinder count at least"),
+        (h3, {"task": "cylinders", "radius": 100000}, "cylinder count at least"),
+    ]:
+        task = {**task, "set": "s", "depth": 1, "schedule": [4]}
+        path = write_cfg(tmp_path, [task], **overrides)
+        assert main(["run", "--config", path]) == 3, task
+        assert message in capsys.readouterr().err
+
+
+def test_cli_malformed_flags_usage_error(capsys):
+    for argv, message in [
+        (["density", "--set", "evens", "--shifts", "a,b", "-N", "10"],
+         "argument --shifts: invalid shift_list value: 'a,b'"),
+        (["verify", "--system", "per", "--queries", "a"],
+         "argument --queries: invalid shift_lists value: 'a'"),
+        (["moments", "--family", "e1", "--scheme", "unit", "--queries", "1:0", "-N", "10"],
+         "argument --queries: invalid factor_lists value: '1:0'"),
+    ]:
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--config", "unread.yaml"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: folnersys" in err and message in err
+
+
+def test_cli_flags_fill_the_task(tmp_path, monkeypatch):
+    # each direct subcommand builds the task its flags name, parsed once
+    path = write_cfg(tmp_path, [])
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda cfg, **kw: seen.append(cfg.tasks[0]) or
+                        {"tasks": [], "exit_code": 0})
+    cases = [
+        ("density --set evens --shifts 0,2 -N 1000",
+         {"task": "density", "set": "evens", "shifts": [0, 2], "N": 1000}),
+        ("density --set evens -N 5", {"task": "density", "set": "evens", "shifts": [0], "N": 5}),
+        ("spectrum --set evens", {"task": "spectrum", "set": "evens", "depth": 2, "radius": 4}),
+        ("cylinders --set evens --radius 3",
+         {"task": "cylinders", "set": "evens", "radius": 3, "depth": 2}),
+        ("verify --system per --queries 0;0,1",
+         {"task": "verify", "system": "per", "queries": [[0], [0, 1]]}),
+        ("verify --system per", {"task": "verify", "system": "per", "queries": [[0]]}),
+        ("compare --set1 evens --set2 odds --eps 1e-9",
+         {"task": "compare", "set1": "evens", "set2": "odds", "depth": 2, "radius": 4,
+          "eps": 1e-9}),
+        ("moments --family e1,ind --scheme unit --queries 1:0:0,1:1:3;2:c:-1 -N 100",
+         {"task": "moments", "family": ["e1", "ind"], "scheme": "unit",
+          "queries": [[[1, False, 0], [1, True, 3]], [[2, True, -1]]], "N": 100}),
+        ("normcheck --scheme lin -N 1000", {"task": "normcheck", "scheme": "lin", "N": 1000}),
+    ]
+    for argv, task in cases:
+        assert main(argv.split() + ["--config", path]) == 0
+        assert seen.pop() == task

@@ -135,3 +135,20 @@ def test_word_ball():
     ball = H3.word_ball(2)
     assert (0, 0, 0) in ball and (1, 1, 1) in ball  # xy reaches (1,1,1)
     assert all(max(abs(a), abs(b)) <= 2 for a, b, _ in ball)
+
+
+def test_right_defect_brute_force_h3():
+    f = FolnerSpec(H3, "heisenberg_box")
+    for N in (1, 2, 3):
+        F = set(f.elements(N))
+        for g in [(1, 0, 0), (0, 1, 0), (1, -2, 3), (-2, 1, -5), (2, 2, 0), (0, 0, 7)]:
+            Fg = {H3.mul(x, g) for x in F}
+            assert f.right_defect(N, g) == Fraction(len(F ^ Fg), len(F))
+
+
+def test_ball_size():
+    for group in (Z, Z2, H3):
+        for R in range(4):
+            assert group.ball_size(R, 10 ** 6) == len(group.word_ball(R))
+    # H3 stops growing the ball once it has more than `limit` elements
+    assert 100 < H3.ball_size(10 ** 9, 100) < 10 ** 4

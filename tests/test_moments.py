@@ -163,7 +163,7 @@ def test_query_validation():
     fam = [ExponentialFn(0.1)]
     with pytest.raises(ValueError):
         weighted_moment(fam, [], UNIT, 10)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="function index 2 out of range"):
         weighted_moment(fam, [(2, False, 0)], UNIT, 10)
 
 

@@ -6,6 +6,8 @@ from folnersys import (
     CONSISTENT, DISTINGUISHED, ComponentCongruence, Congruence, DyadicBlocks,
     FolnerSpec, GroupSpec, compare_pairs, correlation_spectrum,
 )
+from folnersys.cylinders import enumerate_cylinders
+from folnersys.errors import CapExceededError
 from folnersys.spectrum import canonical_tuple, canonical_tuples, shift_ball
 
 Z = GroupSpec("Z")
@@ -91,3 +93,13 @@ def test_spectrum_h3():
     s = correlation_spectrum(e, fh, 1, 1, [4, 8])
     assert s.density([(0, 0, 0)]) == Fraction(1, 2)
     assert s.density([(1, 0, 0)]) == Fraction(1, 2)
+
+
+def test_ball_counted_before_cap():
+    # neither the 10^12-point shift ball nor the Z^2 and H3 balls is built
+    E = Congruence(0, 2)
+    with pytest.raises(CapExceededError, match="tuple count at least 1000000000001"):
+        correlation_spectrum(E, FZ, 2, 10 ** 12, [10])
+    for group in (GroupSpec("Zd", 2), GroupSpec("H3")):
+        with pytest.raises(CapExceededError, match="cylinder count at least"):
+            enumerate_cylinders(group, 10 ** 6, 1)
