@@ -7,6 +7,7 @@ fails before any computation starts.
 """
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
@@ -111,12 +112,22 @@ DEFAULT_CAPS = {"cylinders": 20000, "window": 1 << 26}
 DEFAULT_TOLERANCES = {"tau": 1e-3}
 
 
-def check_window(cfg: "ExperimentConfig", n: int, where: str) -> None:
-    """Refuse, before anything is allocated, a window of n elements over the cap."""
+def check_window(cfg: "ExperimentConfig", n: int, where: str, states: int = 1) -> None:
+    """Refuse, before anything is allocated, a window of n elements over the cap.
+    A Markov orbit over k states counts n*k: its sampler scans an n x k map table."""
     cap = cfg.caps["window"]
-    if n > cap:
+    if n * states > cap:
         size = n if n < 1 << 64 else f"over 2^{n.bit_length() - 1}"
-        raise CapExceededError(f"{where}: window of {size} elements exceeds cap {cap}")
+        per = f" x {states} Markov states" if states > 1 else ""
+        raise CapExceededError(f"{where}: window of {size} elements{per} exceeds cap {cap}")
+
+
+def _chain_states(cfg: "ExperimentConfig", system) -> int:
+    """The number of states k of the Markov system named `system`, else 1."""
+    d = cfg.systems.get(system) if isinstance(system, str) else None
+    if isinstance(d, dict) and d.get("kind") == "markov" and isinstance(d.get("P"), list):
+        return len(d["P"])
+    return 1
 
 
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
@@ -150,7 +161,8 @@ def check_extent(cfg: "ExperimentConfig", task: dict, N: int, where: str) -> Non
     f, shifts = cfg.folner, _task_shifts(task, cfg.group)
     if f.shape == SHAPE_INTERVAL:
         lo, hi = min(shifts + [0]), max(shifts + [0])
-        check_window(cfg, N + hi - lo, where)
+        states = _chain_states(cfg, task.get("system")) if task["task"] == "verify" else 1
+        check_window(cfg, N + hi - lo, where, states)
         # the verify orbit reads [start + lo, start + N + hi], one point past the window
         if f.start + lo < INT64_MIN or f.start + N + hi > INT64_MAX:
             raise ConfigError(f"{where}: window [{f.start + lo}, {f.start + N + hi}) "
@@ -222,9 +234,10 @@ class Workspace:
                      for r in _need(d, "rules", name)]
             return setmod.ComponentCongruence(self.cfg.group, rules)
         if rule == "orbit":
-            system = self.system(_need(d, "system", name))
+            sysname = _need(d, "system", name)
+            system = self.system(sysname)
             lo, hi = int(_need(d, "lo", name)), int(_need(d, "hi", name))
-            check_window(self.cfg, hi - lo, f"set {name}")
+            check_window(self.cfg, hi - lo, f"set {name}", _chain_states(self.cfg, sysname))
             if isinstance(system, oraclemod.MarkovSystem):
                 if self.cfg.seed is None and "seed" not in d:
                     raise ConfigError(f"set {name}: Markov orbit requires a seed")
@@ -307,7 +320,23 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentCo
     return cfg
 
 
+def _complement_cycles(sets: dict) -> None:
+    """Refuse a complement set whose `of` chain leads back into itself."""
+    for name in sets:
+        chain = [name]
+        while True:
+            d = sets.get(chain[-1])
+            of = d.get("of") if isinstance(d, dict) and d.get("rule") == "complement" else None
+            if not isinstance(of, Hashable) or of not in sets:
+                break
+            if of in chain:
+                cycle = " -> ".join(map(str, chain[chain.index(of):] + [of]))
+                raise ConfigError(f"set {chain[0]}: complement cycle {cycle}")
+            chain.append(of)
+
+
 def _validate(cfg: ExperimentConfig) -> None:
+    _complement_cycles(cfg.sets)
     for i, task in enumerate(cfg.tasks):
         where = f"task {i}"
         if not isinstance(task, dict):
@@ -328,6 +357,12 @@ def _validate(cfg: ExperimentConfig) -> None:
             v = task.get(key, least)
             if isinstance(v, bool) or not isinstance(v, int) or v < least:
                 raise ConfigError(f"{where}: {key} must be an integer >= {least}, got {v!r}")
+        # the runner reads these with int(); .inf would overflow there
+        for key in ("radius", "depth", "conj_depth", "seed"):
+            try:
+                int(task.get(key, 0))
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"{where}: {key} must be an integer, got {task[key]!r}") from None
         # a task runs at one index N or over a schedule, never both
         largest = task["N"] if "N" in task else max(task_schedule(task, cfg), default=0)
         if largest:

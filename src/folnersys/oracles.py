@@ -150,18 +150,28 @@ class MarkovSystem(OracleSystem):
 
     def orbit_set(self, lo: int, hi: int, seed: int = 0) -> OrbitSet:
         """Sample a stationary trajectory over [lo, hi); deterministic per seed."""
-        rng = np.random.default_rng(seed)
-        n = hi - lo
-        cum_pi = np.cumsum(self.pi)
+        return OrbitSet(lo, self.accepted[self.states(hi - lo, seed)], self.label(), f"seed={seed}")
+
+    def states(self, n: int, seed: int = 0) -> np.ndarray:
+        """The first n states of the trajectory sampled from ``seed``.
+
+        X_0 is drawn from pi with u_0 and X_i = M_i(X_{i-1}), where
+        M_i(s) = searchsorted(cum_P[s], u_i).  The maps are stored as an
+        (n-1, k) table and composed by an inclusive Hillis-Steele scan, so
+        row i ends as M_{i+1} o ... o M_1 after ceil(log2(n-1)) passes.
+        """
+        u = np.random.default_rng(seed).random(n)
+        s0 = int(np.searchsorted(np.cumsum(self.pi), u[0]))
+        k = self.P.shape[0]
         cum_P = np.cumsum(self.P, axis=1)
-        u = rng.random(n)
-        states = np.empty(n, dtype=np.int64)
-        s = int(np.searchsorted(cum_pi, u[0]))
-        states[0] = s
-        for i in range(1, n):
-            s = int(np.searchsorted(cum_P[s], u[i]))
-            states[i] = s
-        return OrbitSet(lo, self.accepted[states], self.label(), f"seed={seed}")
+        maps = np.empty((n - 1, k), dtype=np.min_scalar_type(k))
+        for s in range(k):
+            maps[:, s] = np.searchsorted(cum_P[s], u[1:])
+        d = 1
+        while d < n - 1:
+            maps[d:] = np.take_along_axis(maps[d:], maps[:-d], axis=1)
+            d *= 2
+        return np.concatenate([[s0], maps[:, s0]])
 
     def sigma_bound(self, orbit: OrbitSet, shifts: Sequence[int], nbatches: int = 32) -> float:
         """Batch-means standard error for the empirical product frequency."""

@@ -2,15 +2,18 @@
 
 Every set spec can answer membership for any element inside a bounded
 window.  Integer-group sets additionally expose ``bits(lo, hi)``, a cached
-boolean window used by the counting kernels.
+boolean window used by the counting kernels; a window that must grow
+computes only its missing extension on either side.
 
 Rotation sets are evaluated in 128-bit fixed point: the circle [0,1) is
 scaled to [0, 2^128) and all fractional parts are exact integer residues,
 so no point near an interval endpoint is ever misclassified relative to
-the stored approximation of alpha.
+the stored approximation of alpha.  Windows are built block by block with
+exact two-limb (2 x uint64) additions with carry.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
@@ -41,15 +44,46 @@ def to_fixed(value: Union[int, float, str, Fraction]) -> int:
     return round(frac * SCALE)
 
 
+# points per vectorized block of a rotation window
+ROTATION_BLOCK = 1 << 14
+_LOW64 = (1 << 64) - 1
+
+
+def _add128(hi: np.ndarray, lo: np.ndarray, c: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) + c modulo 2^128, limb by limb with carry; c is a Python int."""
+    low = lo + np.uint64(c & _LOW64)  # wraps modulo 2^64
+    return hi + np.uint64(c >> 64) + (low < lo), low
+
+
+@functools.lru_cache(maxsize=16)
+def _block_steps(alpha_fp: int) -> Tuple[np.ndarray, np.ndarray]:
+    """k*alpha mod 2^128 for k < ROTATION_BLOCK as (hi, lo) uint64 arrays,
+    each doubling adding m*alpha to the first m entries."""
+    hi = lo = np.zeros(1, dtype=np.uint64)
+    while len(lo) < ROTATION_BLOCK:
+        top_hi, top_lo = _add128(hi, lo, len(lo) * alpha_fp % SCALE)
+        hi, lo = np.concatenate([hi, top_hi]), np.concatenate([lo, top_lo])
+    return hi, lo
+
+
 def rotation_bits(x0_fp: int, alpha_fp: int, beta_fp: int, lo: int, hi: int) -> np.ndarray:
-    """1[frac(x0 + n*alpha) < beta] for n in [lo, hi), on the fixed-point circle."""
-    out = np.empty(hi - lo, dtype=bool)
-    r = (x0_fp + lo * alpha_fp) % SCALE
-    for i in range(hi - lo):
-        out[i] = r < beta_fp
-        r += alpha_fp
-        if r >= SCALE:
-            r -= SCALE
+    """1[frac(x0 + n*alpha) < beta] for n in [lo, hi), on the fixed-point circle.
+
+    Each block of ROTATION_BLOCK points is its exact base point (a Python
+    int) plus the precomputed steps k*alpha, compared with beta limb by limb.
+    """
+    out = np.ones(hi - lo, dtype=bool)
+    if beta_fp == SCALE:  # the whole circle
+        return out
+    step_hi, step_lo = _block_steps(alpha_fp)
+    beta_hi, beta_lo = np.uint64(beta_fp >> 64), np.uint64(beta_fp & _LOW64)
+    base = (x0_fp + lo * alpha_fp) % SCALE
+    stride = ROTATION_BLOCK * alpha_fp % SCALE
+    for start in range(0, hi - lo, ROTATION_BLOCK):
+        m = min(ROTATION_BLOCK, hi - lo - start)
+        r_hi, r_lo = _add128(step_hi[:m], step_lo[:m], base)
+        out[start:start + m] = (r_hi < beta_hi) | ((r_hi == beta_hi) & (r_lo < beta_lo))
+        base = (base + stride) % SCALE
     return out
 
 
@@ -81,14 +115,23 @@ class ZSetSpec(SetSpec):
         self._cache: Optional[np.ndarray] = None
 
     def bits(self, lo: int, hi: int) -> np.ndarray:
-        """Boolean membership over [lo, hi), cached and grown as needed."""
+        """Boolean membership over [lo, hi), cached.
+
+        The cache always covers one interval: the union of the windows asked
+        for and the gaps between them.  Growing it computes only the missing
+        [lo, cache_lo) and [cache_hi, hi), never points outside that hull.
+        """
         if hi <= lo:
             return np.zeros(0, dtype=bool)
-        if self._cache is None or lo < self._cache_lo or hi > self._cache_lo + len(self._cache):
-            new_lo = lo if self._cache is None else min(lo, self._cache_lo)
-            new_hi = hi if self._cache is None else max(hi, self._cache_lo + len(self._cache))
-            self._cache = self._compute_bits(new_lo, new_hi)
-            self._cache_lo = new_lo
+        if self._cache is None:
+            self._cache, self._cache_lo = self._compute_bits(lo, hi), lo
+        cache_lo, cache_hi = self._cache_lo, self._cache_lo + len(self._cache)
+        if lo < cache_lo or hi > cache_hi:
+            parts = [self._compute_bits(lo, cache_lo)] if lo < cache_lo else []
+            parts.append(self._cache)
+            if hi > cache_hi:
+                parts.append(self._compute_bits(cache_hi, hi))
+            self._cache, self._cache_lo = np.concatenate(parts), min(lo, cache_lo)
         off = lo - self._cache_lo
         return self._cache[off:off + (hi - lo)]
 

@@ -278,11 +278,25 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
         ({"task": "density", "set": "s", "shifts": [[0, 0, 2 ** 63 - 10]], "N": 4},
          {**h3, "sets": {"s": {"rule": "component", "rules": [[0, 2], None, None]}}},
          "window coordinates reach"),
+        # int(.inf) used to raise OverflowError in the runner
+        ({"task": "cylinders", "set": "evens", "radius": float("inf"), "depth": 1}, {},
+         "radius must be an integer, got inf"),
+        ({"task": "spectrum", "set": "evens", "radius": 2, "depth": float("inf")}, {},
+         "depth must be an integer, got inf"),
     ]
     for task, overrides, message in refused:
         path = write_cfg(tmp_path, [task], **overrides)
         assert main(["run", "--config", path]) == 2, (task, overrides)
         assert f"task 0: {message}" in capsys.readouterr().err
+    # a complement of itself used to recurse until RecursionError
+    for sets, message in [
+        ({"a": {"rule": "complement", "of": "a"}}, "set a: complement cycle a -> a"),
+        ({"a": {"rule": "complement", "of": "b"}, "b": {"rule": "complement", "of": "a"}},
+         "set a: complement cycle a -> b -> a"),
+    ]:
+        path = write_cfg(tmp_path, [{"task": "density", "set": "a", "N": 10}], sets=sets)
+        assert main(["run", "--config", path]) == 2, sets
+        assert message in capsys.readouterr().err
     # PyYAML refuses an integer literal of over 4300 digits with a ValueError
     path = tmp_path / "huge.yaml"
     path.write_text(f"tasks: [{{task: density, set: evens, N: {'9' * 5000}}}]\n")
@@ -318,6 +332,17 @@ def test_cli_window_cap_exit_code(tmp_path, capsys):
                      sets={"lat": {"rule": "component", "rules": [[0, 2], None, None]}})
     assert main(["run", "--config", path]) == 3
     assert "window of over 2^19931 elements exceeds cap" in capsys.readouterr().err
+    # a Markov orbit of n points over k states scans an n x k map table, so it is
+    # refused at n*k: here 1000 points x 2 states over a cap of 1500
+    orbit = {"rule": "orbit", "system": "mark", "lo": 0, "hi": 1000}
+    for task, sets in [
+        ({"task": "verify", "system": "mark", "queries": [[0]], "schedule": [1000]}, {}),
+        ({"task": "density", "set": "o", "N": 10}, {"o": orbit}),
+    ]:
+        path = write_cfg(tmp_path, [task], caps={"window": 1500}, sets=sets)
+        assert main(["run", "--config", path]) == 3, task
+        assert "window of 1000 elements x 2 Markov states exceeds cap 1500" in \
+            capsys.readouterr().err
 
 
 def test_cli_extent_and_ball_caps_exit_code(tmp_path, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from folnersys import (
@@ -11,7 +11,21 @@ from folnersys import (
     FolnerSpec, GroupSpec, RotationSet, indicator_bits, intersection_count,
 )
 from folnersys.errors import WindowExceededError
-from folnersys.sets import FRAC_BITS, SCALE, to_fixed
+from folnersys.sets import FRAC_BITS, ROTATION_BLOCK, SCALE, rotation_bits, to_fixed
+
+B = ROTATION_BLOCK
+
+
+def rotation_bits_loop(x0_fp, alpha_fp, beta_fp, lo, hi):
+    """One 128-bit step per point: the oracle for the blocked `rotation_bits`."""
+    out = np.empty(hi - lo, dtype=bool)
+    r = (x0_fp + lo * alpha_fp) % SCALE
+    for i in range(hi - lo):
+        out[i] = r < beta_fp
+        r += alpha_fp
+        if r >= SCALE:
+            r -= SCALE
+    return out
 
 
 def test_to_fixed_rationals():
@@ -50,6 +64,27 @@ def test_congruence_window_cache_growth():
     a = e.bits(0, 10).copy()
     b = e.bits(-5, 20)
     np.testing.assert_array_equal(a, b[5:15])
+    # growth left, right, both ways and across a gap computes only the missing
+    # ends, and the cache is the hull of the windows asked for
+    growths = [[(0, 10), (-7, 4)], [(0, 10), (6, 25)], [(0, 10), (-3, 40)],
+               [(0, 10), (30, 35)], [(0, 10), (-40, -30), (2, 3), (5, 50)]]
+    for make in (lambda: Congruence(2, 5), lambda: DyadicBlocks(),
+                 lambda: RotationSet("golden", Fraction(2, 5), x0=Fraction(1, 9))):
+        for windows in growths:
+            s = make()
+            for lo, hi in windows:
+                np.testing.assert_array_equal(s.bits(lo, hi), make()._compute_bits(lo, hi))
+            lo, hi = min(w[0] for w in windows), max(w[1] for w in windows)
+            assert s._cache_lo == lo and len(s._cache) == hi - lo
+            np.testing.assert_array_equal(s._cache, make()._compute_bits(lo, hi))
+    # a bitmask grows inside its range and refuses to grow past it
+    m = Bitmask(-4, [1, 0, 0, 1, 1, 0, 1, 0])
+    for lo, hi in [(0, 2), (-4, 1), (1, 4), (-2, 3)]:
+        np.testing.assert_array_equal(m.bits(lo, hi), m.mask[lo + 4:hi + 4])
+    for lo, hi in [(-5, 0), (0, 5), (-6, 6)]:
+        with pytest.raises(WindowExceededError):
+            m.bits(lo, hi)
+    assert m._cache_lo == -4 and len(m._cache) == 8
 
 
 def test_rotation_set_density_smoke():
@@ -64,6 +99,28 @@ def test_rotation_incremental_matches_direct():
     bits = r.bits(-50, 50)
     for i, n in enumerate(range(-50, 50)):
         assert bits[i] == ((r.x0_fp + n * r.alpha_fp) % SCALE < r.beta_fp)
+    # a window grown both ways across block boundaries, far from the origin
+    r = RotationSet("sqrt2", Fraction(1, 3), x0=Fraction(1, 7))
+    lo = 10 ** 15
+    r.bits(lo, lo + 100)
+    np.testing.assert_array_equal(
+        r.bits(lo - B - 3, lo + B + 7),
+        rotation_bits_loop(r.x0_fp, r.alpha_fp, r.beta_fp, lo - B - 3, lo + B + 7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.sampled_from(["golden", "sqrt2", Fraction(3, 7), 5]),
+       beta=st.sampled_from([1, Fraction(1, 2), Fraction(1, 3), "golden"]),
+       x0=st.sampled_from([0, Fraction(1, 7), "sqrt2"]),
+       n=st.sampled_from([0, B - 1, B, B + 1, 3 * B + 5]),
+       lo=st.sampled_from([0, -12345, 10 ** 15, "2^62 - n"]))
+@example(alpha=5, beta=1, x0=Fraction(1, 7), n=3 * B + 5, lo="2^62 - n")
+@example(alpha="golden", beta=Fraction(1, 2), x0="sqrt2", n=B + 1, lo=-12345)
+def test_rotation_bits_match_loop(alpha, beta, x0, n, lo):
+    # an integer alpha has alpha_fp = 0, and beta = 1 is the whole circle 2^128
+    lo = 2 ** 62 - n if lo == "2^62 - n" else lo
+    args = (to_fixed(x0) % SCALE, to_fixed(alpha) % SCALE, to_fixed(beta), lo, lo + n)
+    np.testing.assert_array_equal(rotation_bits(*args), rotation_bits_loop(*args))
 
 
 def test_rotation_beta_validation():
