@@ -2,8 +2,9 @@
 
 One YAML file defines the group, the Folner shape, named sets / oracle
 systems / averaging schemes / functions, a schedule, tolerances, caps, and
-an ordered task list.  Validation resolves every name up front so a typo
-fails before any computation starts.
+an ordered task list.  `parse_task` converts each task's values once;
+validation and the runner both read its result, so a typo or a value of
+the wrong type fails before any computation starts.
 """
 from __future__ import annotations
 
@@ -37,6 +38,10 @@ _TASK_KEYS = {
     "accordance": ("family", "scheme", "queries", "eps"),
     "normcheck": ("scheme", "N"),
 }
+# task keys read as integers -> the least value allowed, if any
+_INT_KEYS = {"N": 1, "H": 0, "radius": None, "depth": None, "conj_depth": None, "seed": None}
+# task keys naming a config entry -> the config section defining it
+_NAME_KEYS = dict(set="sets", set1="sets", set2="sets", system="systems", scheme="schemes")
 
 
 @dataclass
@@ -54,7 +59,21 @@ class ExperimentConfig:
     tasks: List[dict]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _as_int(value, what: str) -> int:
+    """int(value) of a named entry's parameter; a list, null or .inf is a ValueError."""
+    try:
+        return int(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _need(d: dict, key: str, where: str):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: must be a mapping, got {d!r}")
     if key not in d:
         raise ConfigError(f"{where}: missing key {key!r}")
     return d[key]
@@ -65,7 +84,10 @@ def _build_group(d: dict) -> GroupSpec:
     if kind == "Z":
         return GroupSpec(INT_Z)
     if kind == "Zd":
-        return GroupSpec(INT_ZD, int(_need(d, "d", "group")))
+        dim = _need(d, "d", "group")
+        if not _is_int(dim) or dim < 1:
+            raise ConfigError(f"group: d must be an integer >= 1, got {dim!r}")
+        return GroupSpec(INT_ZD, dim)
     if kind == "H3":
         return GroupSpec(HEISENBERG3)
     raise ConfigError(f"group: unknown kind {kind!r}")
@@ -81,7 +103,7 @@ def _build_folner(d: dict, group: GroupSpec) -> FolnerSpec:
             return FolnerSpec(group, "box", anchor=anchor)
         if shape == "heisenberg_box":
             return FolnerSpec(group, "heisenberg_box")
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"folner: {e}") from e
     raise ConfigError(f"folner: unknown shape {shape!r}")
 
@@ -89,22 +111,19 @@ def _build_folner(d: dict, group: GroupSpec) -> FolnerSpec:
 def _build_schedule(node) -> List[int]:
     if isinstance(node, dict) and "dyadic" in node:
         d = node["dyadic"]
-        lo, hi = int(d["min_exp"]), int(d["max_exp"])
-        if not 0 <= lo <= hi <= 62:  # indices stay in the int64 range
-            raise ConfigError("dyadic schedule needs 0 <= min_exp <= max_exp <= 62")
+        lo, hi = (d.get(k) if isinstance(d, dict) else None for k in ("min_exp", "max_exp"))
+        # indices stay in the int64 range
+        if not (_is_int(lo) and _is_int(hi) and 0 <= lo <= hi <= 62):
+            raise ConfigError("dyadic schedule needs 0 <= min_exp <= max_exp <= 62, "
+                              f"got {d!r}")
         return [1 << k for k in range(lo, hi + 1)]
     if isinstance(node, list):
-        out = [int(x) for x in node]
-        if out != sorted(set(out)):
+        if not all(_is_int(x) and x >= 1 for x in node):
+            raise ConfigError(f"schedule indices must be integers >= 1, got {node!r}")
+        if node != sorted(set(node)):
             raise ConfigError("schedule must be strictly increasing")
-        if out and out[0] < 1:
-            raise ConfigError("schedule indices must be >= 1")
-        return out
+        return list(node)
     raise ConfigError("schedule must be a list or a dyadic range")
-
-
-def task_schedule(task: dict, cfg: "ExperimentConfig") -> List[int]:
-    return _build_schedule(task["schedule"]) if "schedule" in task else cfg.schedule
 
 
 DEFAULT_SCHEDULE = [1 << k for k in range(10, 21)]
@@ -133,35 +152,29 @@ def _chain_states(cfg: "ExperimentConfig", system) -> int:
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
-def _task_shifts(task: dict, group: GroupSpec) -> list:
-    """Every element a task moves its window by, a ball standing in as its
-    extreme elements.  Malformed elements are left to the runner to refuse."""
-    def walk(node):
-        g = tuple(node) if isinstance(node, list) else node
-        if group.contains(g):
-            return [g]
-        return [h for x in node for h in walk(x)] if isinstance(node, list) else []
-
-    kind = task["task"]
-    gs = walk([task.get(k) for k in ("shifts", "queries", "element", "shift", "cylinder")])
-    gs += [group.mul(g, h) for g in walk(task.get("shift")) for h in walk(task.get("cylinder"))]
-    try:
-        R = max(0, int(task.get("H" if kind == "pair_correlation" else "radius", 0)))
-    except (TypeError, ValueError, OverflowError):
-        return gs
+def _task_shifts(t: dict, group: GroupSpec) -> list:
+    """Each element a parsed task moves its window by, a ball by its extreme ones."""
+    kind = t["task"]
+    gs = list(t["shifts"]) + [t[k] for k in ("element", "shift") if k in t]
+    for q in t["queries"]:
+        gs += [g for _, _, g in q] if "family" in _TASK_KEYS[kind] else q
+    gs += [h for h, _ in t["cylinder"]]
+    if "shift" in t:
+        gs += [group.mul(t["shift"], h) for h, _ in t["cylinder"]]
+    R = max(0, t.get("H" if kind == "pair_correlation" else "radius", 0))
     if group.kind == INT_Z:
         return gs + [R, 0 if kind in ("spectrum", "compare") else -R]
     # no word of length R moves a coordinate further than R, or R^2 for c on H3
     return gs + [(R,) * group.d if group.kind == INT_ZD else (R, R, R * R)]
 
 
-def check_extent(cfg: "ExperimentConfig", task: dict, N: int, where: str) -> None:
-    """Refuse, by arithmetic alone, a task whose windows at index N exceed
-    `caps.window` (exit 3) or hold a point outside int64 (exit 2)."""
-    f, shifts = cfg.folner, _task_shifts(task, cfg.group)
+def check_extent(cfg: "ExperimentConfig", t: dict, N: int, where: str) -> None:
+    """Refuse, by arithmetic alone, a parsed task whose windows at index N
+    exceed `caps.window` (exit 3) or hold a point outside int64 (exit 2)."""
+    f, shifts = cfg.folner, _task_shifts(t, cfg.group)
     if f.shape == SHAPE_INTERVAL:
         lo, hi = min(shifts + [0]), max(shifts + [0])
-        states = _chain_states(cfg, task.get("system")) if task["task"] == "verify" else 1
+        states = _chain_states(cfg, t["system"]) if t["task"] == "verify" else 1
         check_window(cfg, N + hi - lo, where, states)
         # the verify orbit reads [start + lo, start + N + hi], one point past the window
         if f.start + lo < INT64_MIN or f.start + N + hi > INT64_MAX:
@@ -209,18 +222,19 @@ class Workspace:
     def _build_set(self, name: str, d: dict) -> setmod.SetSpec:
         rule = _need(d, "rule", f"set {name}")
         if rule == "congruence":
-            return setmod.Congruence(int(_need(d, "a", name)), int(_need(d, "m", name)))
+            a, m = _need(d, "a", name), _need(d, "m", name)
+            return setmod.Congruence(_as_int(a, "a"), _as_int(m, "m"))
         if rule == "rotation":
             return setmod.RotationSet(
                 d.get("alpha", "golden"), d.get("beta", 0.5), d.get("x0", 0))
         if rule == "dyadic":
             return setmod.DyadicBlocks()
         if rule == "bitmask":
-            lo = int(d.get("lo", 0))
+            lo = _as_int(d.get("lo", 0), "lo")
             if "bits" in d:
                 bits = [int(b) for b in str(d["bits"])]
             else:
-                n = int(_need(d, "n", name))
+                n = _as_int(_need(d, "n", name), "n")
                 check_window(self.cfg, n, f"set {name}")
                 if self.cfg.seed is None:
                     raise ConfigError(f"set {name}: random bitmask requires a seed")
@@ -230,18 +244,16 @@ class Workspace:
         if rule == "complement":
             return self.set_spec(_need(d, "of", name)).complement()
         if rule == "component":
-            rules = [None if r is None else (int(r[0]), int(r[1]))
-                     for r in _need(d, "rules", name)]
-            return setmod.ComponentCongruence(self.cfg.group, rules)
+            return setmod.ComponentCongruence(self.cfg.group, _need(d, "rules", name))
         if rule == "orbit":
             sysname = _need(d, "system", name)
             system = self.system(sysname)
-            lo, hi = int(_need(d, "lo", name)), int(_need(d, "hi", name))
+            lo, hi = _as_int(_need(d, "lo", name), "lo"), _as_int(_need(d, "hi", name), "hi")
             check_window(self.cfg, hi - lo, f"set {name}", _chain_states(self.cfg, sysname))
             if isinstance(system, oraclemod.MarkovSystem):
                 if self.cfg.seed is None and "seed" not in d:
                     raise ConfigError(f"set {name}: Markov orbit requires a seed")
-                return system.orbit_set(lo, hi, seed=int(d.get("seed", self.cfg.seed)))
+                return system.orbit_set(lo, hi, seed=_as_int(d.get("seed", self.cfg.seed), "seed"))
             return system.orbit_set(lo, hi, x0=d.get("x0", 0))
         raise ConfigError(f"set {name}: unknown rule {rule!r}")
 
@@ -276,13 +288,13 @@ class Workspace:
     def _build_function(self, d: dict) -> momentmod.FunctionSpec:
         kind = _need(d, "kind", "function")
         if kind == "exponential":
-            return momentmod.ExponentialFn(float(_need(d, "theta", "function")))
+            return momentmod.ExponentialFn(_need(d, "theta", "function"))
         if kind == "indicator":
             return momentmod.IndicatorFn(self.set_spec(_need(d, "set", "function")))
         if kind == "random_disk":
             if self.cfg.seed is None and "seed" not in d:
                 raise ConfigError("random_disk function requires a seed")
-            return momentmod.RandomDiskFn(int(d.get("seed", self.cfg.seed)))
+            return momentmod.RandomDiskFn(_as_int(d.get("seed", self.cfg.seed), "seed"))
         raise ConfigError(f"function: unknown kind {kind!r}")
 
 
@@ -297,24 +309,40 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
     return parse_config(raw, seed_override=seed_override)
 
 
+def _section(raw: dict, key: str, default, kind: type = dict):
+    """The top-level section `key`, absent or null giving `default`."""
+    node = raw.get(key)
+    if node is None:
+        return default
+    if not isinstance(node, kind):
+        raise ConfigError(f"{key} must be a {'mapping' if kind is dict else 'list'}, got {node!r}")
+    return node
+
+
 def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentConfig:
-    group = _build_group(raw.get("group", {"kind": "Z"}))
-    folner = _build_folner(raw.get("folner", {"shape": "interval", "start": 1}), group)
+    group = _build_group(_section(raw, "group", {"kind": "Z"}))
+    folner = _build_folner(_section(raw, "folner", {"shape": "interval", "start": 1}), group)
     schedule = (_build_schedule(raw["schedule"]) if "schedule" in raw
                 else list(DEFAULT_SCHEDULE))
     seed = seed_override if seed_override is not None else raw.get("seed")
+    if seed is not None and not _is_int(seed):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    caps = {**DEFAULT_CAPS, **_section(raw, "caps", {})}
+    for key, cap in caps.items():
+        if not _is_int(cap):
+            raise ConfigError(f"caps: {key} must be an integer, got {cap!r}")
     cfg = ExperimentConfig(
         group=group,
         folner=folner,
         schedule=schedule,
-        seed=None if seed is None else int(seed),
-        tolerances={**DEFAULT_TOLERANCES, **raw.get("tolerances", {})},
-        caps={**DEFAULT_CAPS, **raw.get("caps", {})},
-        sets=raw.get("sets", {}) or {},
-        systems=raw.get("systems", {}) or {},
-        schemes=raw.get("schemes", {}) or {},
-        functions=raw.get("functions", {}) or {},
-        tasks=raw.get("tasks", []) or [],
+        seed=seed,
+        tolerances={**DEFAULT_TOLERANCES, **_section(raw, "tolerances", {})},
+        caps=caps,
+        sets=_section(raw, "sets", {}),
+        systems=_section(raw, "systems", {}),
+        schemes=_section(raw, "schemes", {}),
+        functions=_section(raw, "functions", {}),
+        tasks=_section(raw, "tasks", [], list),
     )
     _validate(cfg)
     return cfg
@@ -335,45 +363,92 @@ def _complement_cycles(sets: dict) -> None:
             chain.append(of)
 
 
+def parse_task(task, cfg: ExperimentConfig, where: str) -> dict:
+    """The task with each value the runner reads converted, once: ints, numbers, the
+    schedule, group elements, moment factors, cylinder constraints; names checked."""
+    group = cfg.group
+
+    def fail(message):
+        raise ConfigError(f"{where}: {message}")
+
+    def seq(node, key, what):
+        return node if isinstance(node, (list, tuple)) else \
+            fail(f"{key} must be a list of {what}, got {node!r}")
+
+    def convert(v, to, what):
+        try:
+            return to(None if isinstance(v, bool) else v)
+        except (TypeError, ValueError):
+            fail(f"{what}, got {v!r}")
+
+    def element(node):
+        g = tuple(node) if isinstance(node, list) else node
+        return g if group.contains(g) else \
+            fail(f"{node!r} is not an element of group {group.kind}")
+
+    def factor(node):
+        if not (isinstance(node, (list, tuple)) and len(node) == 3 and _is_int(node[0])
+                and node[1] in (True, False)):
+            fail(f"a moment factor is [index, true or false, element], got {node!r}")
+        return node[0], bool(node[1]), element(node[2])
+
+    def constraint(node):
+        if not (isinstance(node, (list, tuple)) and len(node) == 2 and _is_int(node[1])
+                and node[1] in (0, 1)):
+            fail(f"a cylinder constraint is [element, 0 or 1], got {node!r}")
+        return element(node[0]), node[1]
+
+    kind = _need(task, "task", where)
+    if not isinstance(kind, str) or kind not in _TASK_KEYS:
+        fail(f"unknown task {kind!r}")
+    for key in _TASK_KEYS[kind]:
+        _need(task, key, where)
+    for key, least in _INT_KEYS.items():
+        if key in task and not (_is_int(task[key]) and (least is None or task[key] >= least)):
+            fail(f"{key} must be an integer{'' if least is None else f' >= {least}'}, "
+                 f"got {task[key]!r}")
+    t = dict(task)
+    t["eps"] = convert(task.get("eps", 0.05), float, "eps must be positive")
+    if not t["eps"] > 0:
+        fail(f"eps must be positive, got {task['eps']!r}")
+    if "tol" in task:
+        t["tol"] = convert(task["tol"], float, "tol must be a number")
+    if "oracle_thetas" in task:
+        t["oracle_thetas"] = [convert(x, float, "oracle_thetas must be numbers") for x in
+                              seq(task["oracle_thetas"], "oracle_thetas", "numbers")]
+    if kind == "upper_density":
+        t["tau"] = convert(task.get("tau", cfg.tolerances["tau"]), lambda x: Fraction(str(x)),
+                           "tau must be a number")
+    try:
+        t["schedule"] = _build_schedule(task["schedule"]) if "schedule" in task else cfg.schedule
+    except ConfigError as e:
+        fail(e)
+    t["shifts"] = tuple(map(element, seq(task.get("shifts", [group.identity()]), "shifts",
+                                         "group elements")))
+    # the queries of a task over a function family are moment factor lists
+    item = factor if "family" in _TASK_KEYS[kind] else element
+    t["queries"] = [tuple(map(item, seq(q, "a query", "factors or elements")))
+                    for q in seq(task.get("queries", []), "queries", "queries")]
+    t.update((key, element(task[key])) for key in ("element", "shift") if key in task)
+    t["cylinder"] = [constraint(c) for c in
+                     seq(task.get("cylinder", ()), "cylinder", "[element, polarity] pairs")]
+    if kind == "moments":
+        t.setdefault("scheme", next(iter(cfg.schemes), ""))
+    for key, section in _NAME_KEYS.items():
+        if key in t and not (isinstance(t[key], Hashable) and t[key] in getattr(cfg, section)):
+            fail(f"undefined {section[:-1]} {t[key]!r}")
+    for name in seq(task.get("family", []), "family", "function names"):
+        if not (isinstance(name, Hashable) and name in cfg.functions):
+            fail(f"undefined function {name!r}")
+    return t
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     _complement_cycles(cfg.sets)
     for i, task in enumerate(cfg.tasks):
         where = f"task {i}"
-        if not isinstance(task, dict):
-            raise ConfigError(f"{where}: must be a mapping")
-        kind = _need(task, "task", where)
-        if kind not in _TASK_KEYS:
-            raise ConfigError(f"{where}: unknown task {kind!r}")
-        for key in _TASK_KEYS[kind]:
-            _need(task, key, where)
-        eps = task.get("eps", 1)
-        try:
-            ok = not isinstance(eps, bool) and float(eps) > 0
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            raise ConfigError(f"{where}: eps must be positive, got {eps!r}")
-        for key, least in (("N", 1), ("H", 0)):
-            v = task.get(key, least)
-            if isinstance(v, bool) or not isinstance(v, int) or v < least:
-                raise ConfigError(f"{where}: {key} must be an integer >= {least}, got {v!r}")
-        # the runner reads these with int(); .inf would overflow there
-        for key in ("radius", "depth", "conj_depth", "seed"):
-            try:
-                int(task.get(key, 0))
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"{where}: {key} must be an integer, got {task[key]!r}") from None
+        t = parse_task(task, cfg, where)
         # a task runs at one index N or over a schedule, never both
-        largest = task["N"] if "N" in task else max(task_schedule(task, cfg), default=0)
+        largest = t["N"] if "N" in t else max(t["schedule"], default=0)
         if largest:
-            check_extent(cfg, task, largest, where)
-        for key in ("set", "set1", "set2"):
-            if key in task and task[key] not in cfg.sets:
-                raise ConfigError(f"{where}: undefined set {task[key]!r}")
-        if "system" in task and task["system"] not in cfg.systems:
-            raise ConfigError(f"{where}: undefined system {task['system']!r}")
-        if "scheme" in task and task["scheme"] not in cfg.schemes:
-            raise ConfigError(f"{where}: undefined scheme {task['scheme']!r}")
-        for fname in task.get("family", []):
-            if fname not in cfg.functions:
-                raise ConfigError(f"{where}: undefined function {fname!r}")
+            check_extent(cfg, t, largest, where)

@@ -156,7 +156,10 @@ class ExponentialFn(FunctionSpec):
     """f(n) = exp(2 pi i theta n)."""
 
     def __init__(self, theta: float):
-        self.theta = float(theta)
+        try:
+            self.theta = float(theta)
+        except TypeError:
+            raise ValueError(f"theta must be a number, got {theta!r}") from None
 
     def at(self, n):
         return np.exp(2j * np.pi * self.theta * n.astype(np.float64))

@@ -96,6 +96,8 @@ class PeriodicSystem(OracleSystem):
         return Fraction(hits, self.p)
 
     def orbit_set(self, lo: int, hi: int, x0: int = 0) -> OrbitSet:
+        if not isinstance(x0, int) or isinstance(x0, bool):
+            raise ValueError(f"x0 of a periodic orbit must be an integer, got {x0!r}")
         n = np.arange(lo, hi)
         bits = np.asarray(self.pattern)[(x0 + n) % self.p].astype(bool)
         return OrbitSet(lo, bits, self.label(), f"x0={x0}")
@@ -110,12 +112,15 @@ class MarkovSystem(OracleSystem):
     def __init__(self, P: Sequence[Sequence[float]], accept: Sequence[int],
                  pi: Optional[Sequence[float]] = None):
         self.P = np.asarray(P, dtype=np.float64)
-        k = self.P.shape[0]
-        if self.P.shape != (k, k):
+        if self.P.ndim != 2 or self.P.shape[0] != self.P.shape[1]:
             raise ValueError("transition matrix must be square")
+        k = self.P.shape[0]
         if not np.allclose(self.P.sum(axis=1), 1.0, atol=1e-10):
             raise ValueError("rows of P must sum to 1")
-        self.accept = frozenset(int(s) for s in accept)
+        try:
+            self.accept = frozenset(int(s) for s in accept)
+        except TypeError:
+            raise ValueError(f"accept must be a list of states, got {accept!r}") from None
         if not self.accept or not all(0 <= s < k for s in self.accept):
             raise ValueError("accept states out of range")
         self.accepted = np.isin(np.arange(k), sorted(self.accept))
@@ -160,6 +165,8 @@ class MarkovSystem(OracleSystem):
         (n-1, k) table and composed by an inclusive Hillis-Steele scan, so
         row i ends as M_{i+1} o ... o M_1 after ceil(log2(n-1)) passes.
         """
+        if n == 0:
+            return np.zeros(0, dtype=np.int64)
         u = np.random.default_rng(seed).random(n)
         s0 = int(np.searchsorted(np.cumsum(self.pi), u[0]))
         k = self.P.shape[0]
@@ -178,6 +185,9 @@ class MarkovSystem(OracleSystem):
         hs = sorted(set(int(h) for h in shifts))
         span = hs[-1] - hs[0]
         usable = len(orbit.mask) - span
+        if usable < nbatches:
+            raise ValueError(f"a Markov verify needs at least {nbatches} orbit points past its "
+                             f"largest shift gap for {nbatches} batch means, got {usable}")
         vals = np.ones(usable, dtype=bool)
         for h in hs:
             vals &= orbit.mask[h - hs[0]: h - hs[0] + usable]

@@ -7,7 +7,7 @@ from typing import Optional
 
 from . import __version__
 from .cache import ResultCache, digest, source_digest
-from .config import _TASK_KEYS, ExperimentConfig, Workspace, task_schedule
+from .config import _TASK_KEYS, ExperimentConfig, Workspace, parse_task
 from .cylinders import CylinderSpec, additivity_check, frac, furstenberg_report, invariance_defect
 from .density import extract_subsequence, intersection_count, pair_correlation_fft, upper_density
 from .errors import ConfigError, NoConvergentSubsequenceError
@@ -16,125 +16,80 @@ from .oracles import verify_correspondence
 from .spectrum import compare_pairs, correlation_spectrum
 
 
-def _element(group, node):
-    g = tuple(node) if isinstance(node, list) else node
-    if not group.contains(g):
-        raise ConfigError(f"{node!r} is not an element of group {group.kind}")
-    return g
-
-
-def _query(group, node):
-    return tuple(_element(group, g) for g in node)
-
-
-def _factors(group, node):
-    return [(int(i), bool(c), _element(group, g)) for i, c, g in node]
-
-
-def _cylinder(group, task):
-    constraints = task.get("cylinder", [])
-    return CylinderSpec.make(group, {_element(group, h): int(e) for h, e in constraints})
-
-
 def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
-    kind = task["task"]
-    group, f = cfg.group, cfg.folner
-    E = ws.set_spec(task["set"]) if "set" in _TASK_KEYS.get(kind, ()) else None
+    t = parse_task(task, cfg, "task")
+    kind, N, f = t["task"], t.get("N"), cfg.folner
+    E = ws.set_spec(t["set"]) if "set" in _TASK_KEYS[kind] else None
+    C = CylinderSpec.make(cfg.group, dict(t["cylinder"]))
+    family = [ws.function(n) for n in t.get("family", [])]
 
     if kind == "density":
-        q = _query(group, task.get("shifts", [group.identity()]))
-        N = int(task["N"])
-        count = intersection_count(E, q, f, N)
+        count = intersection_count(E, t["shifts"], f, N)
         return {"count": count, "size": f.size(N), "density": frac(Fraction(count, f.size(N)))}
 
     if kind == "upper_density":
-        tau = Fraction(str(task.get("tau", cfg.tolerances["tau"])))
-        est, attaining = upper_density(E, f, task_schedule(task, cfg), tol=tau)
+        est, attaining = upper_density(E, f, t["schedule"], tol=t["tau"])
         return {"estimate": frac(est), "attaining": attaining}
 
     if kind == "subsequence":
-        queries = [_query(group, q) for q in task["queries"]]
         try:
-            sub = extract_subsequence(E, queries, f, task_schedule(task, cfg), float(task["eps"]))
+            sub = extract_subsequence(E, t["queries"], f, t["schedule"], t["eps"])
             return {"subsequence": sub, "passed": True}
         except NoConvergentSubsequenceError as e:
             return {"subsequence": None, "error": str(e), "passed": False}
 
     if kind == "pair_correlation":
-        counts = pair_correlation_fft(E, f, int(task["N"]), int(task["H"]))
+        counts = pair_correlation_fft(E, f, N, t["H"])
         return {"counts": {str(h): c for h, c in sorted(counts.items())}}
 
     if kind == "cylinders":
-        table = furstenberg_report(
-            E, f, int(task["radius"]), int(task["depth"]), task_schedule(task, cfg),
-            cylinder_cap=cfg.caps["cylinders"],
-            subsequence_eps=float(task.get("eps", 0.05)),
-            collect_patterns=bool(task.get("patterns", False)),
-        )
-        return table.to_dict()
+        return furstenberg_report(
+            E, f, t["radius"], t["depth"], t["schedule"], cylinder_cap=cfg.caps["cylinders"],
+            subsequence_eps=t["eps"], collect_patterns=bool(t.get("patterns", False))).to_dict()
 
     if kind == "additivity":
-        ok, residual = additivity_check(
-            E, _cylinder(group, task), _element(group, task["element"]), f, int(task["N"]))
+        ok, residual = additivity_check(E, C, t["element"], f, N)
         return {"ok": ok, "residual": frac(residual), "passed": ok}
 
     if kind == "invariance":
-        g = _element(group, task["shift"])
-        N = int(task["N"])
-        value = invariance_defect(E, _cylinder(group, task), g, f, N)
-        return {"defect": frac(value), "folner_defect": frac(f.defect(N, g))}
+        value = invariance_defect(E, C, t["shift"], f, N)
+        return {"defect": frac(value), "folner_defect": frac(f.defect(N, t["shift"]))}
 
     if kind == "verify":
-        sysname = task["system"]
-        system = ws.system(sysname)
-        queries = [_query(group, q) for q in task["queries"]]
-        report = verify_correspondence(
-            system, queries, f, task_schedule(task, cfg),
-            x0=task.get("x0", 0), seed=int(task.get("seed", cfg.seed or 0)),
-        )
-        out = report.to_dict()
-        out["passed"] = report.passed
-        return out
+        return verify_correspondence(
+            ws.system(t["system"]), t["queries"], f, t["schedule"],
+            x0=t.get("x0", 0), seed=t.get("seed", cfg.seed or 0),
+        ).to_dict()
 
     if kind == "spectrum":
-        spec = correlation_spectrum(
-            E, f, int(task["depth"]), int(task["radius"]), task_schedule(task, cfg))
+        spec = correlation_spectrum(E, f, t["depth"], t["radius"], t["schedule"])
         return {"rows": spec.to_rows(), "final_N": spec.final_N}
 
     if kind == "compare":
-        p1 = (ws.set_spec(task["set1"]), f)
-        p2 = (ws.set_spec(task["set2"]), f)
-        verdict = compare_pairs(
-            p1, p2, int(task["depth"]), int(task["radius"]),
-            task_schedule(task, cfg), float(task["eps"]))
+        verdict = compare_pairs((ws.set_spec(t["set1"]), f), (ws.set_spec(t["set2"]), f),
+                                t["depth"], t["radius"], t["schedule"], t["eps"])
         out = verdict.to_dict()
-        if "expect" in task:
-            out["passed"] = verdict.verdict == task["expect"]
+        if "expect" in t:
+            out["passed"] = verdict.verdict == t["expect"]
         return out
 
     if kind == "moments":
-        family = [ws.function(n) for n in task["family"]]
-        scheme = ws.scheme(task.get("scheme", next(iter(cfg.schemes), None)) or "")
-        N = int(task["N"])
+        scheme = ws.scheme(t["scheme"])
         rows = []
-        for qnode in task["queries"]:
-            q = _factors(group, qnode)
+        for qnode, q in zip(task["queries"], t["queries"]):
             value = weighted_moment(family, q, scheme, N)
             row = {"query": qnode, "re": value.real, "im": value.imag}
-            if "oracle_thetas" in task:
-                o = exponential_oracle([float(t) for t in task["oracle_thetas"]], q, scheme)
+            if "oracle_thetas" in t:
+                o = exponential_oracle(t["oracle_thetas"], q, scheme)
                 row["oracle"] = {"re": o.real, "im": o.imag}
                 row["deviation"] = abs(value - o)
             rows.append(row)
         return {"rows": rows}
 
     if kind == "accordance":
-        family = [ws.function(n) for n in task["family"]]
-        scheme = ws.scheme(task["scheme"])
-        queries = [_factors(group, qnode) for qnode in task["queries"]]
         rows = accordance_check(
-            family, queries, scheme, task_schedule(task, cfg), float(task["eps"]),
-            conj_depth=int(task.get("conj_depth", 3)))
+            family, t["queries"], ws.scheme(t["scheme"]), t["schedule"], t["eps"],
+            conj_depth=t.get("conj_depth", 3))
         return {
             "rows": [
                 {
@@ -148,20 +103,16 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
                 }
                 for r in rows
             ],
-            "passed": all(r.accordant for r in rows) if task.get("expect", True) else
+            "passed": all(r.accordant for r in rows) if t.get("expect", True) else
                       not all(r.accordant for r in rows),
         }
 
-    if kind == "normcheck":
-        scheme = ws.scheme(task["scheme"])
-        N = int(task["N"])
-        value = scheme_normalization(scheme, N)
-        out = {"value": frac(value)}
-        if "tol" in task:
-            out["passed"] = abs(float(value) - 1.0) <= float(task["tol"])
-        return out
-
-    raise ConfigError(f"unknown task {kind!r}")
+    # normcheck
+    value = scheme_normalization(ws.scheme(t["scheme"]), N)
+    out = {"value": frac(value)}
+    if "tol" in t:
+        out["passed"] = abs(float(value) - 1.0) <= t["tol"]
+    return out
 
 
 def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, use_cache: bool = True) -> dict:
@@ -177,6 +128,7 @@ def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, use_cache: bool = 
                    "anchor": list(cfg.folner.anchor)},
         "schedule": cfg.schedule,
         "seed": cfg.seed,
+        "tolerances": cfg.tolerances,
         "sets": cfg.sets, "systems": cfg.systems,
         "schemes": cfg.schemes, "functions": cfg.functions,
         "version": __version__,

@@ -40,8 +40,10 @@ def to_fixed(value: Union[int, float, str, Fraction]) -> int:
         if value == "sqrt2":
             return math.isqrt(2 << (2 * FRAC_BITS)) - SCALE
         value = Fraction(value)
-    frac = Fraction(value)
-    return round(frac * SCALE)
+    try:
+        return round(Fraction(value) * SCALE)
+    except (TypeError, OverflowError):  # a list, null or an infinite float
+        raise ValueError(f"circle coordinate must be a number, got {value!r}") from None
 
 
 # points per vectorized block of a rotation window
@@ -256,16 +258,27 @@ class OrbitSet(Bitmask):
         return f"orbit({self.system_label}, start={self.start_label}, lo={self.lo}, n={len(self.mask)})"
 
 
+def _residue_rule(rule) -> Tuple[int, int]:
+    """A component rule [a, m] as (a mod m, m)."""
+    try:
+        a, m = (int(x) for x in rule)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"a component rule is null or [a, m], got {rule!r}") from None
+    if m < 1:
+        raise ValueError("modulus must be positive")
+    return a % m, m
+
+
 class ComponentCongruence(SetSpec):
     """Componentwise congruences on Z^d or H3; None leaves a coordinate free."""
 
     def __init__(self, group: GroupSpec, rules: Sequence[Optional[Tuple[int, int]]]):
         if group.kind not in (INT_ZD, HEISENBERG3):
             raise ValueError("componentwise rules are for lattice or Heisenberg groups")
-        if len(rules) != group.ncoords:
+        if not isinstance(rules, (list, tuple)) or len(rules) != group.ncoords:
             raise ValueError("one rule (or None) per coordinate required")
         self.group = group
-        self.rules = tuple(None if r is None else (r[0] % r[1], r[1]) for r in rules)
+        self.rules = tuple(None if r is None else _residue_rule(r) for r in rules)
 
     def member(self, g):
         self.group.check(g)

@@ -284,6 +284,67 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
         ({"task": "spectrum", "set": "evens", "radius": 2, "depth": float("inf")}, {},
          "depth must be an integer, got inf"),
     ]
+    # a named entry or x0 of the wrong type used to raise TypeError, and an empty
+    # Markov orbit IndexError, where the parameter is read
+    rot = {"systems": {**BASE["systems"], "rot": {"kind": "rotation", "alpha": [1, 2]}}}
+    verify = {"task": "verify", "queries": [[0]], "schedule": [30]}
+    refused += [
+        ({"task": "density", "set": "r", "N": 10},
+         {"sets": {"r": {"rule": "rotation", "alpha": [1, 2]}}},
+         "circle coordinate must be a number, got [1, 2]"),
+        ({**verify, "system": "rot"}, rot, "circle coordinate must be a number, got [1, 2]"),
+        ({**verify, "system": "m"},
+         {"systems": {"m": {"kind": "markov", "P": [[0.5, 0.5], [0.5, 0.5]], "accept": 1}}},
+         "accept must be a list of states, got 1"),
+        ({**moment, "family": ["t"], "queries": [[[1, 0, 0]]]},
+         {"functions": {"t": {"kind": "exponential", "theta": [1]}}},
+         "theta must be a number, got [1]"),
+        ({"task": "density", "set": "s", "shifts": [[0, 0, 0]], "N": 4},
+         {**h3, "sets": {"s": {"rule": "component", "rules": [1, None, None]}}},
+         "a component rule is null or [a, m], got 1"),
+        ({**verify, "system": "per", "x0": "abc"}, {},
+         "x0 of a periodic orbit must be an integer, got 'abc'"),
+        ({**verify, "system": "gold", "x0": [1]}, {"systems": {"gold": {"kind": "rotation"}}},
+         "circle coordinate must be a number, got [1]"),
+        ({"task": "density", "set": "o", "N": 10},
+         {"sets": {"o": {"rule": "orbit", "system": "mark", "lo": 0, "hi": 0}}},
+         "window exceeded"),
+        ({"task": "density", "set": "s", "shifts": [[0, 0, 0]], "N": 4},
+         {**h3, "sets": {"s": {"rule": "component", "rules": [[0, 0], None, None]}}},
+         "modulus must be positive"),
+        ({**verify, "system": "m"},
+         {"systems": {"m": {"kind": "markov", "P": 5, "accept": [0]}}},
+         "transition matrix must be square"),
+        ({"task": "density", "set": "c", "N": 10},
+         {"sets": {"c": {"rule": "congruence", "a": [1], "m": 2}}},
+         "a must be an integer, got [1]"),
+        ({"task": "density", "set": "b", "N": 10},
+         {"sets": {"b": {"rule": "bitmask", "n": float("inf")}}}, "n must be an integer, got inf"),
+        ({"task": "density", "set": "o", "N": 10},
+         {"sets": {"o": {"rule": "orbit", "system": "per", "lo": [0], "hi": 10}}},
+         "lo must be an integer, got [0]"),
+        # 11 orbit points cannot fill 32 batch means: the sigma bound used to
+        # average empty batches into NaN and write it to report.json
+        ({**verify, "system": "mark", "schedule": [10]}, {},
+         "a Markov verify needs at least 32 orbit points past its largest shift gap "
+         "for 32 batch means, got 11"),
+    ]
+    # the runner used to truncate a float or bool radius, and to raise TypeError
+    # on a scalar where a list belongs
+    refused += [
+        ({"task": "cylinders", "set": "evens", "radius": 2.5, "depth": 1}, {},
+         "radius must be an integer, got 2.5"),
+        ({"task": "cylinders", "set": "evens", "radius": True, "depth": 1}, {},
+         "radius must be an integer, got True"),
+        ({"task": "density", "set": "evens", "N": 10, "shifts": 3}, {},
+         "shifts must be a list of group elements, got 3"),
+        ({"task": "verify", "system": "per", "queries": 3}, {},
+         "queries must be a list of queries, got 3"),
+        ({**moment, "family": 3, "queries": [[[1, 0, 0]]]}, {},
+         "family must be a list of function names, got 3"),
+        ({"task": "additivity", "set": "evens", "element": 1, "N": 10, "cylinder": 5}, {},
+         "cylinder must be a list of [element, polarity] pairs, got 5"),
+    ]
     for task, overrides, message in refused:
         path = write_cfg(tmp_path, [task], **overrides)
         assert main(["run", "--config", path]) == 2, (task, overrides)
@@ -297,11 +358,73 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
         path = write_cfg(tmp_path, [{"task": "density", "set": "a", "N": 10}], sets=sets)
         assert main(["run", "--config", path]) == 2, sets
         assert message in capsys.readouterr().err
+    # a malformed top-level section used to raise TypeError, ValueError or KeyError
+    for overrides, message in [
+        ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
+        ({"schedule": {"dyadic": {}}}, "dyadic schedule needs"),
+        ({"schedule": {"dyadic": {"min_exp": "a", "max_exp": 3}}}, "dyadic schedule needs"),
+        ({"group": {"kind": "Zd", "d": "x"}}, "group: d must be an integer >= 1, got 'x'"),
+        ({"caps": {"window": "x"}}, "caps: window must be an integer, got 'x'"),
+        ({"tolerances": 5}, "tolerances must be a mapping, got 5"),
+        ({"sets": 5}, "sets must be a mapping, got 5"),
+        ({"schedule": [100.5]}, "schedule indices must be integers >= 1, got [100.5]"),
+        ({"folner": {"shape": "interval", "start": float("inf")}},
+         "folner: cannot convert float infinity to integer"),
+    ]:
+        path = write_cfg(tmp_path, [{"task": "density", "set": "evens", "N": 10}], **overrides)
+        assert main(["run", "--config", path]) == 2, overrides
+        assert message in capsys.readouterr().err
+    assert main(["run", "--config", write_cfg(tmp_path, 5)]) == 2
+    assert "tasks must be a list, got 5" in capsys.readouterr().err
     # PyYAML refuses an integer literal of over 4300 digits with a ValueError
     path = tmp_path / "huge.yaml"
     path.write_text(f"tasks: [{{task: density, set: evens, N: {'9' * 5000}}}]\n")
     assert main(["run", "--config", str(path)]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+def test_moment_index_is_no_shift(tmp_path, capsys):
+    # the validator used to count a moment's function index 4 as a shift and
+    # refuse this window, which ends at 2^63 - 1
+    cfg = {"folner": {"shape": "interval", "start": 2 ** 63 - 101},
+           "functions": {f"e{i}": {"kind": "exponential", "theta": i / 8} for i in range(1, 5)}}
+    task = {"task": "moments", "family": ["e1", "e2", "e3", "e4"], "scheme": "unit",
+            "queries": [[[4, False, 0]]]}
+    assert main(["run", "--config", write_cfg(tmp_path, [{**task, "N": 100}], **cfg)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", write_cfg(tmp_path, [{**task, "N": 101}], **cfg)]) == 2
+    assert "leaves the int64 range" in capsys.readouterr().err
+
+
+def test_markov_verify_fills_its_batches(tmp_path):
+    # 31 + 1 orbit points fill the 32 batch means one point each: no NaN
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, [{"task": "verify", "system": "mark", "queries": [[0]],
+                                 "schedule": [31]}])
+    assert main(["run", "--config", path, "--out", str(out)]) in (0, 1)
+
+    def no_nan(name):
+        raise ValueError(name)
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=no_nan)
+    assert report["tasks"][0]["result"]["rows"][0]["tolerance"] > 0
+
+
+def test_cache_key_covers_tolerances(tmp_path):
+    # the dyadic blocks over 2^4..2^12 attain their upper density within
+    # tau = 0.001 at two indices and within tau = 0.5 at all nine
+    raw = {"sets": {"blocks": {"rule": "dyadic"}},
+           "schedule": {"dyadic": {"min_exp": 4, "max_exp": 12}}}
+    task = {"task": "upper_density", "set": "blocks"}
+    out = str(tmp_path / "out")
+    first = run(load_config(write_cfg(tmp_path, [task], **raw, tolerances={"tau": 0.001})),
+                out_dir=out)["tasks"][0]
+    cfg = load_config(write_cfg(tmp_path, [task], **raw, tolerances={"tau": 0.5}))
+    second = run(cfg, out_dir=out)["tasks"][0]
+    assert first["result"]["attaining"] == [512, 2048]
+    assert not second["cache_hit"] and second["key"] != first["key"]
+    assert second["result"] == run(cfg)["tasks"][0]["result"]
+    assert second["result"]["attaining"] == [2 ** k for k in range(4, 13)]
 
 
 def test_cache_miss_under_other_code(tmp_path, monkeypatch):

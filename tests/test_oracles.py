@@ -102,6 +102,8 @@ def markov_states_loop(m, n, seed):
     u = np.random.default_rng(seed).random(n)
     cum_P = np.cumsum(m.P, axis=1)
     states = np.empty(n, dtype=np.int64)
+    if n == 0:
+        return states
     s = states[0] = int(np.searchsorted(np.cumsum(m.pi), u[0]))
     for i in range(1, n):
         s = states[i] = int(np.searchsorted(cum_P[s], u[i]))
@@ -112,7 +114,7 @@ def markov_states_loop(m, n, seed):
 def test_markov_scan_matches_sequential_states(k):
     P = np.random.default_rng(k).random((k, k)) + 0.05
     m = MarkovSystem(P / P.sum(axis=1, keepdims=True), accept=[0, k - 1])
-    lengths = [1, 2, 3, 1000] + [2 ** j + e for j in range(1, 13) for e in (-1, 1)]
+    lengths = [0, 1, 2, 3, 1000] + [2 ** j + e for j in range(1, 13) for e in (-1, 1)]
     for n in lengths:
         for seed in (0, 17):
             np.testing.assert_array_equal(m.states(n, seed), markov_states_loop(m, n, seed))
