@@ -212,7 +212,7 @@ class Workspace:
         return self._get("system", name, self._build_system)
 
     def scheme(self, name: str) -> momentmod.AveragingScheme:
-        return self._get("scheme", name, self._build_scheme)
+        return self._get("scheme", name, lambda d: self._build_scheme(name, d))
 
     def function(self, name: str) -> momentmod.FunctionSpec:
         return self._get("function", name, self._build_function)
@@ -268,19 +268,37 @@ class Workspace:
                 _need(d, "P", "system"), _need(d, "accept", "system"), d.get("pi"))
         raise ConfigError(f"system: unknown kind {kind!r}")
 
-    def _build_scheme(self, d: dict) -> momentmod.AveragingScheme:
-        def table(t):
-            return tuple(sorted((int(k), v) for k, v in t.items()))
+    def _build_scheme(self, name: str, d) -> momentmod.AveragingScheme:
+        where = f"scheme {name}"
+        if not isinstance(d, dict):
+            raise ConfigError(f"{where}: must be a mapping, got {d!r}")
 
-        wd = d.get("weight", {"kind": "one"})
-        nd = d.get("normalizer", {"kind": "one"})
+        def rule(key: str) -> dict:
+            node = d.get(key, {"kind": "one"})
+            if not isinstance(node, dict):
+                raise ConfigError(f"{where}: {key} must be a mapping, got {node!r}")
+            return node
+
+        def table(node: dict, key: str) -> tuple:
+            t = _need(node, "table", f"{where}: {key}")
+            if not isinstance(t, dict):
+                raise ConfigError(f"{where}: {key} table must be a mapping, got {t!r}")
+            return tuple(sorted((_as_int(k, f"{key} table key"), v) for k, v in t.items()))
+
+        wd, nd = rule("weight"), rule("normalizer")
+        try:
+            rate = float(wd.get("rate", 0.0))
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}: weight rate must be a number, "
+                              f"got {wd['rate']!r}") from None
         weight = momentmod.WeightRule(
-            wd.get("kind", "one"), rate=float(wd.get("rate", 0.0)),
-            table=table(wd["table"]) if "table" in wd else None)
+            wd.get("kind", "one"), rate=rate,
+            table=table(wd, "weight") if wd.get("kind") == "custom" else None)
         if nd.get("kind") == "const":
-            norm = momentmod.NormalizerRule("const", c=Fraction(str(nd["c"])))
+            norm = momentmod.NormalizerRule(
+                "const", c=Fraction(str(_need(nd, "c", f"{where}: normalizer"))))
         elif nd.get("kind") == "custom":
-            norm = momentmod.NormalizerRule("custom", table=table(nd["table"]))
+            norm = momentmod.NormalizerRule("custom", table=table(nd, "normalizer"))
         else:
             norm = momentmod.NormalizerRule(nd.get("kind", "one"))
         return momentmod.AveragingScheme(self.cfg.folner, weight, norm)

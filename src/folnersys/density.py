@@ -5,8 +5,10 @@ The central count is, for shifts (g_1,...,g_r) and the window F_N,
     |{h in F_N : g_i * h in E for all i}|
 
 i.e. the window count of the intersection of the left-translated sets
-g_i^{-1} E.  Counts are exact integers, ratios exact `Fraction`s.  Every
-count, pair correlation included, goes through `window_count`.
+g_i^{-1} E.  Counts are exact integers, ratios exact `Fraction`s.  Single
+counts, pair correlation included, go through `window_count`; spectra and
+cylinder tables on a Z interval over a ball of at most HISTOGRAM_BITS points
+read all their counts off `pattern_histograms`, one pass over one window.
 """
 from __future__ import annotations
 
@@ -21,6 +23,11 @@ from .groups import FolnerSpec, Element, SHAPE_INTERVAL, SHAPE_BOX
 from .sets import SetSpec, indicator_bits
 
 Query = Tuple[Element, ...]
+
+# the widest word `pattern_histograms` encodes: 2^16 int64 bins per index
+HISTOGRAM_BITS = 16
+# points encoded per bincount, so that temporaries stay small
+HISTOGRAM_CHUNK = 1 << 16
 
 
 def window_count(terms: Sequence[Tuple[SetSpec, Element, int]], f: FolnerSpec, N: int,
@@ -51,6 +58,42 @@ def window_count(terms: Sequence[Tuple[SetSpec, Element, int]], f: FolnerSpec, N
         hit = E.member_coords(moved)
         acc &= hit if eps else ~hit
     return int(np.count_nonzero(acc))
+
+
+def uses_histogram(E: SetSpec, f: FolnerSpec, k: int) -> bool:
+    """Whether counts over a ball of k consecutive points are read off
+    `pattern_histograms`: on Z intervals, for 1 <= k <= HISTOGRAM_BITS."""
+    return f.shape == SHAPE_INTERVAL and f.group == E.group and 1 <= k <= HISTOGRAM_BITS
+
+
+def pattern_histograms(E: SetSpec, f: FolnerSpec, lo: int, k: int,
+                       schedule: Sequence[int]) -> np.ndarray:
+    """Exact histograms of the k-bit words of 1_E, one row per schedule index.
+
+    Row i counts, for every word w < 2^k, the h in F_N (N = schedule[i]) with
+    sum_j 1_E(h + lo + j) 2^j = w.  The window over the hull of the largest
+    index is taken once, and each nested block [N_{j-1}, N_j) adds its
+    bincount to the running histogram.  Needs `uses_histogram(E, f, k)`.
+    """
+    f.size(min(schedule))  # refuses an empty schedule or an index below 1
+    Ns = sorted(set(schedule))
+    s = f.start
+    bits = indicator_bits(E, s + lo, s + lo + Ns[-1] + k - 1).view(np.uint8)
+    dtype = np.uint8 if k <= 8 else np.uint16
+    acc = np.zeros(1 << k, dtype=np.int64)
+    rows = {}
+    done = 0
+    for N in Ns:
+        for a in range(done, N, HISTOGRAM_CHUNK):
+            b = min(a + HISTOGRAM_CHUNK, N)
+            code = np.zeros(b - a, dtype=dtype)
+            for j in reversed(range(k)):
+                code <<= 1
+                code |= bits[a + j:b + j]
+            acc += np.bincount(code, minlength=1 << k)
+        rows[N] = acc.copy()
+        done = N
+    return np.array([rows[N] for N in schedule])
 
 
 def intersection_count(E: SetSpec, shifts: Sequence[Element], f: FolnerSpec, N: int) -> int:

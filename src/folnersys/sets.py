@@ -159,8 +159,10 @@ class Congruence(ZSetSpec):
         self.m = m
 
     def _compute_bits(self, lo, hi):
-        n = np.arange(lo, hi, dtype=np.int64)
-        return (n % self.m) == self.a
+        # one period, tiled: no int64 temporaries of the window's length
+        n = hi - lo
+        period = np.arange(min(self.m, n)) == (self.a - lo) % self.m
+        return np.tile(period, -(-n // self.m))[:n]
 
     def member(self, g):
         self.group.check(g)

@@ -358,6 +358,22 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
         path = write_cfg(tmp_path, [{"task": "density", "set": "a", "N": 10}], sets=sets)
         assert main(["run", "--config", path]) == 2, sets
         assert message in capsys.readouterr().err
+    # a malformed scheme used to raise AttributeError, TypeError or KeyError
+    # where the scheme was built
+    for scheme, message in [
+        (5, "scheme w: must be a mapping, got 5"),
+        ({"weight": 5}, "scheme w: weight must be a mapping, got 5"),
+        ({"weight": {"kind": "custom", "table": 5}},
+         "scheme w: weight table must be a mapping, got 5"),
+        ({"weight": {"kind": "custom"}}, "scheme w: weight: missing key 'table'"),
+        ({"weight": {"kind": "exp_decay", "rate": [1]}},
+         "scheme w: weight rate must be a number, got [1]"),
+        ({"normalizer": {"kind": "const"}}, "scheme w: normalizer: missing key 'c'"),
+    ]:
+        path = write_cfg(tmp_path, [{"task": "normcheck", "scheme": "w", "N": 3}],
+                         schemes={"w": scheme})
+        assert main(["run", "--config", path]) == 2, scheme
+        assert message in capsys.readouterr().err
     # a malformed top-level section used to raise TypeError, ValueError or KeyError
     for overrides, message in [
         ({"seed": "abc"}, "seed must be an integer, got 'abc'"),

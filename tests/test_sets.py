@@ -185,10 +185,16 @@ def test_complement_roundtrip():
     assert c.member(0) and not c.member(2)
 
 
-@settings(max_examples=50, deadline=None)
-@given(a=st.integers(-20, 20), m=st.integers(1, 12),
-       lo=st.integers(-100, 100), n=st.integers(0, 64))
+@settings(max_examples=100, deadline=None)
+@given(a=st.integers(-20, 20), m=st.one_of(st.integers(1, 12), st.integers(60, 10 ** 18)),
+       lo=st.one_of(st.integers(-100, 100), st.integers(2 ** 62 - 300, 2 ** 62 + 300),
+                    st.integers(-2 ** 62 - 300, -2 ** 62 + 300)),
+       n=st.integers(0, 200))
+@example(a=5, m=7, lo=2 ** 62 - 100, n=200)
+@example(a=-3, m=10 ** 18, lo=-2 ** 62, n=200)
 def test_congruence_bits_match_member(a, m, lo, n):
+    # a window is one residue period tiled, offsets near +-2^62 included
     e = Congruence(a, m)
-    bits = indicator_bits(e, lo, lo + n)
-    assert [bool(b) for b in bits] == [e.member(k) for k in range(lo, lo + n)]
+    expect = [e.member(k) for k in range(lo, lo + n)]
+    assert [bool(b) for b in e._compute_bits(lo, lo + n)] == expect
+    assert [bool(b) for b in indicator_bits(e, lo, lo + n)] == expect
