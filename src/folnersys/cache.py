@@ -16,9 +16,26 @@ from typing import Optional
 log = logging.getLogger(__name__)
 
 
-def digest(obj) -> str:
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
+
+
+def digest_prefix(head: dict):
+    """A sha256 state over the canonical JSON of the nonempty mapping `head`, left open
+    for further members; see `digest`."""
+    return hashlib.sha256((_canonical(head)[:-1] + ",").encode())
+
+
+def digest(obj, prefix=None) -> str:
+    """sha256 of the canonical JSON of `obj`.  With `prefix = digest_prefix(head)`, the
+    digest of `{**head, **obj}` without serializing `head` again; every key of the
+    nonempty mapping `obj` must sort after every key of `head`."""
+    blob = _canonical(obj)
+    if prefix is None:
+        return hashlib.sha256(blob.encode()).hexdigest()
+    h = prefix.copy()
+    h.update(blob[1:].encode())
+    return h.hexdigest()
 
 
 def source_digest() -> str:
@@ -38,16 +55,17 @@ class ResultCache:
         return os.path.join(self.root, key + ".json")
 
     def get(self, key: str) -> Optional[dict]:
-        path = self._path(key)
-        if not os.path.exists(path):
-            return None
+        """The stored value, or None: silently when there is no entry, with a warning
+        when the entry cannot be read."""
         try:
-            with open(path) as fh:
+            with open(self._path(key)) as fh:
                 entry = json.load(fh)
-            if entry.get("key") != key:
+            if not isinstance(entry, dict) or entry.get("key") != key:
                 raise ValueError("key mismatch")
             return entry["value"]
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError, KeyError) as e:
             log.warning("corrupt cache entry %s (%s); recomputing", key, e)
             return None
 

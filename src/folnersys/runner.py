@@ -6,7 +6,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .cache import ResultCache, digest, source_digest
+from .cache import ResultCache, digest, digest_prefix, source_digest
 from .config import _TASK_KEYS, ExperimentConfig, Workspace, parse_task
 from .cylinders import CylinderSpec, additivity_check, frac, furstenberg_report, invariance_defect
 from .density import extract_subsequence, intersection_count, pair_correlation_fft, upper_density
@@ -135,10 +135,12 @@ def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, use_cache: bool = 
     }
     cache = ResultCache(f"{out_dir}/.cache") if (out_dir and use_cache) else None
     config_digest = digest(shared)
-    code = source_digest()
+    # each key is digest({"code": ..., "config": shared, "task": task}); the shared part
+    # is serialized once
+    head = digest_prefix({"code": source_digest(), "config": shared})
     results = []
     for i, task in enumerate(cfg.tasks):
-        key = digest({"config": shared, "task": task, "code": code})
+        key = digest({"task": task}, prefix=head)
         t0 = time.perf_counter()
         cached = cache.get(key) if cache else None
         if cached is not None:

@@ -1,10 +1,14 @@
+import datetime
 import json
+import logging
+import os
+import sys
 
 import pytest
 import yaml
 
-from folnersys import cli, runner
-from folnersys.cache import ResultCache, digest
+from folnersys import __version__, cli, config, runner
+from folnersys.cache import ResultCache, digest, source_digest
 from folnersys.cli import main
 from folnersys.config import load_config, parse_config
 from folnersys.errors import ConfigError
@@ -35,6 +39,17 @@ BASE = {
 }
 
 
+# a unicode set name, a nested mapping and a date, which the key serializes with str
+KEYED_SETS = {**BASE["sets"], "évens": {"rule": "congruence", "a": 0, "m": 2,
+                                        "meta": {"since": datetime.date(2020, 1, 2)}}}
+KEYED_TASKS = [
+    {"task": "density", "set": "gold", "shifts": [0, 1], "N": 10000},
+    {"task": "verify", "system": "mark", "queries": [[0], [0, 1]], "schedule": [10000]},
+    {"task": "cylinders", "set": "évens", "radius": 2, "depth": 2, "schedule": [60, 600],
+     "note": datetime.date(2021, 3, 4)},
+]
+
+
 def write_cfg(tmp_path, tasks, **overrides):
     raw = {**BASE, **overrides, "tasks": tasks}
     path = tmp_path / "cfg.yaml"
@@ -60,11 +75,65 @@ def test_undefined_name_rejected(tmp_path):
         load_config(write_cfg(tmp_path, [{"task": "frobnicate"}]))
 
 
-def test_parse_error_positions(tmp_path):
+@pytest.fixture(params=["SafeLoader", "CSafeLoader"])
+def loader(request, monkeypatch):
+    """`load_config` held to the pure-Python loader, or to libyaml's at every size."""
+    if request.param == "SafeLoader":
+        monkeypatch.setattr(config, "_LIBYAML", None)
+    elif not yaml.__with_libyaml__:
+        pytest.skip("PyYAML without libyaml")
+    else:
+        monkeypatch.setattr(config, "_LIBYAML_MIN_BYTES", 0)
+    return request.param
+
+
+def test_parse_error_positions(tmp_path, capsys, loader):
     path = tmp_path / "bad.yaml"
     path.write_text("group: {kind: Z\n")
-    with pytest.raises(ConfigError, match="parse error"):
+    with pytest.raises(ConfigError, match="parse error") as err:
         load_config(str(path))
+    assert "line 2, column 1" in str(err.value)
+    assert main(["run", "--config", str(path)]) == 2
+    assert "parse error" in capsys.readouterr().err
+    # PyYAML refuses an integer literal of over 4300 digits with a ValueError
+    path.write_text(f"tasks: [{{task: density, set: evens, N: {'9' * 5000}}}]\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def _bench_configs():
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return [(f"{w}:{seed}:{name}", text) for w in workloads.WORKLOADS for seed in (1, 2)
+            for name, _, text in workloads.generate(w, seed)]
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="no libyaml")
+def test_libyaml_loader_parity():
+    # libyaml parses every benchmark config into the objects the pure-Python loader gives
+    configs = _bench_configs()
+    assert len(configs) >= 8
+    for where, text in configs:
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.safe_load(text), where
+
+
+def test_both_loaders_give_equal_configs(tmp_path, monkeypatch):
+    path = tmp_path / "cfg.yaml"
+    raw = {**BASE, "sets": KEYED_SETS, "tasks": KEYED_TASKS}
+    path.write_text(yaml.safe_dump(raw, allow_unicode=True), encoding="utf-8")
+    seen = []
+    load = yaml.load
+    monkeypatch.setattr(yaml, "load", lambda text, Loader: seen.append(Loader) or
+                        load(text, Loader=Loader))
+    small = load_config(str(path))
+    assert small.sets["évens"]["meta"]["since"] == datetime.date(2020, 1, 2)
+    # a config of at least _LIBYAML_MIN_BYTES goes to libyaml, when PyYAML has it
+    monkeypatch.setattr(config, "_LIBYAML_MIN_BYTES", 0)
+    assert load_config(str(path)) == small
+    assert seen == [yaml.SafeLoader, config._LIBYAML or yaml.SafeLoader]
 
 
 def test_dyadic_schedule():
@@ -74,12 +143,7 @@ def test_dyadic_schedule():
 
 
 def test_determinism_and_cache(tmp_path):
-    tasks = [
-        {"task": "density", "set": "gold", "shifts": [0, 1], "N": 10000},
-        {"task": "verify", "system": "mark", "queries": [[0], [0, 1]],
-         "schedule": [10000]},
-    ]
-    path = write_cfg(tmp_path, tasks)
+    path = write_cfg(tmp_path, KEYED_TASKS, sets=KEYED_SETS)
     out = str(tmp_path / "out")
     r1 = run(load_config(path), out_dir=out)
     r2 = run(load_config(path), out_dir=out)
@@ -98,19 +162,64 @@ def test_determinism_and_cache(tmp_path):
     assert strip(r1) == strip(r3)
 
 
+def test_cache_keys_digest_shared_config_task_and_code(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, KEYED_TASKS, sets=KEYED_SETS))
+    assert isinstance(cfg.sets["évens"]["meta"]["since"], datetime.date)
+    # every config section but caps, which are checked before any lookup
+    shared = {
+        "group": {"kind": cfg.group.kind, "d": cfg.group.d},
+        "folner": {"shape": cfg.folner.shape, "start": cfg.folner.start,
+                   "anchor": list(cfg.folner.anchor)},
+        "schedule": cfg.schedule, "seed": cfg.seed, "tolerances": cfg.tolerances,
+        "sets": cfg.sets, "systems": cfg.systems, "schemes": cfg.schemes,
+        "functions": cfg.functions, "version": __version__,
+    }
+    report = run(cfg, out_dir=str(tmp_path / "out"))
+    assert report["config_digest"] == digest(shared)
+    for entry, task in zip(report["tasks"], cfg.tasks, strict=True):
+        assert entry["key"] == digest({"config": shared, "task": task, "code": source_digest()})
+
+
 def test_cache_key_changes_with_n(tmp_path):
     t1 = {"task": "density", "set": "evens", "shifts": [0], "N": 100}
     t2 = {**t1, "N": 200}
     assert digest({"task": t1}) != digest({"task": t2})
 
 
-def test_cache_corruption_is_a_miss(tmp_path):
+def test_cache_corruption_is_a_miss(tmp_path, caplog):
+    caplog.set_level(logging.WARNING, logger="folnersys.cache")
     cache = ResultCache(str(tmp_path / "c"))
+    assert cache.get("k" * 64) is None
+    assert not caplog.records  # no entry: a silent miss
     cache.put("k" * 64, {"x": 1})
     assert cache.get("k" * 64) == {"x": 1}
     with open(cache._path("k" * 64), "w") as fh:
         fh.write("{not json")
     assert cache.get("k" * 64) is None
+    assert len(caplog.records) == 1
+    # a truncated or malformed entry warns once and its task is recomputed
+    path = write_cfg(tmp_path, KEYED_TASKS, sets=KEYED_SETS)
+    out = tmp_path / "out"
+    cold = run(load_config(path), out_dir=str(out))
+    entry = out / ".cache" / f"{cold['tasks'][2]['key']}.json"
+    for damaged in (entry.read_text()[:40], "[1, 2]"):
+        entry.write_text(damaged)
+        caplog.clear()
+        warm = run(load_config(path), out_dir=str(out))
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "corrupt cache entry" in caplog.records[0].getMessage()
+        assert [e["cache_hit"] for e in warm["tasks"]] == [True, True, False]
+        assert warm["tasks"][2]["result"] == cold["tasks"][2]["result"]
+
+
+def test_empty_schedule_refused(tmp_path, capsys):
+    for task, overrides in [
+        ({"task": "spectrum", "set": "evens", "depth": 1, "radius": 2, "schedule": []}, {}),
+        ({"task": "cylinders", "set": "evens", "radius": 1, "depth": 1, "schedule": []}, {}),
+        ({"task": "spectrum", "set": "evens", "depth": 1, "radius": 2}, {"schedule": []}),
+    ]:
+        assert main(["run", "--config", write_cfg(tmp_path, [task], **overrides)]) == 2
+        assert "schedule must be nonempty" in capsys.readouterr().err
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
@@ -392,11 +501,6 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
         assert message in capsys.readouterr().err
     assert main(["run", "--config", write_cfg(tmp_path, 5)]) == 2
     assert "tasks must be a list, got 5" in capsys.readouterr().err
-    # PyYAML refuses an integer literal of over 4300 digits with a ValueError
-    path = tmp_path / "huge.yaml"
-    path.write_text(f"tasks: [{{task: density, set: evens, N: {'9' * 5000}}}]\n")
-    assert main(["run", "--config", str(path)]) == 2
-    assert "parse error" in capsys.readouterr().err
 
 
 def test_moment_index_is_no_shift(tmp_path, capsys):
