@@ -96,11 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_report(report: dict, out_dir, fmt: str) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, default=str)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            fh.write(text + "\n")
+            # streamed chunk by chunk: a large report is never held whole as one string
+            json.dump(report, fh, indent=2, sort_keys=True, default=str)
+            fh.write("\n")
         if fmt == "csv":
             for entry in report["tasks"]:
                 rows = entry["result"].get("rows")
@@ -114,7 +115,7 @@ def _write_report(report: dict, out_dir, fmt: str) -> None:
                     for r in rows:
                         w.writerow({k: json.dumps(r.get(k), default=str) for k in keys})
     else:
-        print(text)
+        print(json.dumps(report, indent=2, sort_keys=True, default=str))
 
 
 def main(argv=None) -> int:

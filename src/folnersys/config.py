@@ -21,6 +21,7 @@ from .groups import GroupSpec, FolnerSpec, INT_Z, INT_ZD, HEISENBERG3, SHAPE_BOX
 from . import sets as setmod
 from . import oracles as oraclemod
 from . import moments as momentmod
+from .spectrum import CONSISTENT, DISTINGUISHED
 
 # libyaml's loader, when PyYAML was built with it: it gives the objects the pure-Python
 # loader gives, about six times faster, but its first use pages in about 0.15 MB of
@@ -46,6 +47,9 @@ _TASK_KEYS = {
 }
 # task keys read as integers -> the least value allowed, if any
 _INT_KEYS = {"N": 1, "H": 0, "radius": None, "depth": None, "conj_depth": None, "seed": None}
+# (task kind, key) -> the only values the runner reads that key as
+_CHOICES = {("cylinders", "patterns"): (True, False), ("accordance", "expect"): (True, False),
+            ("compare", "expect"): (CONSISTENT, DISTINGUISHED)}
 # task keys naming a config entry -> the config section defining it
 _NAME_KEYS = dict(set="sets", set1="sets", set2="sets", system="systems", scheme="schemes")
 
@@ -435,6 +439,11 @@ def parse_task(task, cfg: ExperimentConfig, where: str) -> dict:
         if key in task and not (_is_int(task[key]) and (least is None or task[key] >= least)):
             fail(f"{key} must be an integer{'' if least is None else f' >= {least}'}, "
                  f"got {task[key]!r}")
+    for (k, key), values in _CHOICES.items():
+        if k == kind and key in task and not any(
+                type(task[key]) is type(v) and task[key] == v for v in values):
+            names = " or ".join(str(v).lower() if isinstance(v, bool) else v for v in values)
+            fail(f"{key} must be {names}, got {task[key]!r}")
     t = dict(task)
     t["eps"] = convert(task.get("eps", 0.05), float, "eps must be positive")
     if not t["eps"] > 0:
@@ -457,6 +466,8 @@ def parse_task(task, cfg: ExperimentConfig, where: str) -> dict:
     item = factor if "family" in _TASK_KEYS[kind] else element
     t["queries"] = [tuple(map(item, seq(q, "a query", "factors or elements")))
                     for q in seq(task.get("queries", []), "queries", "queries")]
+    if kind == "verify" and not (t["queries"] and all(t["queries"])):
+        fail(f"queries must be a nonempty list of nonempty queries, got {task['queries']!r}")
     t.update((key, element(task[key])) for key in ("element", "shift") if key in task)
     t["cylinder"] = [constraint(c) for c in
                      seq(task.get("cylinder", ()), "cylinder", "[element, polarity] pairs")]

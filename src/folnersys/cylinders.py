@@ -21,9 +21,7 @@ import numpy as np
 from .errors import NoConvergentSubsequenceError
 from .groups import FolnerSpec, GroupSpec, Element
 from .sets import SetSpec
-from .density import (
-    extract_subsequence, pattern_histograms, upper_density, uses_histogram, window_count,
-)
+from .density import constraint_counts, extract_subsequence, upper_density, window_count
 from .spectrum import check_subset_count
 
 
@@ -196,28 +194,16 @@ def furstenberg_report(
     Reports per-cylinder convergence oscillation over the schedule, the
     density estimate for the defining set against nu(A) (A the one-point
     cylinder at the identity), and the convergent subsequence for A when one
-    exists at `subsequence_eps`.  On a Z interval a ball of at most
-    HISTOGRAM_BITS points is counted from the word histograms over
-    [-radius, radius]: a cylinder's count sums the bins that match it.
+    exists at `subsequence_eps`.  Every cylinder count comes from one
+    `constraint_counts` call over the whole table.
     """
     if support_radius < 1 or max_depth < 1:
         raise ValueError("support radius and depth must be >= 1")
     cyls = enumerate_cylinders(E.group, support_radius, max_depth, cap=cylinder_cap)
-    k = 2 * support_radius + 1
-    if uses_histogram(E, f, k):
-        hist = pattern_histograms(E, f, -support_radius, k, schedule)
-        words = np.arange(1 << k)
-
-        def counts_of(C):
-            mask = sum(1 << (h + support_radius) for h, _ in C.constraints)
-            pattern = sum(eps << (h + support_radius) for h, eps in C.constraints)
-            return [int(c) for c in hist[:, (words & mask) == pattern].sum(axis=1)]
-    else:
-        def counts_of(C):
-            return [cylinder_count(E, C, f, N) for N in schedule]
     rows = []
-    for C in cyls:
-        counts = dict(zip(schedule, counts_of(C)))
+    for C, row in zip(cyls, constraint_counts(E, f, [C.constraints for C in cyls], schedule,
+                                              right=True)):
+        counts = dict(zip(schedule, row))
         values = {N: Fraction(c, f.size(N)) for N, c in counts.items()}
         osc = max(values.values()) - min(values.values())
         rows.append(MeasureRow(C, counts, values, osc))
@@ -246,11 +232,7 @@ def furstenberg_report(
 
 def _observed_patterns(E, f, radius, N):
     """Distinct words of S_g omega over the radius ball, g in F_N (opt-in)."""
-    ball = E.group.word_ball(radius)
     coords = f.coords(N)
-    cols = []
-    for h in ball:
-        cols.append(E.member_coords(E.group.translate_right(coords, h)).astype(np.int8))
-    words = np.stack(cols, axis=1)
-    uniq = np.unique(words, axis=0)
-    return [tuple(int(v) for v in row) for row in uniq]
+    words = np.stack([E.member_coords(E.group.translate_right(coords, h)).astype(np.int8)
+                      for h in E.group.word_ball(radius)], axis=1)
+    return [tuple(int(v) for v in row) for row in np.unique(words, axis=0)]

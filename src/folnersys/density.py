@@ -6,9 +6,12 @@ The central count is, for shifts (g_1,...,g_r) and the window F_N,
 
 i.e. the window count of the intersection of the left-translated sets
 g_i^{-1} E.  Counts are exact integers, ratios exact `Fraction`s.  Single
-counts, pair correlation included, go through `window_count`; spectra and
-cylinder tables on a Z interval over a ball of at most HISTOGRAM_BITS points
-read all their counts off `pattern_histograms`, one pass over one window.
+counts, pair correlation included, go through `window_count`.  Spectra and
+cylinder tables go through `constraint_counts`: on every group and Folner
+shape, a ball of at most HISTOGRAM_BITS elements is counted from one
+`pattern_histograms` pass (one window over the hull on a Z interval, one
+coordinate array per index elsewhere), and a larger ball list by list with
+`window_count`.
 """
 from __future__ import annotations
 
@@ -60,40 +63,84 @@ def window_count(terms: Sequence[Tuple[SetSpec, Element, int]], f: FolnerSpec, N
     return int(np.count_nonzero(acc))
 
 
-def uses_histogram(E: SetSpec, f: FolnerSpec, k: int) -> bool:
-    """Whether counts over a ball of k consecutive points are read off
-    `pattern_histograms`: on Z intervals, for 1 <= k <= HISTOGRAM_BITS."""
-    return f.shape == SHAPE_INTERVAL and f.group == E.group and 1 <= k <= HISTOGRAM_BITS
+def pattern_histograms(E: SetSpec, f: FolnerSpec, ball: Sequence[Element],
+                       schedule: Sequence[int], right: bool = False) -> np.ndarray:
+    """Exact histograms of the words of 1_E over a ball, one row per schedule index.
 
-
-def pattern_histograms(E: SetSpec, f: FolnerSpec, lo: int, k: int,
-                       schedule: Sequence[int]) -> np.ndarray:
-    """Exact histograms of the k-bit words of 1_E, one row per schedule index.
-
-    Row i counts, for every word w < 2^k, the h in F_N (N = schedule[i]) with
-    sum_j 1_E(h + lo + j) 2^j = w.  The window over the hull of the largest
-    index is taken once, and each nested block [N_{j-1}, N_j) adds its
-    bincount to the running histogram.  Needs `uses_histogram(E, f, k)`.
+    Row i counts, for every word w < 2^k (k = len(ball) <= HISTOGRAM_BITS), the h in
+    F_N (N = schedule[i]) with sum_j 1_E(ball[j]*h) 2^j = w, or 1_E(h*ball[j]) with
+    `right`.  On a Z interval one window covers the hull of the largest index and each
+    nested block [N_{j-1}, N_j) adds its bincount, HISTOGRAM_CHUNK points at a time;
+    elsewhere each F_N is encoded from its translated coordinates.
     """
     f.size(min(schedule))  # refuses an empty schedule or an index below 1
     Ns = sorted(set(schedule))
-    s = f.start
-    bits = indicator_bits(E, s + lo, s + lo + Ns[-1] + k - 1).view(np.uint8)
-    dtype = np.uint8 if k <= 8 else np.uint16
-    acc = np.zeros(1 << k, dtype=np.int64)
-    rows = {}
-    done = 0
-    for N in Ns:
-        for a in range(done, N, HISTOGRAM_CHUNK):
-            b = min(a + HISTOGRAM_CHUNK, N)
-            code = np.zeros(b - a, dtype=dtype)
-            for j in reversed(range(k)):
-                code <<= 1
-                code |= bits[a + j:b + j]
-            acc += np.bincount(code, minlength=1 << k)
-        rows[N] = acc.copy()
-        done = N
+    acc, rows = np.zeros(1 << len(ball), dtype=np.int64), {}
+    if f.shape == SHAPE_INTERVAL:
+        lo, done = min(ball, default=0), 0
+        bits = indicator_bits(E, f.start + lo, f.start + Ns[-1] + max(ball, default=0))
+        for N in Ns:
+            for a in range(done, N, HISTOGRAM_CHUNK):
+                b = min(a + HISTOGRAM_CHUNK, N)
+                acc += _bincount(ball, lambda g: bits[a - lo + g:b - lo + g], b - a)
+            rows[N] = acc.copy()
+            done = N
+    else:
+        for N in Ns:
+            coords = f.coords(N)
+            rows[N] = _bincount(ball, lambda g: E.member_coords(
+                f.group.translate_right(coords, g) if right else
+                f.group.translate_left(g, coords)), coords.shape[1])
     return np.array([rows[N] for N in schedule])
+
+
+def _bincount(ball, column, n: int) -> np.ndarray:
+    """Histogram of the n words sum_j column(ball[j]) 2^j."""
+    code = np.zeros(n, dtype=np.uint8 if len(ball) <= 8 else np.uint16)
+    for g in reversed(ball):
+        code <<= 1
+        code |= column(g)
+    return np.bincount(code, minlength=1 << len(ball))
+
+
+def superset_sums(hist: np.ndarray) -> np.ndarray:
+    """Row-wise sums of each histogram of k-bit words over the supersets of
+    every mask (the fast zeta transform): column m counts the words containing m."""
+    out = hist.copy()
+    for j in range(hist.shape[1].bit_length() - 1):
+        v = out.reshape(len(out), -1, 2, 1 << j)  # axis 2 is bit j
+        v[:, :, 0, :] += v[:, :, 1, :]
+    return out
+
+
+def constraint_counts(E: SetSpec, f: FolnerSpec,
+                      constraints: Sequence[Sequence[Tuple[Element, int]]],
+                      schedule: Sequence[int], right: bool = False) -> List[List[int]]:
+    """Exact |{h in F_N : 1_E(g*h) = eps for every (g, eps) in c}| (h*g with
+    `right`), for each constraint list c, at each index N of the schedule.
+
+    When the lists name at most HISTOGRAM_BITS elements, all counts are read off
+    one `pattern_histograms` over them: c's count is the sum over subsets S of its
+    eps = 0 bits of (-1)^|S| times the number of words containing its eps = 1 bits
+    and S.  Otherwise each list is counted by `window_count`."""
+    if f.group != E.group:
+        raise ValueError("group mismatch between set and Folner spec")
+    ball = list(dict.fromkeys(g for c in constraints for g, _ in c))
+    if not constraints or len(ball) > HISTOGRAM_BITS:
+        return [[window_count([(E, g, eps) for g, eps in c], f, N, right) for N in schedule]
+                for c in constraints]
+    bit = {g: 1 << j for j, g in enumerate(ball)}
+    cols, signs, starts = [], [], []
+    for c in constraints:
+        ones = sum({bit[g] for g, eps in c if eps})
+        zeros = list({bit[g] for g, eps in c if not eps})
+        starts.append(len(cols))
+        for r in range(len(zeros) + 1):
+            for S in itertools.combinations(zeros, r):
+                cols.append(ones | sum(S))
+                signs.append((-1) ** r)
+    sums = superset_sums(pattern_histograms(E, f, ball, schedule, right))
+    return np.add.reduceat(sums[:, cols] * signs, starts, axis=1).T.tolist()
 
 
 def intersection_count(E: SetSpec, shifts: Sequence[Element], f: FolnerSpec, N: int) -> int:

@@ -45,7 +45,7 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
     if kind == "cylinders":
         return furstenberg_report(
             E, f, t["radius"], t["depth"], t["schedule"], cylinder_cap=cfg.caps["cylinders"],
-            subsequence_eps=t["eps"], collect_patterns=bool(t.get("patterns", False))).to_dict()
+            subsequence_eps=t["eps"], collect_patterns=t.get("patterns", False)).to_dict()
 
     if kind == "additivity":
         ok, residual = additivity_check(E, C, t["element"], f, N)

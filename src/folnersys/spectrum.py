@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import CapExceededError
 from .groups import FolnerSpec, GroupSpec, INT_Z, Element
 from .sets import SetSpec
-from .density import density_at, pattern_histograms, uses_histogram
+from .density import constraint_counts
 
 CanonicalTuple = Tuple[Element, ...]
 
@@ -64,16 +62,6 @@ def canonical_tuples(group: GroupSpec, r_max: int, radius: int) -> List[Canonica
     return out
 
 
-def superset_sums(hist: np.ndarray) -> np.ndarray:
-    """Row-wise sums of each histogram of k-bit words over the supersets of
-    every mask (the fast zeta transform): column m counts the words containing m."""
-    out = hist.copy()
-    for j in range(hist.shape[1].bit_length() - 1):
-        v = out.reshape(len(out), -1, 2, 1 << j)  # axis 2 is bit j
-        v[:, :, 0, :] += v[:, :, 1, :]
-    return out
-
-
 @dataclass
 class CorrelationSpectrum:
     group: GroupSpec
@@ -109,28 +97,18 @@ def correlation_spectrum(
     """Densities of every canonical tuple at the final schedule index,
     with per-tuple oscillation over the whole schedule.
 
-    The tuple count is checked against `cap` before any tuple is built.  On
-    a Z interval a ball of at most HISTOGRAM_BITS points is counted from the
-    word histograms: a tuple's count is the superset sum at its bitmask.
+    The tuple count is checked against `cap` before any tuple is built.  A
+    tuple's count is that of its shifts all constrained to 1 in `constraint_counts`.
     """
-    Z = E.group.kind == INT_Z  # the shift ball is [0, radius] there
-    n = max(0, radius + 1) if Z else E.group.ball_size(radius, cap)
+    # the shift ball is [0, radius] on Z
+    n = max(0, radius + 1) if E.group.kind == INT_Z else E.group.ball_size(radius, cap)
     check_subset_count("tuple", n, r_max, cap)
     tuples = canonical_tuples(E.group, r_max, radius)
     final = max(schedule)
-    if tuples and uses_histogram(E, f, radius + 1):
-        sums = superset_sums(pattern_histograms(E, f, 0, radius + 1, schedule))
-
-        def values(t):
-            col = sums[:, sum(1 << g for g in t)]
-            return {N: Fraction(int(c), f.size(N)) for N, c in zip(schedule, col)}
-    else:
-        def values(t):
-            return {N: density_at(E, t, f, N) for N in schedule}
-    densities = {}
-    oscillations = {}
-    for t in tuples:
-        vals = values(t)
+    counts = constraint_counts(E, f, [[(g, 1) for g in t] for t in tuples], schedule)
+    densities, oscillations = {}, {}
+    for t, row in zip(tuples, counts):
+        vals = {N: Fraction(c, f.size(N)) for N, c in zip(schedule, row)}
         densities[t] = vals[final]
         oscillations[t] = max(vals.values()) - min(vals.values())
     return CorrelationSpectrum(E.group, r_max, radius, final, densities, oscillations)

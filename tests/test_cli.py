@@ -454,6 +454,22 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
         ({"task": "additivity", "set": "evens", "element": 1, "N": 10, "cylinder": 5}, {},
          "cylinder must be a list of [element, polarity] pairs, got 5"),
     ]
+    # a string or list flag used to read as true, a lowercase verdict to fail as
+    # exit 1, and an empty verify query list to raise "min() arg is an empty sequence"
+    cyls = {"task": "cylinders", "set": "evens", "radius": 1, "depth": 1}
+    refused += [
+        ({**cyls, "patterns": "false"}, {}, "patterns must be true or false, got 'false'"),
+        ({**cyls, "patterns": [1]}, {}, "patterns must be true or false, got [1]"),
+        ({"task": "accordance", "family": ["e1"], "scheme": "unit", "queries": [[[1, 0, 0]]],
+          "eps": 0.05, "expect": "false"}, {}, "expect must be true or false, got 'false'"),
+        ({"task": "compare", "set1": "evens", "set2": "odds", "depth": 1, "radius": 2,
+          "eps": 0.01, "expect": "consistent"}, {},
+         "expect must be CONSISTENT or DISTINGUISHED, got 'consistent'"),
+        ({"task": "verify", "system": "per", "queries": []}, {},
+         "queries must be a nonempty list of nonempty queries, got []"),
+        ({"task": "verify", "system": "per", "queries": [[]]}, {},
+         "queries must be a nonempty list of nonempty queries, got [[]]"),
+    ]
     for task, overrides, message in refused:
         path = write_cfg(tmp_path, [task], **overrides)
         assert main(["run", "--config", path]) == 2, (task, overrides)

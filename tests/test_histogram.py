@@ -1,9 +1,10 @@
-"""The word histograms behind Z spectra and cylinder tables.
+"""The word histograms behind spectra and cylinder tables.
 
-`correlation_spectrum` and `furstenberg_report` read every count on a Z
-interval over a ball of at most HISTOGRAM_BITS points off one pass of
-`pattern_histograms`; these tests hold those counts to the per-tuple
-`density_at` and per-cylinder `cylinder_count` kernel, and to brute force.
+`correlation_spectrum` and `furstenberg_report` read every count over a ball
+of at most HISTOGRAM_BITS elements, on Z intervals, Z^d boxes and the H3 box,
+off one pass of `pattern_histograms`; these tests hold those counts to the
+per-tuple `density_at` and per-cylinder `cylinder_count` kernel, and to brute
+force.
 """
 from collections import Counter
 from fractions import Fraction
@@ -15,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from folnersys import (
-    Bitmask, Complement, Congruence, DyadicBlocks, FolnerSpec, GroupSpec, RotationSet,
-    correlation_spectrum, density_at, furstenberg_report,
+    Bitmask, Complement, ComponentCongruence, Congruence, DyadicBlocks, FolnerSpec, GroupSpec,
+    RotationSet, correlation_spectrum, density_at, furstenberg_report,
 )
 from folnersys import density, sets
 from folnersys.cli import main
@@ -25,6 +26,13 @@ from folnersys.density import HISTOGRAM_BITS, pattern_histograms
 from folnersys.errors import WindowExceededError
 
 Z = GroupSpec("Z")
+Z2 = GroupSpec("Zd", 2)
+H3 = GroupSpec("H3")
+# a rule on the c coordinate of H3 tells left translation from right
+BOXES = {
+    "z2": (FolnerSpec(Z2, "box", anchor=(-7, 12)), ComponentCongruence(Z2, [(1, 3), (0, 2)])),
+    "h3": (FolnerSpec(H3, "heisenberg_box"), ComponentCongruence(H3, [None, (1, 2), (1, 3)])),
+}
 # room a random bitmask leaves around the window for every ball used below
 PAD = 20
 
@@ -59,11 +67,30 @@ def test_pattern_histograms_brute_force(kind, seed, start, schedule, lo, k, chun
     f = FolnerSpec(Z, "interval", start=start)
     with pytest.MonkeyPatch.context() as mp:  # blocks that end inside a chunk
         mp.setattr(density, "HISTOGRAM_CHUNK", chunk)
-        hist = pattern_histograms(E, f, lo, k, schedule)
+        hist = pattern_histograms(E, f, range(lo, lo + k), schedule)
     assert hist.dtype == np.int64 and hist.shape == (len(schedule), 1 << k)
     for row, N in zip(hist, schedule):
         words = Counter(sum(E.member(h + lo + j) << j for j in range(k))
                         for h in range(start, start + N))
+        assert {w: int(c) for w, c in enumerate(row) if c} == dict(words)
+
+
+@pytest.mark.parametrize("right", [False, True])
+@pytest.mark.parametrize("complement", [False, True])
+@pytest.mark.parametrize("name", BOXES)
+def test_pattern_histograms_brute_force_on_boxes(name, complement, right):
+    f, E = BOXES[name]
+    E = Complement(E) if complement else E
+    group = f.group
+    # the radius-1 ball and one far element: 6 (H3) and 10 (Z^2) bits
+    ball = group.word_ball(1) + [(3, -2) if name == "z2" else (2, -1, 3)]
+    schedule = [2, 5, 3]
+    hist = pattern_histograms(E, f, ball, schedule, right)
+    assert hist.dtype == np.int64 and hist.shape == (len(schedule), 1 << len(ball))
+    for row, N in zip(hist, schedule):
+        words = Counter(sum(E.member(group.mul(h, g) if right else group.mul(g, h)) << j
+                            for j, g in enumerate(ball))
+                        for h in f.elements(N))
         assert {w: int(c) for w, c in enumerate(row) if c} == dict(words)
 
 
@@ -106,7 +133,7 @@ def per_cylinder(E, f, table, schedule):
         counts = [cylinder_count(E, row.cylinder, f, N) for N in schedule]
         assert list(row.counts.items()) == list(zip(schedule, counts)), row.cylinder
         assert all(type(c) is int for c in row.counts.values())
-        values = [Fraction(c, N) for c, N in zip(counts, schedule)]
+        values = [Fraction(c, f.size(N)) for c, N in zip(counts, schedule)]
         assert list(row.values.values()) == values
         assert row.oscillation == max(values) - min(values)
 
@@ -129,6 +156,31 @@ def test_cylinder_table_at_the_histogram_boundary(kind):
     f = FolnerSpec(Z, "interval", start=start)
     for radius in (7, 8):
         per_cylinder(E, f, furstenberg_report(E, f, radius, 2, schedule), schedule)
+
+
+@pytest.mark.parametrize("complement", [False, True])
+@pytest.mark.parametrize("name", BOXES)
+def test_box_tables_equal_per_item_counts(name, complement):
+    # radius 1 (5 or 9 elements) is counted from the histogram; a radius-2
+    # spectrum (17 or 25 elements) per tuple
+    f, E = BOXES[name]
+    E = Complement(E) if complement else E
+    schedule = [2, 3, 5]
+    for depth, radius in [(3, 1), (2, 2)]:
+        per_tuple(E, f, correlation_spectrum(E, f, depth, radius, schedule), schedule)
+    per_cylinder(E, f, furstenberg_report(E, f, 1, 3, schedule), schedule)
+
+
+def test_h3_cylinder_table_reads_each_index_once(monkeypatch):
+    calls = []
+    coords = FolnerSpec.coords
+    monkeypatch.setattr(FolnerSpec, "coords", lambda self, N: calls.append(N) or coords(self, N))
+    f, E = BOXES["h3"]
+    schedule = [2, 3, 4, 5]
+    furstenberg_report(E, f, 1, 2, schedule)
+    # the table reads each index once, the upper density and the subsequence
+    # of A once per index each, and nu(A) the last index: not once per cylinder
+    assert sorted(calls) == sorted(3 * schedule + [5])
 
 
 def test_spectrum_builds_one_window(monkeypatch):
