@@ -2,9 +2,10 @@
 
 One YAML file defines the group, the Folner shape, named sets / oracle
 systems / averaging schemes / functions, a schedule, tolerances, caps, and
-an ordered task list.  `parse_task` converts each task's values once;
-validation and the runner both read its result, so a typo or a value of
-the wrong type fails before any computation starts.
+an ordered task list.  `schema.parse_task` converts each task's values once,
+by the table of the keys its kind reads, and refuses any other key;
+validation and the runner both read its result, so a typo, a misspelled
+key or a value of the wrong type fails before any computation starts.
 """
 from __future__ import annotations
 
@@ -21,37 +22,14 @@ from .groups import GroupSpec, FolnerSpec, INT_Z, INT_ZD, HEISENBERG3, SHAPE_BOX
 from . import sets as setmod
 from . import oracles as oraclemod
 from . import moments as momentmod
-from .spectrum import CONSISTENT, DISTINGUISHED
+from .schema import _build_schedule, _is_int, _need, _task_shifts, parse_task
+from .spectrum import TUPLE_CAP, check_subset_count
 
 # libyaml's loader, when PyYAML was built with it: it gives the objects the pure-Python
 # loader gives, about six times faster, but its first use pages in about 0.15 MB of
 # code, so it reads only configs of at least this many bytes
 _LIBYAML = getattr(yaml, "CSafeLoader", None)
 _LIBYAML_MIN_BYTES = 1 << 14
-
-# each task kind -> the keys `runner.run_task` requires of it
-_TASK_KEYS = {
-    "density": ("set", "N"),
-    "upper_density": ("set",),
-    "subsequence": ("set", "queries", "eps"),
-    "pair_correlation": ("set", "N", "H"),
-    "cylinders": ("set", "radius", "depth"),
-    "additivity": ("set", "element", "N"),
-    "invariance": ("set", "shift", "N"),
-    "verify": ("system", "queries"),
-    "spectrum": ("set", "depth", "radius"),
-    "compare": ("set1", "set2", "depth", "radius", "eps"),
-    "moments": ("family", "queries", "N"),
-    "accordance": ("family", "scheme", "queries", "eps"),
-    "normcheck": ("scheme", "N"),
-}
-# task keys read as integers -> the least value allowed, if any
-_INT_KEYS = {"N": 1, "H": 0, "radius": None, "depth": None, "conj_depth": None, "seed": None}
-# (task kind, key) -> the only values the runner reads that key as
-_CHOICES = {("cylinders", "patterns"): (True, False), ("accordance", "expect"): (True, False),
-            ("compare", "expect"): (CONSISTENT, DISTINGUISHED)}
-# task keys naming a config entry -> the config section defining it
-_NAME_KEYS = dict(set="sets", set1="sets", set2="sets", system="systems", scheme="schemes")
 
 
 @dataclass
@@ -69,24 +47,12 @@ class ExperimentConfig:
     tasks: List[dict]
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _as_int(value, what: str) -> int:
     """int(value) of a named entry's parameter; a list, null or .inf is a ValueError."""
     try:
         return int(value)
     except (TypeError, OverflowError):
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _need(d: dict, key: str, where: str):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: must be a mapping, got {d!r}")
-    if key not in d:
-        raise ConfigError(f"{where}: missing key {key!r}")
-    return d[key]
 
 
 def _build_group(d: dict) -> GroupSpec:
@@ -118,26 +84,6 @@ def _build_folner(d: dict, group: GroupSpec) -> FolnerSpec:
     raise ConfigError(f"folner: unknown shape {shape!r}")
 
 
-def _build_schedule(node) -> List[int]:
-    if isinstance(node, dict) and "dyadic" in node:
-        d = node["dyadic"]
-        lo, hi = (d.get(k) if isinstance(d, dict) else None for k in ("min_exp", "max_exp"))
-        # indices stay in the int64 range
-        if not (_is_int(lo) and _is_int(hi) and 0 <= lo <= hi <= 62):
-            raise ConfigError("dyadic schedule needs 0 <= min_exp <= max_exp <= 62, "
-                              f"got {d!r}")
-        return [1 << k for k in range(lo, hi + 1)]
-    if isinstance(node, list):
-        if not all(_is_int(x) and x >= 1 for x in node):
-            raise ConfigError(f"schedule indices must be integers >= 1, got {node!r}")
-        if not node:
-            raise ConfigError("schedule must be nonempty")
-        if node != sorted(set(node)):
-            raise ConfigError("schedule must be strictly increasing")
-        return list(node)
-    raise ConfigError("schedule must be a list or a dyadic range")
-
-
 DEFAULT_SCHEDULE = [1 << k for k in range(10, 21)]
 DEFAULT_CAPS = {"cylinders": 20000, "window": 1 << 26}
 DEFAULT_TOLERANCES = {"tau": 1e-3}
@@ -164,30 +110,13 @@ def _chain_states(cfg: "ExperimentConfig", system) -> int:
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
-def _task_shifts(t: dict, group: GroupSpec) -> list:
-    """Each element a parsed task moves its window by, a ball by its extreme ones."""
-    kind = t["task"]
-    gs = list(t["shifts"]) + [t[k] for k in ("element", "shift") if k in t]
-    for q in t["queries"]:
-        gs += [g for _, _, g in q] if "family" in _TASK_KEYS[kind] else q
-    gs += [h for h, _ in t["cylinder"]]
-    if "shift" in t:
-        gs += [group.mul(t["shift"], h) for h, _ in t["cylinder"]]
-    R = max(0, t.get("H" if kind == "pair_correlation" else "radius", 0))
-    if group.kind == INT_Z:
-        return gs + [R, 0 if kind in ("spectrum", "compare") else -R]
-    # no word of length R moves a coordinate further than R, or R^2 for c on H3
-    return gs + [(R,) * group.d if group.kind == INT_ZD else (R, R, R * R)]
-
-
 def check_extent(cfg: "ExperimentConfig", t: dict, N: int, where: str) -> None:
     """Refuse, by arithmetic alone, a parsed task whose windows at index N
     exceed `caps.window` (exit 3) or hold a point outside int64 (exit 2)."""
     f, shifts = cfg.folner, _task_shifts(t, cfg.group)
     if f.shape == SHAPE_INTERVAL:
         lo, hi = min(shifts + [0]), max(shifts + [0])
-        states = _chain_states(cfg, t["system"]) if t["task"] == "verify" else 1
-        check_window(cfg, N + hi - lo, where, states)
+        check_window(cfg, N + hi - lo, where, _chain_states(cfg, t.get("system")))
         # the verify orbit reads [start + lo, start + N + hi], one point past the window
         if f.start + lo < INT64_MIN or f.start + N + hi > INT64_MAX:
             raise ConfigError(f"{where}: window [{f.start + lo}, {f.start + N + hi}) "
@@ -210,9 +139,9 @@ class Workspace:
 
     def _get(self, kind: str, name: str, build) -> Any:
         """The object named `name` among the config's `kind`s, built once."""
-        if (kind, name) not in self._built:
+        if not isinstance(name, Hashable) or (kind, name) not in self._built:
             defs = getattr(self.cfg, kind + "s")
-            if name not in defs:
+            if not (isinstance(name, Hashable) and name in defs):
                 raise ConfigError(f"undefined {kind} {name!r}")
             self._built[kind, name] = build(defs[name])
         return self._built[kind, name]
@@ -250,8 +179,7 @@ class Workspace:
                 check_window(self.cfg, n, f"set {name}")
                 if self.cfg.seed is None:
                     raise ConfigError(f"set {name}: random bitmask requires a seed")
-                rng = np.random.default_rng(self.cfg.seed)
-                bits = rng.integers(0, 2, size=n).tolist()
+                bits = np.random.default_rng(self.cfg.seed).integers(0, 2, size=n).astype(bool)
             return setmod.Bitmask(lo, bits)
         if rule == "complement":
             return self.set_spec(_need(d, "of", name)).complement()
@@ -395,97 +323,13 @@ def _complement_cycles(sets: dict) -> None:
             chain.append(of)
 
 
-def parse_task(task, cfg: ExperimentConfig, where: str) -> dict:
-    """The task with each value the runner reads converted, once: ints, numbers, the
-    schedule, group elements, moment factors, cylinder constraints; names checked."""
-    group = cfg.group
-
-    def fail(message):
-        raise ConfigError(f"{where}: {message}")
-
-    def seq(node, key, what):
-        return node if isinstance(node, (list, tuple)) else \
-            fail(f"{key} must be a list of {what}, got {node!r}")
-
-    def convert(v, to, what):
-        try:
-            return to(None if isinstance(v, bool) else v)
-        except (TypeError, ValueError):
-            fail(f"{what}, got {v!r}")
-
-    def element(node):
-        g = tuple(node) if isinstance(node, list) else node
-        return g if group.contains(g) else \
-            fail(f"{node!r} is not an element of group {group.kind}")
-
-    def factor(node):
-        if not (isinstance(node, (list, tuple)) and len(node) == 3 and _is_int(node[0])
-                and node[1] in (True, False)):
-            fail(f"a moment factor is [index, true or false, element], got {node!r}")
-        return node[0], bool(node[1]), element(node[2])
-
-    def constraint(node):
-        if not (isinstance(node, (list, tuple)) and len(node) == 2 and _is_int(node[1])
-                and node[1] in (0, 1)):
-            fail(f"a cylinder constraint is [element, 0 or 1], got {node!r}")
-        return element(node[0]), node[1]
-
-    kind = _need(task, "task", where)
-    if not isinstance(kind, str) or kind not in _TASK_KEYS:
-        fail(f"unknown task {kind!r}")
-    for key in _TASK_KEYS[kind]:
-        _need(task, key, where)
-    for key, least in _INT_KEYS.items():
-        if key in task and not (_is_int(task[key]) and (least is None or task[key] >= least)):
-            fail(f"{key} must be an integer{'' if least is None else f' >= {least}'}, "
-                 f"got {task[key]!r}")
-    for (k, key), values in _CHOICES.items():
-        if k == kind and key in task and not any(
-                type(task[key]) is type(v) and task[key] == v for v in values):
-            names = " or ".join(str(v).lower() if isinstance(v, bool) else v for v in values)
-            fail(f"{key} must be {names}, got {task[key]!r}")
-    t = dict(task)
-    t["eps"] = convert(task.get("eps", 0.05), float, "eps must be positive")
-    if not t["eps"] > 0:
-        fail(f"eps must be positive, got {task['eps']!r}")
-    if "tol" in task:
-        t["tol"] = convert(task["tol"], float, "tol must be a number")
-    if "oracle_thetas" in task:
-        t["oracle_thetas"] = [convert(x, float, "oracle_thetas must be numbers") for x in
-                              seq(task["oracle_thetas"], "oracle_thetas", "numbers")]
-    if kind == "upper_density":
-        t["tau"] = convert(task.get("tau", cfg.tolerances["tau"]), lambda x: Fraction(str(x)),
-                           "tau must be a number")
-    try:
-        t["schedule"] = _build_schedule(task["schedule"]) if "schedule" in task else cfg.schedule
-    except ConfigError as e:
-        fail(e)
-    t["shifts"] = tuple(map(element, seq(task.get("shifts", [group.identity()]), "shifts",
-                                         "group elements")))
-    # the queries of a task over a function family are moment factor lists
-    item = factor if "family" in _TASK_KEYS[kind] else element
-    t["queries"] = [tuple(map(item, seq(q, "a query", "factors or elements")))
-                    for q in seq(task.get("queries", []), "queries", "queries")]
-    if kind == "verify" and not (t["queries"] and all(t["queries"])):
-        fail(f"queries must be a nonempty list of nonempty queries, got {task['queries']!r}")
-    t.update((key, element(task[key])) for key in ("element", "shift") if key in task)
-    t["cylinder"] = [constraint(c) for c in
-                     seq(task.get("cylinder", ()), "cylinder", "[element, polarity] pairs")]
-    if kind == "moments":
-        t.setdefault("scheme", next(iter(cfg.schemes), ""))
-    for key, section in _NAME_KEYS.items():
-        if key in t and not (isinstance(t[key], Hashable) and t[key] in getattr(cfg, section)):
-            fail(f"undefined {section[:-1]} {t[key]!r}")
-    for name in seq(task.get("family", []), "family", "function names"):
-        if not (isinstance(name, Hashable) and name in cfg.functions):
-            fail(f"undefined function {name!r}")
-    return t
-
-
 def _validate(cfg: ExperimentConfig) -> None:
     _complement_cycles(cfg.sets)
     for i, task in enumerate(cfg.tasks):
         where = f"task {i}"
         t = parse_task(task, cfg, where)
+        if "H" in t:  # pair correlation counts one window per shift of its ball
+            check_subset_count(f"{where}: shift", cfg.group.ball_size(t["H"], TUPLE_CAP), 1,
+                               TUPLE_CAP)
         # a task runs at one index N or over a schedule, never both
         check_extent(cfg, t, t["N"] if "N" in t else max(t["schedule"]), where)

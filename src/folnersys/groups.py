@@ -129,19 +129,12 @@ class GroupSpec:
         if self.kind == INT_ZD:
             return [tuple(v) for v in itertools.product(range(-radius, radius + 1), repeat=self.d)]
         gens = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
-        seen = {self.identity()}
-        frontier = [self.identity()]
+        seen = frontier = {self.identity()}
         for _ in range(radius):
             if len(seen) > limit:
                 break
-            nxt = []
-            for g in frontier:
-                for s in gens:
-                    h = self.mul(g, s)
-                    if h not in seen:
-                        seen.add(h)
-                        nxt.append(h)
-            frontier = nxt
+            frontier = {self.mul(g, s) for g in frontier for s in gens} - seen
+            seen = seen | frontier
         return sorted(seen, key=self.element_key)
 
     def ball_size(self, radius: int, limit: int) -> int:
@@ -217,25 +210,17 @@ class FolnerSpec:
         self._check_index(N)
         if self.shape == SHAPE_INTERVAL:
             return np.arange(self.start, self.start + N, dtype=np.int64).reshape(1, -1)
-        if self.shape == SHAPE_BOX:
-            axes = [np.arange(a, a + N, dtype=np.int64) for a in self.anchor]
-            grids = np.meshgrid(*axes, indexing="ij")
-            return np.stack([g.ravel() for g in grids])
-        a, b, c = np.meshgrid(
-            np.arange(N, dtype=np.int64),
-            np.arange(N, dtype=np.int64),
-            np.arange(N * N, dtype=np.int64),
-            indexing="ij",
-        )
-        return np.stack([a.ravel(), b.ravel(), c.ravel()])
+        sides = ([(a, N) for a in self.anchor] if self.shape == SHAPE_BOX
+                 else [(0, N), (0, N), (0, N * N)])
+        grids = np.meshgrid(*(np.arange(a, a + n, dtype=np.int64) for a, n in sides), indexing="ij")
+        return np.stack([g.ravel() for g in grids])
 
     # -- defects ----------------------------------------------------------
 
     def defect(self, N: int, g: Element) -> Fraction:
         """Exact |F_N symdiff g*F_N| / |F_N| (left translation)."""
-        self._check_index(N)
-        self.group.check(g)
         size = self.size(N)
+        self.group.check(g)
         return Fraction(2 * (size - self._left_overlap(N, g)), size)
 
     def right_defect(self, N: int, g: Element) -> Fraction:

@@ -296,23 +296,15 @@ def accordance_check(
     rows = []
     for q in queries:
         q = tuple((int(i), bool(c), g) for i, c, g in q)
-        r = len(q)
-        if r <= conj_depth:
-            patterns = list(itertools.product((False, True), repeat=r))
-        else:
-            patterns = [tuple(c for _, c, _ in q)]
+        patterns = (itertools.product((False, True), repeat=len(q)) if len(q) <= conj_depth
+                    else [tuple(c for _, c, _ in q)])
         oscs: Dict[Tuple[bool, ...], float] = {}
-        ok = True
         for pat in patterns:
             variant = tuple((i, c, g) for (i, _, g), c in zip(q, pat))
             vals = [weighted_moment(family, variant, s, N) for N in schedule]
-            osc = max(
-                abs(a - b) for a, b in itertools.combinations(vals, 2)
-            ) if len(vals) > 1 else 0.0
-            oscs[pat] = float(osc)
-            if osc > eps:
-                ok = False
-        rows.append(AccordanceRow(q, oscs, ok))
+            oscs[pat] = float(max((abs(a - b) for a, b in itertools.combinations(vals, 2)),
+                                  default=0.0))
+        rows.append(AccordanceRow(q, oscs, not any(osc > eps for osc in oscs.values())))
     return rows
 
 

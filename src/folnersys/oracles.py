@@ -278,12 +278,9 @@ def verify_correspondence(
         dev = abs(float(emp[final]) - float(exact))
         if isinstance(sys, PeriodicSystem):
             tol = 0.0 if final % sys.p == 0 else float(Fraction(sys.p, final))
-            passed = dev <= tol
         elif isinstance(sys, MarkovSystem):
             tol = MARKOV_SIGMA_FACTOR * sys.sigma_bound(orbit, q)
-            passed = dev <= tol
         else:
             tol = ROTATION_TOL
-            passed = dev <= tol
-        rows.append(CorrespondenceRow(q, exact, emp, dev, tol, passed))
+        rows.append(CorrespondenceRow(q, exact, emp, dev, tol, dev <= tol))
     return CorrespondenceReport(sys.label(), rows)

@@ -7,21 +7,22 @@ from typing import Optional
 
 from . import __version__
 from .cache import ResultCache, digest, digest_prefix, source_digest
-from .config import _TASK_KEYS, ExperimentConfig, Workspace, parse_task
+from .config import ExperimentConfig, Workspace
 from .cylinders import CylinderSpec, additivity_check, frac, furstenberg_report, invariance_defect
 from .density import extract_subsequence, intersection_count, pair_correlation_fft, upper_density
 from .errors import ConfigError, NoConvergentSubsequenceError
 from .moments import accordance_check, exponential_oracle, scheme_normalization, weighted_moment
 from .oracles import verify_correspondence
+from .schema import parse_task
 from .spectrum import compare_pairs, correlation_spectrum
 
 
 def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
     t = parse_task(task, cfg, "task")
     kind, N, f = t["task"], t.get("N"), cfg.folner
-    E = ws.set_spec(t["set"]) if "set" in _TASK_KEYS[kind] else None
-    C = CylinderSpec.make(cfg.group, dict(t["cylinder"]))
-    family = [ws.function(n) for n in t.get("family", [])]
+    E = ws.set_spec(t["set"]) if "set" in t else None
+    C = CylinderSpec.make(cfg.group, t["cylinder"]) if "cylinder" in t else None
+    family = [ws.function(n) for n in t.get("family", ())]
 
     if kind == "density":
         count = intersection_count(E, t["shifts"], f, N)
@@ -45,7 +46,7 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
     if kind == "cylinders":
         return furstenberg_report(
             E, f, t["radius"], t["depth"], t["schedule"], cylinder_cap=cfg.caps["cylinders"],
-            subsequence_eps=t["eps"], collect_patterns=t.get("patterns", False)).to_dict()
+            subsequence_eps=t["eps"], collect_patterns=t["patterns"]).to_dict()
 
     if kind == "additivity":
         ok, residual = additivity_check(E, C, t["element"], f, N)
@@ -58,7 +59,7 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
     if kind == "verify":
         return verify_correspondence(
             ws.system(t["system"]), t["queries"], f, t["schedule"],
-            x0=t.get("x0", 0), seed=t.get("seed", cfg.seed or 0),
+            x0=t["x0"], seed=t["seed"],
         ).to_dict()
 
     if kind == "spectrum":
@@ -89,7 +90,7 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
     if kind == "accordance":
         rows = accordance_check(
             family, t["queries"], ws.scheme(t["scheme"]), t["schedule"], t["eps"],
-            conj_depth=t.get("conj_depth", 3))
+            conj_depth=t["conj_depth"])
         return {
             "rows": [
                 {
@@ -103,8 +104,7 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
                 }
                 for r in rows
             ],
-            "passed": all(r.accordant for r in rows) if t.get("expect", True) else
-                      not all(r.accordant for r in rows),
+            "passed": all(r.accordant for r in rows) == t["expect"],
         }
 
     # normcheck
@@ -134,13 +134,16 @@ def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, use_cache: bool = 
         "version": __version__,
     }
     cache = ResultCache(f"{out_dir}/.cache") if (out_dir and use_cache) else None
-    config_digest = digest(shared)
-    # each key is digest({"code": ..., "config": shared, "task": task}); the shared part
-    # is serialized once
-    head = digest_prefix({"code": source_digest(), "config": shared})
+    try:
+        config_digest = digest(shared)
+        # each key is digest({"code": ..., "config": shared, "task": task}); the shared
+        # part is serialized once
+        head = digest_prefix({"code": source_digest(), "config": shared})
+        keys = [digest({"task": task}, prefix=head) for task in cfg.tasks]
+    except TypeError as e:  # JSON cannot write a mapping key such as a YAML date
+        raise ConfigError(f"config cannot be written as a cache key: {e}") from e
     results = []
-    for i, task in enumerate(cfg.tasks):
-        key = digest({"task": task}, prefix=head)
+    for i, (task, key) in enumerate(zip(cfg.tasks, keys)):
         t0 = time.perf_counter()
         cached = cache.get(key) if cache else None
         if cached is not None:

@@ -166,23 +166,11 @@ def compare_pairs(
         raise ValueError("pairs must live on the same group")
     s1 = correlation_spectrum(E1, f1, r_max, radius, schedule)
     s2 = correlation_spectrum(E2, f2, r_max, radius, schedule)
-    tuples = list(s1.densities)  # canonical order
-    inconclusive = [
-        t for t in tuples
-        if s1.oscillations[t] > eps or s2.oscillations[t] > eps
-    ]
+    # both in canonical order
+    inconclusive = [t for t in s1.densities if s1.oscillations[t] > eps or s2.oscillations[t] > eps]
     skip = set(inconclusive)
-    max_disc = Fraction(0)
-    witness = None
-    witness_disc = None
-    for t in tuples:
-        if t in skip:
-            continue
-        disc = abs(s1.densities[t] - s2.densities[t])
-        if disc > max_disc:
-            max_disc = disc
-        if witness is None and disc > eps:
-            witness = t
-            witness_disc = disc
-    verdict = DISTINGUISHED if witness is not None else CONSISTENT
-    return CompareVerdict(verdict, max_disc, witness, witness_disc, inconclusive, r_max, radius)
+    discs = {t: abs(d - s2.densities[t]) for t, d in s1.densities.items() if t not in skip}
+    witness = next((t for t, disc in discs.items() if disc > eps), None)
+    return CompareVerdict(DISTINGUISHED if witness is not None else CONSISTENT,
+                          max(discs.values(), default=Fraction(0)), witness, discs.get(witness),
+                          inconclusive, r_max, radius)

@@ -11,7 +11,7 @@ from folnersys import __version__, cli, config, runner
 from folnersys.cache import ResultCache, digest, source_digest
 from folnersys.cli import main
 from folnersys.config import load_config, parse_config
-from folnersys.errors import ConfigError
+from folnersys.errors import CapExceededError, ConfigError
 from folnersys.runner import run
 
 BASE = {
@@ -45,8 +45,7 @@ KEYED_SETS = {**BASE["sets"], "évens": {"rule": "congruence", "a": 0, "m": 2,
 KEYED_TASKS = [
     {"task": "density", "set": "gold", "shifts": [0, 1], "N": 10000},
     {"task": "verify", "system": "mark", "queries": [[0], [0, 1]], "schedule": [10000]},
-    {"task": "cylinders", "set": "évens", "radius": 2, "depth": 2, "schedule": [60, 600],
-     "note": datetime.date(2021, 3, 4)},
+    {"task": "cylinders", "set": "évens", "radius": 2, "depth": 2, "schedule": [60, 600]},
 ]
 
 
@@ -117,7 +116,9 @@ def test_libyaml_loader_parity():
     configs = _bench_configs()
     assert len(configs) >= 8
     for where, text in configs:
-        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.safe_load(text), where
+        raw = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert raw == yaml.safe_load(text), where
+        parse_config(raw)  # each task key is one its kind reads, or every run would fail
 
 
 def test_both_loaders_give_equal_configs(tmp_path, monkeypatch):
@@ -307,6 +308,39 @@ def test_cli_tuple_cap_exit_code(tmp_path, capsys):
     assert "tuple count 559736 exceeds cap 200000" in capsys.readouterr().err
 
 
+def test_pair_correlation_shift_cap(tmp_path, capsys):
+    # 2*10^6 + 1 shifts, one window count each: refused before the ball is built
+    path = write_cfg(tmp_path, [{"task": "pair_correlation", "set": "evens", "N": 10,
+                                 "H": 10 ** 6}])
+    with pytest.raises(CapExceededError, match="task 0: shift count at least 2000001 exceeds"):
+        load_config(path)
+    assert main(["run", "--config", path]) == 3
+    assert "exceeds cap 200000" in capsys.readouterr().err
+
+
+def test_omitted_cylinder_is_the_full_space(tmp_path, capsys):
+    tasks = [{"task": "additivity", "set": "evens", "element": 1, "N": 10},
+             {"task": "invariance", "set": "evens", "shift": 1, "N": 10}]
+    assert main(["run", "--config", write_cfg(tmp_path, tasks)]) == 0
+    additivity, invariance = (e["result"] for e in json.loads(capsys.readouterr().out)["tasks"])
+    assert additivity["passed"] and additivity["residual"]["num"] == 0
+    assert invariance["defect"]["num"] == 0
+
+
+def test_python_built_config_may_hold_tuples():
+    # tuples where YAML gives lists: shifts, queries, factors and cylinder pairs
+    tasks = [{"task": "density", "set": "evens", "shifts": (0, 2), "N": 10},
+             {"task": "additivity", "set": "evens", "element": 1, "N": 10,
+              "cylinder": ((0, 1), [2, 0])},
+             {"task": "verify", "system": "per", "queries": ((0,), [0, 1]), "schedule": [30]},
+             {"task": "moments", "family": ("e1", "ind"), "N": 10,
+              "queries": (((1, False, 0), (2, True, 1)),)}]
+    as_lists = json.loads(json.dumps(tasks))
+    results = [[e["result"] for e in run(parse_config({**BASE, "tasks": ts}))["tasks"]]
+               for ts in (tasks, as_lists)]
+    assert json.dumps(results[0]) == json.dumps(results[1])
+
+
 def test_cli_bad_input_exit_code(tmp_path, capsys):
     path = write_cfg(tmp_path, [{"task": "density", "set": "evens",
                                  "shifts": [[1, 2]], "N": 10}])
@@ -391,7 +425,7 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
         ({"task": "cylinders", "set": "evens", "radius": float("inf"), "depth": 1}, {},
          "radius must be an integer, got inf"),
         ({"task": "spectrum", "set": "evens", "radius": 2, "depth": float("inf")}, {},
-         "depth must be an integer, got inf"),
+         "depth must be an integer >= 1, got inf"),
     ]
     # a named entry or x0 of the wrong type used to raise TypeError, and an empty
     # Markov orbit IndexError, where the parameter is read
@@ -470,15 +504,50 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
         ({"task": "verify", "system": "per", "queries": [[]]}, {},
          "queries must be a nonempty list of nonempty queries, got [[]]"),
     ]
+    # an empty table, no rows, a nan tolerance failing as exit 1, an infinite eps, a
+    # cylinder keeping only the last polarity of an element, and a misspelled key
+    # ignored with exit 0
+    compare = {"task": "compare", "set1": "evens", "set2": "odds", "depth": 1, "radius": 2,
+               "eps": 0.01, "schedule": [60, 600]}
+    refused += [
+        ({"task": "spectrum", "set": "evens", "depth": 0, "radius": 2}, {},
+         "depth must be an integer >= 1, got 0"),
+        ({"task": "spectrum", "set": "evens", "depth": 1, "radius": -1}, {},
+         "radius must be an integer >= 0, got -1"),
+        ({**compare, "depth": 0}, {}, "depth must be an integer >= 1, got 0"),
+        ({**moment, "queries": []}, {},
+         "queries must be a nonempty list of nonempty queries, got []"),
+        ({"task": "accordance", "family": ["e1"], "scheme": "unit", "queries": [], "eps": 0.05},
+         {}, "queries must be a nonempty list of nonempty queries, got []"),
+        ({"task": "normcheck", "scheme": "unit", "N": 10, "tol": float("nan")}, {},
+         "tol must be a finite number, got nan"),
+        ({**moment, "queries": [[[1, 0, 0]]], "oracle_thetas": [float("nan")]}, {},
+         "oracle_thetas must be a list of finite numbers, got [nan]"),
+        ({**cyls, "eps": float("inf")}, {}, "eps must be positive and finite, got inf"),
+        ({"task": "additivity", "set": "evens", "element": 1, "N": 10,
+          "cylinder": [[0, 1], [0, 0]]}, {},
+         "cylinder names element 0 twice, got [[0, 1], [0, 0]]"),
+        ({**compare, "expected": "DISTINGUISHED"}, {},
+         "unknown key 'expected' for task compare"),
+        ({**cyls, "pattern": True}, {}, "unknown key 'pattern' for task cylinders"),
+        ({"task": "density", "set": "evens", "N": 10, "H": 3}, {},
+         "unknown key 'H' for task density"),
+        ({**cyls, "note": datetime.date(2021, 3, 4)}, {},
+         "unknown key 'note' for task cylinders"),
+    ]
     for task, overrides, message in refused:
         path = write_cfg(tmp_path, [task], **overrides)
         assert main(["run", "--config", path]) == 2, (task, overrides)
         assert f"task 0: {message}" in capsys.readouterr().err
-    # a complement of itself used to recurse until RecursionError
+    # a complement of itself used to recurse until RecursionError, and a list where
+    # a set names another entry to raise TypeError
     for sets, message in [
         ({"a": {"rule": "complement", "of": "a"}}, "set a: complement cycle a -> a"),
         ({"a": {"rule": "complement", "of": "b"}, "b": {"rule": "complement", "of": "a"}},
          "set a: complement cycle a -> b -> a"),
+        ({"a": {"rule": "complement", "of": [1]}}, "config error: undefined set [1]"),
+        ({"a": {"rule": "orbit", "system": [1], "lo": 0, "hi": 10}},
+         "config error: undefined system [1]"),
     ]:
         path = write_cfg(tmp_path, [{"task": "density", "set": "a", "N": 10}], sets=sets)
         assert main(["run", "--config", path]) == 2, sets
@@ -517,6 +586,16 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
         assert message in capsys.readouterr().err
     assert main(["run", "--config", write_cfg(tmp_path, 5)]) == 2
     assert "tasks must be a list, got 5" in capsys.readouterr().err
+    # a mapping key JSON cannot write or order used to raise TypeError in the digest
+    day = datetime.date(2020, 1, 2)
+    for task, overrides in [
+        ({"task": "density", "set": day, "N": 10},
+         {"sets": {day: {"rule": "congruence", "a": 0, "m": 2}}}),
+        ({"task": "normcheck", "scheme": "w", "N": 3},
+         {"schemes": {"w": {"weight": {"kind": "custom", "table": {0: 1, "a": 2}}}}}),
+    ]:
+        assert main(["run", "--config", write_cfg(tmp_path, [task], **overrides)]) == 2, task
+        assert "config error: config cannot be written as a cache key" in capsys.readouterr().err
 
 
 def test_moment_index_is_no_shift(tmp_path, capsys):
