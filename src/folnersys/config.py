@@ -48,11 +48,11 @@ class ExperimentConfig:
 
 
 def _as_int(value, what: str) -> int:
-    """int(value) of a named entry's parameter; a list, null or .inf is a ValueError."""
-    try:
-        return int(value)
-    except (TypeError, OverflowError):
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    """A named entry's integer parameter; anything else, a float or a bool too, is a
+    ValueError."""
+    if not _is_int(value):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _build_group(d: dict) -> GroupSpec:

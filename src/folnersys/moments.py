@@ -9,6 +9,9 @@ one.  The moment of a query [(i, conj, g_i), ...] against a family
 
 with f~ the function or its conjugate.  All-indicator unweighted moments
 bypass floating point and reduce exactly to intersection densities.
+
+On an interval of Z every factor is a slice of its function's window
+(`functions.FunctionSpec.window`), filled once per task by `reserve_windows`.
 """
 from __future__ import annotations
 
@@ -22,8 +25,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .density import window_count
-from .groups import FolnerSpec, GroupSpec, INT_Z, SHAPE_INTERVAL, Element
-from .sets import SetSpec
+from .functions import (  # noqa: F401  (the function specs stay importable from here)
+    ConjFn, ExponentialFn, FunctionSpec, IndicatorFn, ProductFn, RandomDiskFn,
+)
+from .groups import FolnerSpec, INT_Z, SHAPE_INTERVAL, Element
 
 Factor = Tuple[int, bool, Element]  # (1-based function index, conjugate?, shift)
 
@@ -32,11 +37,10 @@ Factor = Tuple[int, bool, Element]  # (1-based function index, conjugate?, shift
 # weights and normalizers
 
 
-def _linear_points(n: np.ndarray) -> np.ndarray:
-    """The window points as linear weights a(n) = n; a weight must be nonnegative."""
-    if np.any(n < 0):
+def _check_linear(least: int) -> None:
+    """a(n) = n is a weight only on a window whose least point is nonnegative."""
+    if least < 0:
         raise ValueError("linear weight needs a nonnegative window")
-    return n
 
 
 def _table_values(table: tuple, keys, what: str) -> list:
@@ -61,9 +65,12 @@ class WeightRule:
         if self.kind == "one":
             return np.ones(len(n))
         if self.kind == "linear":
-            return _linear_points(n).astype(np.float64)
-        if self.kind == "exp_decay":
-            return np.exp(-self.rate * np.abs(n).astype(np.float64))
+            _check_linear(int(n.min()))
+            return n.astype(np.float64)
+        if self.kind == "exp_decay":  # exp(-rate |n|), computed in place
+            w = np.abs(n).astype(np.float64)
+            np.multiply(-self.rate, w, out=w)
+            return np.exp(w, out=w)
         if self.kind == "custom":
             return np.array(_table_values(self.table, n.tolist(), "weight"), dtype=np.float64)
         raise ValueError(f"unknown weight rule {self.kind!r}")
@@ -104,11 +111,11 @@ class AveragingScheme:
     normalizer: NormalizerRule = NormalizerRule("one")
 
 
-def _weight_points(s: AveragingScheme, coords: np.ndarray) -> np.ndarray:
-    """The window coords as the points a non-unit weight is read at."""
+def _weight_window(s: AveragingScheme, N: int) -> Tuple[int, int]:
+    """F_N = [start, stop), where a non-unit weight is read; weights live on Z only."""
     if s.folner.group.kind != INT_Z:
         raise ValueError(f"{s.weight.kind} weight is defined on Z only")
-    return coords.reshape(-1)
+    return s.folner.start, s.folner.start + N
 
 
 def scheme_normalization(s: AveragingScheme, N: int) -> Union[Fraction, float]:
@@ -119,98 +126,19 @@ def scheme_normalization(s: AveragingScheme, N: int) -> Union[Fraction, float]:
     w, size = s.weight, s.folner.size(N)
     if w.is_unit:
         return Fraction(size) / (b * size) if isinstance(b, Fraction) else size / (float(b) * size)
-    n = _weight_points(s, s.folner.coords(N))
     rational = w.kind == "linear" or (
         w.kind == "custom" and all(isinstance(v, (int, Fraction)) for _, v in w.table))
+    start, stop = _weight_window(s, N)
     if not (rational and isinstance(b, Fraction)):
+        n = np.arange(start, stop, dtype=np.int64)
         return float(np.sum(w.values(n))) / (float(b) * size)
-    # summed as Python ints: an int64 sum wraps for windows near 2^62
+    # exact in Python ints: an int64 sum wraps for windows near 2^62
     if w.kind == "linear":
-        total = sum(_linear_points(n).tolist())
+        _check_linear(start)
+        total = N * start + N * (N - 1) // 2
     else:
-        total = sum(_table_values(w.table, n.tolist(), "weight"))
+        total = sum(_table_values(w.table, range(start, stop), "weight"))
     return Fraction(total) / (b * size)
-
-
-# ---------------------------------------------------------------------------
-# function specs
-
-
-class FunctionSpec:
-    """A function G -> closed unit disk, evaluatable on windows."""
-
-    def at(self, n: np.ndarray) -> np.ndarray:
-        """Values at a 1-D int64 array of Z points."""
-        raise NotImplementedError
-
-    def eval_coords(self, group: GroupSpec, coords: np.ndarray) -> np.ndarray:
-        if group.kind != INT_Z:
-            raise ValueError(f"{type(self).__name__} is defined on Z only")
-        return self.at(coords.reshape(-1))
-
-    def conj(self) -> "FunctionSpec":
-        return ConjFn(self)
-
-
-class ExponentialFn(FunctionSpec):
-    """f(n) = exp(2 pi i theta n)."""
-
-    def __init__(self, theta: float):
-        try:
-            self.theta = float(theta)
-        except TypeError:
-            raise ValueError(f"theta must be a number, got {theta!r}") from None
-
-    def at(self, n):
-        return np.exp(2j * np.pi * self.theta * n.astype(np.float64))
-
-
-class IndicatorFn(FunctionSpec):
-    def __init__(self, E: SetSpec):
-        self.E = E
-
-    def eval_coords(self, group, coords):
-        return self.E.member_coords(coords).astype(np.complex128)
-
-
-class RandomDiskFn(FunctionSpec):
-    """Deterministic pseudo-random disk values, hashed per integer point."""
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-
-    def at(self, n):
-        # negative int64 points wrap into the hash domain
-        x = n.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-        x *= np.uint64(self.seed * 2 + 1)
-        # splitmix64 finalizer
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-        r = (x >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-        phase = ((x & np.uint64((1 << 53) - 1)).astype(np.float64) / float(1 << 53))
-        return np.sqrt(r) * np.exp(2j * np.pi * phase)
-
-
-class ConjFn(FunctionSpec):
-    def __init__(self, inner: FunctionSpec):
-        self.inner = inner
-
-    def eval_coords(self, group, coords):
-        return np.conj(self.inner.eval_coords(group, coords))
-
-    def conj(self):
-        return self.inner
-
-
-class ProductFn(FunctionSpec):
-    def __init__(self, a: FunctionSpec, b: FunctionSpec):
-        self.a, self.b = a, b
-
-    def eval_coords(self, group, coords):
-        return self.a.eval_coords(group, coords) * self.b.eval_coords(group, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +172,27 @@ def moment_exact(
     return Fraction(window_count(terms, s.folner, N), s.folner.size(N))
 
 
+def _interval_product(family: Sequence[FunctionSpec], query: Sequence[Factor],
+                      f: FolnerSpec, N: int) -> np.ndarray:
+    """prod_i f~_i(g_i + n) over F_N = [start, start+N), built in place from slices of
+    the functions' windows, which are never written to."""
+    prod = None
+    for i, conj, g in query:
+        f.group.check(g)
+        vals = family[i - 1].window(f.start + g, f.start + g + N)
+        if prod is None or conj:
+            vals = vals.astype(np.complex128)
+            if conj:
+                np.conj(vals, out=vals)
+        if prod is None:
+            prod = vals
+        elif N > 1:
+            prod *= vals
+        else:  # numpy multiplies one element into itself by another loop than out of place
+            prod = prod * vals
+    return prod
+
+
 def weighted_moment(
     family: Sequence[FunctionSpec],
     query: Sequence[Factor],
@@ -254,20 +203,36 @@ def weighted_moment(
     exact = moment_exact(family, query, s, N)  # also validates the query
     if exact is not None:
         return complex(exact)
-    group = s.folner.group
-    coords = s.folner.coords(N)
-    prod = None
-    for i, conj, g in query:
-        fn = family[i - 1].conj() if conj else family[i - 1]
-        vals = fn.eval_coords(group, group.translate_left(g, coords))
-        prod = vals if prod is None else prod * vals
+    f = s.folner
+    if f.shape == SHAPE_INTERVAL:
+        prod = _interval_product(family, query, f, N)
+    else:
+        coords, prod = f.coords(N), None
+        for i, conj, g in query:
+            fn = family[i - 1].conj() if conj else family[i - 1]
+            vals = fn.eval_coords(f.group, f.group.translate_left(g, coords))
+            prod = vals if prod is None else prod * vals
     if not s.weight.is_unit:
-        prod = prod * s.weight.values(_weight_points(s, coords))
+        prod *= s.weight.values(np.arange(*_weight_window(s, N), dtype=np.int64))
     total = complex(np.sum(prod))  # numpy pairwise summation keeps error tiny
     b = float(s.normalizer.value(N))
     if b == 0:
         raise ValueError("degenerate normalizer")
     return total / (b * s.folner.size(N))
+
+
+def reserve_windows(family: Sequence[FunctionSpec], queries: Sequence[Sequence[Factor]],
+                    s: AveragingScheme, N: int) -> None:
+    """Validate every query, then fill each function's window at once over the hull of
+    the factor windows [start+g, start+g+N) the queries read: a window grown piece by
+    piece briefly holds its old and new arrays together.  An indicator reads its set's
+    own boolean window and is left alone."""
+    for q in queries:
+        _check_query(family, q)
+    for i in dict.fromkeys(i for q in queries for i, _, _ in q):
+        if s.folner.shape == SHAPE_INTERVAL and not isinstance(family[i - 1], IndicatorFn):
+            gs = [g for q in queries for j, _, g in q if j == i]
+            family[i - 1].window(s.folner.start + min(gs), s.folner.start + max(gs) + N)
 
 
 @dataclass
@@ -293,9 +258,10 @@ def accordance_check(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    queries = [tuple((int(i), bool(c), g) for i, c, g in q) for q in queries]
+    reserve_windows(family, queries, s, max(schedule))
     rows = []
     for q in queries:
-        q = tuple((int(i), bool(c), g) for i, c, g in q)
         patterns = (itertools.product((False, True), repeat=len(q)) if len(q) <= conj_depth
                     else [tuple(c for _, c, _ in q)])
         oscs: Dict[Tuple[bool, ...], float] = {}

@@ -11,7 +11,9 @@ from .config import ExperimentConfig, Workspace
 from .cylinders import CylinderSpec, additivity_check, frac, furstenberg_report, invariance_defect
 from .density import extract_subsequence, intersection_count, pair_correlation_fft, upper_density
 from .errors import ConfigError, NoConvergentSubsequenceError
-from .moments import accordance_check, exponential_oracle, scheme_normalization, weighted_moment
+from .moments import (
+    accordance_check, exponential_oracle, reserve_windows, scheme_normalization, weighted_moment,
+)
 from .oracles import verify_correspondence
 from .schema import parse_task
 from .spectrum import compare_pairs, correlation_spectrum
@@ -76,6 +78,7 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
 
     if kind == "moments":
         scheme = ws.scheme(t["scheme"])
+        reserve_windows(family, t["queries"], scheme, N)
         rows = []
         for qnode, q in zip(task["queries"], t["queries"]):
             value = weighted_moment(family, q, scheme, N)

@@ -2,8 +2,8 @@
 
 Every set spec can answer membership for any element inside a bounded
 window.  Integer-group sets additionally expose ``bits(lo, hi)``, a cached
-boolean window used by the counting kernels; a window that must grow
-computes only its missing extension on either side.
+boolean window used by the counting kernels, kept by `ExtendOnlyWindow`,
+which the function windows of `moments` share.
 
 Rotation sets are evaluated in 128-bit fixed point: the circle [0,1) is
 scaled to [0, 2^128) and all fractional parts are exact integer residues,
@@ -108,34 +108,40 @@ class SetSpec:
         return repr(self)
 
 
-class ZSetSpec(SetSpec):
+class ExtendOnlyWindow:
+    """Values over one interval of Z, computed once and served as slices.  A window
+    that overlaps or touches the cached interval computes only its missing ends; a
+    disjoint one replaces the cache, so no gap between two windows is ever filled."""
+
+    _cache: Optional[np.ndarray] = None
+    _cache_lo = 0
+
+    def _window(self, lo: int, hi: int, compute) -> np.ndarray:
+        """The values over [lo, hi), nonempty, from `compute(a, b)` over [a, b)."""
+        if self._cache is None or hi < self._cache_lo or lo > self._cache_lo + len(self._cache):
+            self._cache, self._cache_lo = compute(lo, hi), lo
+        cache_lo, cache_hi = self._cache_lo, self._cache_lo + len(self._cache)
+        if lo < cache_lo or hi > cache_hi:
+            parts = [compute(lo, cache_lo)] if lo < cache_lo else []
+            parts.append(self._cache)
+            if hi > cache_hi:
+                parts.append(compute(cache_hi, hi))
+            self._cache, self._cache_lo = np.concatenate(parts), min(lo, cache_lo)
+        off = lo - self._cache_lo
+        return self._cache[off:off + (hi - lo)]
+
+
+class ZSetSpec(SetSpec, ExtendOnlyWindow):
     """Integer-group set with a cached boolean window."""
 
     def __init__(self):
         self.group = GroupSpec(INT_Z)
-        self._cache_lo = 0
-        self._cache: Optional[np.ndarray] = None
 
     def bits(self, lo: int, hi: int) -> np.ndarray:
-        """Boolean membership over [lo, hi), cached.
-
-        The cache always covers one interval: the union of the windows asked
-        for and the gaps between them.  Growing it computes only the missing
-        [lo, cache_lo) and [cache_hi, hi), never points outside that hull.
-        """
+        """Boolean membership over [lo, hi), cached."""
         if hi <= lo:
             return np.zeros(0, dtype=bool)
-        if self._cache is None:
-            self._cache, self._cache_lo = self._compute_bits(lo, hi), lo
-        cache_lo, cache_hi = self._cache_lo, self._cache_lo + len(self._cache)
-        if lo < cache_lo or hi > cache_hi:
-            parts = [self._compute_bits(lo, cache_lo)] if lo < cache_lo else []
-            parts.append(self._cache)
-            if hi > cache_hi:
-                parts.append(self._compute_bits(cache_hi, hi))
-            self._cache, self._cache_lo = np.concatenate(parts), min(lo, cache_lo)
-        off = lo - self._cache_lo
-        return self._cache[off:off + (hi - lo)]
+        return self._window(lo, hi, self._compute_bits)
 
     def _compute_bits(self, lo: int, hi: int) -> np.ndarray:
         raise NotImplementedError

@@ -3,6 +3,7 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 
 import pytest
 import yaml
@@ -185,6 +186,42 @@ def test_cache_key_changes_with_n(tmp_path):
     t1 = {"task": "density", "set": "evens", "shifts": [0], "N": 100}
     t2 = {**t1, "N": 200}
     assert digest({"task": t1}) != digest({"task": t2})
+
+
+def test_each_function_evaluated_once_per_run(tmp_path, monkeypatch, capsys):
+    """Three moments tasks and an accordance task over one family fill each function's
+    window once; every factor of every query is a slice of it."""
+    from folnersys.moments import ExponentialFn, RandomDiskFn
+
+    calls = []
+    for cls in (ExponentialFn, RandomDiskFn):
+        def counted(self, n, _at=cls.at):
+            calls.append(id(self))
+            return _at(self, n)
+        monkeypatch.setattr(cls, "at", counted)
+    functions = {**BASE["functions"], "e2": {"kind": "exponential", "theta": 0.61},
+                 "disk": {"kind": "random_disk"}}
+    schemes = {**BASE["schemes"], "decay": {"weight": {"kind": "exp_decay", "rate": 1e-3}}}
+    family = ["e1", "e2", "disk", "ind"]
+    queries = [[[1, False, 3]], [[2, False, 8], [3, True, 8]],
+               [[3, False, 0], [4, False, 7], [1, True, 3]], [[2, True, 1]],
+               [[3, True, 3], [4, False, 7]], [[1, False, 5], [2, True, 3], [4, False, 7]],
+               [[4, False, 0], [4, False, 3]]]
+    tasks = [{"task": "moments", "family": family, "scheme": s, "queries": queries, "N": 2000}
+             for s in ("unit", "decay", "lin")]
+    tasks.append({"task": "accordance", "family": family, "scheme": "unit",
+                  "queries": queries[:2], "schedule": [500, 1000, 2000], "eps": 0.5})
+    path = write_cfg(tmp_path, tasks, functions=functions, schemes=schemes)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert sorted(Counter(calls).values()) == [1, 1, 1]
+    # an index outside the family is refused before any window is filled
+    calls.clear()
+    capsys.readouterr()
+    for task in (tasks[0], tasks[3]):
+        bad = {**task, "queries": [queries[1], [[5, False, 0]]]}
+        assert main(["run", "--config", write_cfg(tmp_path, [bad], functions=functions)]) == 2
+        assert "task 0: function index 5 out of range for family of 4" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_cache_corruption_is_a_miss(tmp_path, caplog):
@@ -373,7 +410,7 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
     refused = [
         ({"task": "pair_correlation", "set": "evens", "N": 100}, {}, "missing key 'H'"),
         ({"task": "density", "set": "b", "N": 10},
-         {"sets": {"b": {"rule": "bitmask", "n": "abc"}}}, "invalid literal for int()"),
+         {"sets": {"b": {"rule": "bitmask", "n": "abc"}}}, "n must be an integer, got 'abc'"),
         ({"task": "density", "set": "c", "N": 10},
          {"sets": {"c": {"rule": "congruence", "a": 0, "m": 0}}}, "modulus must be positive"),
         ({"task": "density", "set": "b", "N": 10},
@@ -487,6 +524,26 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
          "family must be a list of function names, got 3"),
         ({"task": "additivity", "set": "evens", "element": 1, "N": 10, "cylinder": 5}, {},
          "cylinder must be a list of [element, polarity] pairs, got 5"),
+    ]
+    # int() used to truncate a float or bool parameter of a named entry, with exit 0
+    lin = {"task": "normcheck", "N": 3}
+    refused += [
+        ({"task": "density", "set": "c", "N": 1000},
+         {"sets": {"c": {"rule": "congruence", "a": 0, "m": 2.5}}}, "m must be an integer, got 2.5"),
+        ({"task": "density", "set": "c", "N": 10},
+         {"sets": {"c": {"rule": "congruence", "a": True, "m": 2}}}, "a must be an integer, got True"),
+        ({"task": "density", "set": "b", "N": 3},
+         {"sets": {"b": {"rule": "bitmask", "lo": 0.5, "bits": "1011"}}},
+         "lo must be an integer, got 0.5"),
+        ({"task": "density", "set": "o", "N": 10},
+         {"sets": {"o": {"rule": "orbit", "system": "per", "lo": 0, "hi": 20.0}}},
+         "hi must be an integer, got 20.0"),
+        ({**moment, "family": ["d"], "queries": [[[1, 0, 0]]]},
+         {"functions": {"d": {"kind": "random_disk", "seed": 2.5}}},
+         "seed must be an integer, got 2.5"),
+        ({**lin, "scheme": "w"},
+         {"schemes": {"w": {"weight": {"kind": "custom", "table": {0: 1, 1: 1, 2.5: 1}}}}},
+         "weight table key must be an integer, got 2.5"),
     ]
     # a string or list flag used to read as true, a lowercase verdict to fail as
     # exit 1, and an empty verify query list to raise "min() arg is an empty sequence"

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -74,6 +75,82 @@ def test_direct_evaluation_matches_range_gather():
         table = tuple((n, Fraction(n % 5 + 1, 3) if n % 2 else n % 7) for n in pts)
         s = AveragingScheme(f, WeightRule("custom", table=table), NormalizerRule("const", c=3))
         assert scheme_normalization(s, N) == sum(Fraction(v) for _, v in table) / (3 * N)
+
+
+def _per_factor_moment(family, query, s, N):
+    """The per-factor oracle: each factor evaluated on its own translated window, the
+    product formed factor by factor, then one numpy sum."""
+    exact = moment_exact(family, query, s, N)
+    if exact is not None:
+        return complex(exact)
+    group, coords = s.folner.group, s.folner.coords(N)
+    prod = None
+    for i, conj, g in query:
+        fn = family[i - 1].conj() if conj else family[i - 1]
+        vals = fn.eval_coords(group, group.translate_left(g, coords))
+        prod = vals if prod is None else prod * vals
+    if not s.weight.is_unit:
+        prod = prod * s.weight.values(coords.reshape(-1))
+    return complex(np.sum(prod)) / (float(s.normalizer.value(N)) * s.folner.size(N))
+
+
+def test_window_moments_match_per_factor_oracle_bit_for_bit():
+    def make_family():
+        return [ExponentialFn(0.123456789), RandomDiskFn(11), IndicatorFn(Congruence(1, 3)),
+                ProductFn(ExponentialFn(0.3), IndicatorFn(DyadicBlocks()))]
+
+    weights = [(WeightRule("one"), NormalizerRule("one")),
+               (WeightRule("linear"), NormalizerRule("linear_mean")),
+               (WeightRule("exp_decay", rate=1e-3), NormalizerRule("const", c=2))]
+    shifts = [0, 5, -3, 13]
+    for start in (1, -12345, 10**15):
+        n = np.arange(start - 9, start + 1000, dtype=np.int64)
+        assert weights[2][0].values(n).tobytes() == np.exp(
+            -1e-3 * np.abs(n).astype(np.float64)).tobytes()
+        f = FolnerSpec(Z, "interval", start=start)
+        family = make_family()
+        queries = [[(i, c, shifts[i - 1])] for i in range(1, 5) for c in (False, True)]
+        # every pair and conjugation pattern, a conjugated indicator first among them
+        queries += [[(i, ci, shifts[i - 1]), (j, cj, shifts[j - 1] + 2)]
+                    for i in range(1, 5) for j in range(1, 5)
+                    for ci, cj in itertools.product((False, True), repeat=2)]
+        queries += [[(3, c1, 1), (1, c2, 7), (2, c3, -6)]
+                    for c1, c2, c3 in itertools.product((False, True), repeat=3)]
+        for weight, norm in weights:
+            s = AveragingScheme(f, weight, norm)
+            if weight.kind == "linear" and start < 0:
+                continue
+            for N in (1, 203, 1000):
+                for q in queries:
+                    value = weighted_moment(family, q, s, N)
+                    oracle = _per_factor_moment(make_family(), q, s, N)
+                    assert np.array([value]).tobytes() == np.array([oracle]).tobytes(), (
+                        start, q, N, value, oracle)
+        # a second identical pass reads the same bytes: no window was written to
+        windows = [fn._cache.copy() for fn in family if fn._cache is not None]
+        again = [weighted_moment(family, q, AveragingScheme(f), 1000) for q in queries]
+        assert again == [weighted_moment(family, q, AveragingScheme(f), 1000) for q in queries]
+        assert [fn._cache.tobytes() for fn in family if fn._cache is not None] == [
+            w.tobytes() for w in windows]
+
+
+def test_function_window_grown_both_ways_slices_like_direct_evaluation():
+    for make in (lambda: ExponentialFn(0.123456789), lambda: RandomDiskFn(3)):
+        for base in (1, -12345, 10**15):
+            fn = make()
+            fn.window(base, base + 100)
+            fn.window(base - 37, base + 1000 + 45)  # grown on both sides
+            assert fn._cache_lo == base - 37 and len(fn._cache) == 1000 + 45 + 37
+            for off in (1, 3, 5, 7, 9, 11, 13, 17, 19, 23, 29, 31, 37):
+                for m in (1, 7, 9, 15, 17, 33, 1000):
+                    lo = base - 37 + off
+                    n = np.arange(lo, lo + m, dtype=np.int64)
+                    assert fn.window(lo, lo + m).tobytes() == make().at(n).tobytes()
+            # a disjoint window replaces the cache; no gap is filled
+            far = base + 10**12
+            assert fn.window(far, far + 5).tobytes() == make().at(
+                np.arange(far, far + 5, dtype=np.int64)).tobytes()
+            assert fn._cache_lo == far and len(fn._cache) == 5
 
 
 def test_scheme_normalization_degenerate():

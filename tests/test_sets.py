@@ -64,17 +64,25 @@ def test_congruence_window_cache_growth():
     a = e.bits(0, 10).copy()
     b = e.bits(-5, 20)
     np.testing.assert_array_equal(a, b[5:15])
-    # growth left, right, both ways and across a gap computes only the missing
-    # ends, and the cache is the hull of the windows asked for
+    # growth left, right, both ways and onto a touching window computes only the
+    # missing ends, and the cache is the hull of the windows asked for; a window
+    # disjoint from the cache replaces it, so the cache is the hull of the windows
+    # since the last such one (a gap of 10^15 points is never filled)
     growths = [[(0, 10), (-7, 4)], [(0, 10), (6, 25)], [(0, 10), (-3, 40)],
-               [(0, 10), (30, 35)], [(0, 10), (-40, -30), (2, 3), (5, 50)]]
+               [(0, 10), (10, 12), (-5, 0)], [(0, 10), (30, 35)],
+               [(0, 10), (-40, -30), (2, 3), (5, 50)], [(0, 10), (-40, -30), (-35, 3)],
+               [(1, 9), (10**15, 10**15 + 9)]]
     for make in (lambda: Congruence(2, 5), lambda: DyadicBlocks(),
                  lambda: RotationSet("golden", Fraction(2, 5), x0=Fraction(1, 9))):
         for windows in growths:
             s = make()
+            hull = None
             for lo, hi in windows:
                 np.testing.assert_array_equal(s.bits(lo, hi), make()._compute_bits(lo, hi))
-            lo, hi = min(w[0] for w in windows), max(w[1] for w in windows)
+                if hull is None or hi < hull[0] or lo > hull[1]:
+                    hull = (lo, hi)
+                hull = (min(lo, hull[0]), max(hi, hull[1]))
+            lo, hi = hull
             assert s._cache_lo == lo and len(s._cache) == hi - lo
             np.testing.assert_array_equal(s._cache, make()._compute_bits(lo, hi))
     # a bitmask grows inside its range and refuses to grow past it
