@@ -9,6 +9,7 @@ key or a value of the wrong type fails before any computation starts.
 """
 from __future__ import annotations
 
+import numbers
 from collections.abc import Hashable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,11 +49,11 @@ class ExperimentConfig:
 
 
 def _as_int(value, what: str) -> int:
-    """A named entry's integer parameter; anything else, a float or a bool too, is a
-    ValueError."""
-    if not _is_int(value):
+    """A named entry's integer parameter: an int, or a numpy int from a config built in
+    Python.  A bool, a float or a string is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def _build_group(d: dict) -> GroupSpec:

@@ -11,7 +11,7 @@ with f~ the function or its conjugate.  All-indicator unweighted moments
 bypass floating point and reduce exactly to intersection densities.
 
 On an interval of Z every factor is a slice of its function's window
-(`functions.FunctionSpec.window`), filled once per task by `reserve_windows`.
+(`functions.FunctionSpec.window`), filled once per task by `moment_table`.
 """
 from __future__ import annotations
 
@@ -221,18 +221,23 @@ def weighted_moment(
     return total / (b * s.folner.size(N))
 
 
-def reserve_windows(family: Sequence[FunctionSpec], queries: Sequence[Sequence[Factor]],
-                    s: AveragingScheme, N: int) -> None:
-    """Validate every query, then fill each function's window at once over the hull of
-    the factor windows [start+g, start+g+N) the queries read: a window grown piece by
-    piece briefly holds its old and new arrays together.  An indicator reads its set's
-    own boolean window and is left alone."""
+def moment_table(family: Sequence[FunctionSpec], queries: Sequence[Sequence[Factor]],
+                 s: AveragingScheme, schedule: Sequence[int]) -> List[List[complex]]:
+    """The weighted moment of each query at each N of the schedule.  Once every query
+    is validated, each function's window is filled at once over the hull of the factor
+    windows [start+g, start+g+M), M = max(schedule), if they chain into one interval: a
+    window grown piece by piece briefly holds its old and new arrays together, and
+    shifts further apart are left to `window`, which fills no gap.  An indicator reads
+    its set's own boolean window."""
     for q in queries:
         _check_query(family, q)
+    M = max(schedule)
     for i in dict.fromkeys(i for q in queries for i, _, _ in q):
         if s.folner.shape == SHAPE_INTERVAL and not isinstance(family[i - 1], IndicatorFn):
-            gs = [g for q in queries for j, _, g in q if j == i]
-            family[i - 1].window(s.folner.start + min(gs), s.folner.start + max(gs) + N)
+            gs = sorted({g for q in queries for j, _, g in q if j == i})
+            if all(b - a <= M for a, b in zip(gs, gs[1:])):
+                family[i - 1].window(s.folner.start + gs[0], s.folner.start + gs[-1] + M)
+    return [[weighted_moment(family, q, s, N) for N in schedule] for q in queries]
 
 
 @dataclass
@@ -259,17 +264,15 @@ def accordance_check(
     if eps <= 0:
         raise ValueError("eps must be positive")
     queries = [tuple((int(i), bool(c), g) for i, c, g in q) for q in queries]
-    reserve_windows(family, queries, s, max(schedule))
+    patterns = [list(itertools.product((False, True), repeat=len(q))) if len(q) <= conj_depth
+                else [tuple(c for _, c, _ in q)] for q in queries]
+    variants = [tuple((i, c, g) for (i, _, g), c in zip(q, pat))
+                for q, pats in zip(queries, patterns) for pat in pats]
+    values = iter(moment_table(family, variants, s, schedule))
     rows = []
-    for q in queries:
-        patterns = (itertools.product((False, True), repeat=len(q)) if len(q) <= conj_depth
-                    else [tuple(c for _, c, _ in q)])
-        oscs: Dict[Tuple[bool, ...], float] = {}
-        for pat in patterns:
-            variant = tuple((i, c, g) for (i, _, g), c in zip(q, pat))
-            vals = [weighted_moment(family, variant, s, N) for N in schedule]
-            oscs[pat] = float(max((abs(a - b) for a, b in itertools.combinations(vals, 2)),
-                                  default=0.0))
+    for q, pats in zip(queries, patterns):
+        oscs = {pat: float(max((abs(a - b) for a, b in itertools.combinations(next(values), 2)),
+                               default=0.0)) for pat in pats}
         rows.append(AccordanceRow(q, oscs, not any(osc > eps for osc in oscs.values())))
     return rows
 

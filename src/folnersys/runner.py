@@ -11,9 +11,7 @@ from .config import ExperimentConfig, Workspace
 from .cylinders import CylinderSpec, additivity_check, frac, furstenberg_report, invariance_defect
 from .density import extract_subsequence, intersection_count, pair_correlation_fft, upper_density
 from .errors import ConfigError, NoConvergentSubsequenceError
-from .moments import (
-    accordance_check, exponential_oracle, reserve_windows, scheme_normalization, weighted_moment,
-)
+from .moments import accordance_check, exponential_oracle, moment_table, scheme_normalization
 from .oracles import verify_correspondence
 from .schema import parse_task
 from .spectrum import compare_pairs, correlation_spectrum
@@ -78,10 +76,9 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
 
     if kind == "moments":
         scheme = ws.scheme(t["scheme"])
-        reserve_windows(family, t["queries"], scheme, N)
         rows = []
-        for qnode, q in zip(task["queries"], t["queries"]):
-            value = weighted_moment(family, q, scheme, N)
+        values = moment_table(family, t["queries"], scheme, [N])
+        for qnode, q, (value,) in zip(task["queries"], t["queries"], values):
             row = {"query": qnode, "re": value.real, "im": value.imag}
             if "oracle_thetas" in t:
                 o = exponential_oracle(t["oracle_thetas"], q, scheme)

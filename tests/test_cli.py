@@ -5,6 +5,7 @@ import os
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 import yaml
 
@@ -378,6 +379,20 @@ def test_python_built_config_may_hold_tuples():
     assert json.dumps(results[0]) == json.dumps(results[1])
 
 
+def test_python_built_config_may_hold_numpy_ints():
+    # an entry parameter that is an integer type other than int reads as that int
+    def tasks_with(num):
+        entries = {"sets": {"c": {"rule": "congruence", "a": num(1), "m": num(3)}},
+                   "functions": {**BASE["functions"],
+                                 "d": {"kind": "random_disk", "seed": num(5)}}}
+        tasks = [{"task": "density", "set": "c", "N": 100},
+                 {"task": "moments", "family": ["d"], "N": 10, "queries": [[[1, 0, 0]]]}]
+        report = run(parse_config({**BASE, **entries, "tasks": tasks}))
+        return [e["result"] for e in report["tasks"]]
+
+    assert json.dumps(tasks_with(np.int64)) == json.dumps(tasks_with(int))
+
+
 def test_cli_bad_input_exit_code(tmp_path, capsys):
     path = write_cfg(tmp_path, [{"task": "density", "set": "evens",
                                  "shifts": [[1, 2]], "N": 10}])
@@ -525,9 +540,12 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
         ({"task": "additivity", "set": "evens", "element": 1, "N": 10, "cylinder": 5}, {},
          "cylinder must be a list of [element, polarity] pairs, got 5"),
     ]
-    # int() used to truncate a float or bool parameter of a named entry, with exit 0
+    # int() used to truncate a float or bool parameter of a named entry and to parse a
+    # numeric string, with exit 0
     lin = {"task": "normcheck", "N": 3}
     refused += [
+        ({"task": "density", "set": "c", "N": 10},
+         {"sets": {"c": {"rule": "congruence", "a": 0, "m": "3"}}}, "m must be an integer, got '3'"),
         ({"task": "density", "set": "c", "N": 1000},
          {"sets": {"c": {"rule": "congruence", "a": 0, "m": 2.5}}}, "m must be an integer, got 2.5"),
         ({"task": "density", "set": "c", "N": 10},

@@ -12,7 +12,7 @@ from folnersys import (
     WeightRule, accordance_check, density_at, exponential_oracle,
     scheme_normalization, weighted_moment,
 )
-from folnersys.moments import moment_exact
+from folnersys.moments import moment_exact, moment_table
 
 Z = GroupSpec("Z")
 FZ1 = FolnerSpec(Z, "interval", start=1)
@@ -151,6 +151,39 @@ def test_function_window_grown_both_ways_slices_like_direct_evaluation():
             assert fn.window(far, far + 5).tobytes() == make().at(
                 np.arange(far, far + 5, dtype=np.int64)).tobytes()
             assert fn._cache_lo == far and len(fn._cache) == 5
+
+
+def test_far_apart_shifts_fill_no_gap(monkeypatch):
+    """A function's window is reserved over the hull of its factor windows only when
+    they chain into one interval; shifts further apart than N are each filled on
+    their own, so no window spans the gap between them."""
+    lengths = []
+    for cls in (ExponentialFn, RandomDiskFn):
+        def recorded(self, n, _at=cls.at):
+            lengths.append(len(n))
+            return _at(self, n)
+        monkeypatch.setattr(cls, "at", recorded)
+
+    def make_family():
+        return [ExponentialFn(0.3), RandomDiskFn(5)]
+
+    N, far = 1000, 10**6  # filling this gap would build a window of 10^6 points
+    queries = [[(1, False, 0), (2, False, 0)], [(1, True, far), (2, False, far + 7)],
+               [(2, True, 500), (1, False, 0)]]
+    family = make_family()
+    values = moment_table(family, queries, UNIT, [N])
+    assert lengths and max(lengths) <= N and all(len(fn._cache) <= 2 * N for fn in family)
+    for q, (value,) in zip(queries, values):
+        assert value == _per_factor_moment(make_family(), q, UNIT, N)
+    lengths.clear()
+    accordance_check(make_family(), [[(1, False, 0), (2, False, far)]], UNIT, [10, N], 1.0)
+    assert lengths and max(lengths) <= N
+    # factor windows that chain are filled once each, over their hull
+    lengths.clear()
+    family = make_family()
+    moment_table(family, [[(1, False, 0), (2, False, 0)], [(1, False, N), (2, True, 3)]],
+                 UNIT, [N])
+    assert lengths == [2 * N, N + 3]
 
 
 def test_scheme_normalization_degenerate():
