@@ -2,14 +2,15 @@
 
 One YAML file defines the group, the Folner shape, named sets / oracle
 systems / averaging schemes / functions, a schedule, tolerances, caps, and
-an ordered task list.  `schema.parse_task` converts each task's values once,
-by the table of the keys its kind reads, and refuses any other key;
-validation and the runner both read its result, so a typo, a misspelled
-key or a value of the wrong type fails before any computation starts.
+an ordered task list.  `schema.parse_node` reads every node of it, the top level,
+each section, named entry and task, by the table of the keys its kind reads, and
+refuses any other key; the tables of the config and its entries are here, those of
+tasks in `schema`.  Every entry and task is parsed before any task runs, so a typo,
+a misspelled key or a value of the wrong type fails before any computation starts;
+the workspace and the runner build from the same parsed values.
 """
 from __future__ import annotations
 
-import numbers
 from collections.abc import Hashable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,11 +20,13 @@ import numpy as np
 import yaml
 
 from .errors import CapExceededError, ConfigError
-from .groups import GroupSpec, FolnerSpec, INT_Z, INT_ZD, HEISENBERG3, SHAPE_BOX, SHAPE_INTERVAL
+from .groups import (GroupSpec, FolnerSpec, HEISENBERG3, INT_Z, INT_ZD, SHAPE_BOX,
+                     SHAPE_HEISENBERG_BOX, SHAPE_INTERVAL)
 from . import sets as setmod
 from . import oracles as oraclemod
 from . import moments as momentmod
-from .schema import _build_schedule, _is_int, _need, _task_shifts, parse_task
+from .schema import (_ANY, _INT, _OMIT, _SEQ, _SET, _build_schedule, _int, _name, _ok,
+                     _task_shifts, parse_node, parse_task)
 from .spectrum import TUPLE_CAP, check_subset_count
 
 # libyaml's loader, when PyYAML was built with it: it gives the objects the pure-Python
@@ -46,48 +49,6 @@ class ExperimentConfig:
     schemes: Dict[str, Any]
     functions: Dict[str, Any]
     tasks: List[dict]
-
-
-def _as_int(value, what: str) -> int:
-    """A named entry's integer parameter: an int, or a numpy int from a config built in
-    Python.  A bool, a float or a string is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _build_group(d: dict) -> GroupSpec:
-    kind = _need(d, "kind", "group")
-    if kind == "Z":
-        return GroupSpec(INT_Z)
-    if kind == "Zd":
-        dim = _need(d, "d", "group")
-        if not _is_int(dim) or dim < 1:
-            raise ConfigError(f"group: d must be an integer >= 1, got {dim!r}")
-        return GroupSpec(INT_ZD, dim)
-    if kind == "H3":
-        return GroupSpec(HEISENBERG3)
-    raise ConfigError(f"group: unknown kind {kind!r}")
-
-
-def _build_folner(d: dict, group: GroupSpec) -> FolnerSpec:
-    shape = _need(d, "shape", "folner")
-    try:
-        if shape == "interval":
-            return FolnerSpec(group, "interval", start=int(d.get("start", 0)))
-        if shape == "box":
-            anchor = tuple(int(a) for a in d.get("anchor", (0,) * group.d))
-            return FolnerSpec(group, "box", anchor=anchor)
-        if shape == "heisenberg_box":
-            return FolnerSpec(group, "heisenberg_box")
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"folner: {e}") from e
-    raise ConfigError(f"folner: unknown shape {shape!r}")
-
-
-DEFAULT_SCHEDULE = [1 << k for k in range(10, 21)]
-DEFAULT_CAPS = {"cylinders": 20000, "window": 1 << 26}
-DEFAULT_TOLERANCES = {"tau": 1e-3}
 
 
 def check_window(cfg: "ExperimentConfig", n: int, where: str, states: int = 1) -> None:
@@ -131,8 +92,93 @@ def check_extent(cfg: "ExperimentConfig", t: dict, N: int, where: str) -> None:
         raise ConfigError(f"{where}: window coordinates reach {reach}, outside the int64 range")
 
 
+# The rules of the config's nodes, as in `schema`: a parameter a constructor checks
+# is passed as given (_ANY), and each default is the one a config without the key reads.
+_SEED = (*_INT, lambda cfg: _OMIT if cfg.seed is None else cfg.seed)
+_BITS = ("a quoted string of 0s and 1s",
+         lambda v, cfg: tuple(map(int, _ok(v, isinstance(v, str) and set(v) <= set("01")))))
+_TABLE = ("a mapping with integer keys",
+          lambda v, cfg: tuple(sorted((_INT[1](k, cfg), x)
+                                      for k, x in _ok(v, isinstance(v, dict)).items())))
+
+
+def _node(table: dict, where: str, tag=None, default=None) -> tuple:
+    """The rule of a key whose value is a node of its own, absent reading as {}."""
+    return "a mapping", lambda v, cfg: parse_node(v, table, cfg, where, tag, default), {}
+
+
+def _mapping(default) -> tuple:
+    return "a mapping", lambda v, cfg: _ok(v, isinstance(v, dict)), default
+
+
+_SETS = {
+    "congruence": dict(a=_INT, m=_INT),
+    "rotation": dict(alpha=(*_ANY, "golden"), beta=(*_ANY, 0.5), x0=(*_ANY, 0)),
+    "dyadic": {},
+    # exactly one of bits and n: a random bitmask of n points drawn from the config's seed
+    "bitmask": dict(lo=(*_INT, 0), bits=(*_BITS, _OMIT), n=(*_INT, _OMIT)),
+    "complement": dict(of=_SET),
+    "component": dict(rules=_ANY),
+    "orbit": dict(system=("a system name", _name("systems")), lo=_INT, hi=_INT,
+                  x0=(*_ANY, 0), seed=_SEED),
+}
+_SYSTEMS = {
+    "rotation": dict(alpha=(*_ANY, "golden"), beta=(*_ANY, 0.5)),
+    "periodic": dict(pattern=_BITS),
+    "markov": dict(P=_ANY, accept=_ANY, pi=(*_ANY, None)),
+}
+_FUNCTIONS = {
+    "exponential": dict(theta=_ANY),
+    "indicator": dict(set=_SET),
+    "random_disk": dict(seed=_SEED),
+}
+_WEIGHTS = {"one": {}, "linear": {}, "custom": dict(table=_TABLE),
+            "exp_decay": dict(rate=("a number", lambda v, cfg: float(v), 0.0))}
+_NORMALIZERS = {"one": {}, "linear_mean": {}, "custom": dict(table=_TABLE),
+                "const": dict(c=("a number", lambda v, cfg: Fraction(str(v))))}
+_SCHEME = dict(weight=_node(_WEIGHTS, "weight", "kind", "one"),
+               normalizer=_node(_NORMALIZERS, "normalizer", "kind", "one"))
+# the table and the tag of each kind of named entry
+_ENTRIES = {"set": (_SETS, "rule"), "system": (_SYSTEMS, "kind"), "scheme": (_SCHEME, None),
+            "function": (_FUNCTIONS, "kind")}
+
+# parsed first, the group is the context of the Folner shape
+_GROUPS = {INT_Z: {}, INT_ZD: dict(d=_int(1)), HEISENBERG3: {}}
+_FOLNERS = {
+    SHAPE_INTERVAL: dict(start=(*_INT, 0)),
+    SHAPE_BOX: dict(anchor=("a list of integers",
+                            lambda v, g: tuple(_INT[1](a, g) for a in _ok(v, isinstance(v, _SEQ))),
+                            lambda g: (0,) * g.d)),
+    SHAPE_HEISENBERG_BOX: {},
+}
+
+
+def _number(v, cfg):
+    """A number, as given: a task reads it as `Fraction(str(v))`."""
+    Fraction(str(v))
+    return v
+
+
+_CONFIG = dict(
+    group=_mapping({"kind": INT_Z}),
+    folner=_mapping({"shape": SHAPE_INTERVAL, "start": 1}),
+    schedule=("a schedule", lambda v, cfg: _build_schedule(v), [1 << k for k in range(10, 21)]),
+    seed=(*_INT, _OMIT),
+    tolerances=_node(dict(tau=("a number", _number, 1e-3)), "tolerances"),
+    caps=_node(dict(cylinders=(*_INT, 20000), window=(*_INT, 1 << 26)), "caps"),
+    sets=_mapping({}), systems=_mapping({}), schemes=_mapping({}), functions=_mapping({}),
+    tasks=("a list", lambda v, cfg: _ok(v, isinstance(v, list)), []),
+)
+
+
+def parse_entry(cfg: "ExperimentConfig", kind: str, name) -> dict:
+    """The parsed named entry `name` of the config's section `kind`s."""
+    table, tag = _ENTRIES[kind]
+    return parse_node(getattr(cfg, kind + "s")[name], table, cfg, f"{kind} {name}", tag)
+
+
 class Workspace:
-    """Resolves and memoizes the named objects of a config."""
+    """Builds, from its parsed entry, and memoizes each named object of a config."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -141,120 +187,64 @@ class Workspace:
     def _get(self, kind: str, name: str, build) -> Any:
         """The object named `name` among the config's `kind`s, built once."""
         if not isinstance(name, Hashable) or (kind, name) not in self._built:
-            defs = getattr(self.cfg, kind + "s")
-            if not (isinstance(name, Hashable) and name in defs):
+            if not (isinstance(name, Hashable) and name in getattr(self.cfg, kind + "s")):
                 raise ConfigError(f"undefined {kind} {name!r}")
-            self._built[kind, name] = build(defs[name])
+            self._built[kind, name] = build(name, parse_entry(self.cfg, kind, name))
         return self._built[kind, name]
 
     def set_spec(self, name: str) -> setmod.SetSpec:
-        return self._get("set", name, lambda d: self._build_set(name, d))
+        return self._get("set", name, self._build_set)
 
     def system(self, name: str) -> oraclemod.OracleSystem:
         return self._get("system", name, self._build_system)
 
     def scheme(self, name: str) -> momentmod.AveragingScheme:
-        return self._get("scheme", name, lambda d: self._build_scheme(name, d))
+        return self._get("scheme", name, self._build_scheme)
 
     def function(self, name: str) -> momentmod.FunctionSpec:
         return self._get("function", name, self._build_function)
 
-    # -- builders ---------------------------------------------------------
+    # -- builders: each constructs from the values `parse_entry` gave --------
 
     def _build_set(self, name: str, d: dict) -> setmod.SetSpec:
-        rule = _need(d, "rule", f"set {name}")
-        if rule == "congruence":
-            a, m = _need(d, "a", name), _need(d, "m", name)
-            return setmod.Congruence(_as_int(a, "a"), _as_int(m, "m"))
-        if rule == "rotation":
-            return setmod.RotationSet(
-                d.get("alpha", "golden"), d.get("beta", 0.5), d.get("x0", 0))
-        if rule == "dyadic":
-            return setmod.DyadicBlocks()
-        if rule == "bitmask":
-            lo = _as_int(d.get("lo", 0), "lo")
-            if "bits" in d:
-                bits = [int(b) for b in str(d["bits"])]
-            else:
-                n = _as_int(_need(d, "n", name), "n")
-                check_window(self.cfg, n, f"set {name}")
-                if self.cfg.seed is None:
-                    raise ConfigError(f"set {name}: random bitmask requires a seed")
-                bits = np.random.default_rng(self.cfg.seed).integers(0, 2, size=n).astype(bool)
-            return setmod.Bitmask(lo, bits)
+        rule, where = d.pop("rule"), f"set {name}"
         if rule == "complement":
-            return self.set_spec(_need(d, "of", name)).complement()
+            return self.set_spec(d["of"]).complement()
         if rule == "component":
-            return setmod.ComponentCongruence(self.cfg.group, _need(d, "rules", name))
+            return setmod.ComponentCongruence(self.cfg.group, d["rules"])
         if rule == "orbit":
-            sysname = _need(d, "system", name)
-            system = self.system(sysname)
-            lo, hi = _as_int(_need(d, "lo", name), "lo"), _as_int(_need(d, "hi", name), "hi")
-            check_window(self.cfg, hi - lo, f"set {name}", _chain_states(self.cfg, sysname))
-            if isinstance(system, oraclemod.MarkovSystem):
-                if self.cfg.seed is None and "seed" not in d:
-                    raise ConfigError(f"set {name}: Markov orbit requires a seed")
-                return system.orbit_set(lo, hi, seed=_as_int(d.get("seed", self.cfg.seed), "seed"))
-            return system.orbit_set(lo, hi, x0=d.get("x0", 0))
-        raise ConfigError(f"set {name}: unknown rule {rule!r}")
+            system = self.system(d["system"])
+            check_window(self.cfg, d["hi"] - d["lo"], where, _chain_states(self.cfg, d["system"]))
+            if not isinstance(system, oraclemod.MarkovSystem):
+                return system.orbit_set(d["lo"], d["hi"], x0=d["x0"])
+            if "seed" not in d:
+                raise ConfigError(f"{where}: Markov orbit requires a seed")
+            return system.orbit_set(d["lo"], d["hi"], seed=d["seed"])
+        if "n" in d:
+            check_window(self.cfg, d["n"], where)
+            if self.cfg.seed is None:
+                raise ConfigError(f"{where}: random bitmask requires a seed")
+            rng = np.random.default_rng(self.cfg.seed)
+            return setmod.Bitmask(d["lo"], rng.integers(0, 2, size=d["n"]).astype(bool))
+        return {"congruence": setmod.Congruence, "rotation": setmod.RotationSet,
+                "dyadic": setmod.DyadicBlocks, "bitmask": setmod.Bitmask}[rule](**d)
 
-    def _build_system(self, d: dict) -> oraclemod.OracleSystem:
-        kind = _need(d, "kind", "system")
-        if kind == "rotation":
-            return oraclemod.RotationSystem(d.get("alpha", "golden"), d.get("beta", 0.5))
-        if kind == "periodic":
-            return oraclemod.PeriodicSystem([int(b) for b in str(_need(d, "pattern", "system"))])
-        if kind == "markov":
-            return oraclemod.MarkovSystem(
-                _need(d, "P", "system"), _need(d, "accept", "system"), d.get("pi"))
-        raise ConfigError(f"system: unknown kind {kind!r}")
+    def _build_system(self, name: str, d: dict) -> oraclemod.OracleSystem:
+        return {"rotation": oraclemod.RotationSystem, "periodic": oraclemod.PeriodicSystem,
+                "markov": oraclemod.MarkovSystem}[d.pop("kind")](**d)
 
-    def _build_scheme(self, name: str, d) -> momentmod.AveragingScheme:
-        where = f"scheme {name}"
-        if not isinstance(d, dict):
-            raise ConfigError(f"{where}: must be a mapping, got {d!r}")
+    def _build_scheme(self, name: str, d: dict) -> momentmod.AveragingScheme:
+        return momentmod.AveragingScheme(self.cfg.folner, momentmod.WeightRule(**d["weight"]),
+                                         momentmod.NormalizerRule(**d["normalizer"]))
 
-        def rule(key: str) -> dict:
-            node = d.get(key, {"kind": "one"})
-            if not isinstance(node, dict):
-                raise ConfigError(f"{where}: {key} must be a mapping, got {node!r}")
-            return node
-
-        def table(node: dict, key: str) -> tuple:
-            t = _need(node, "table", f"{where}: {key}")
-            if not isinstance(t, dict):
-                raise ConfigError(f"{where}: {key} table must be a mapping, got {t!r}")
-            return tuple(sorted((_as_int(k, f"{key} table key"), v) for k, v in t.items()))
-
-        wd, nd = rule("weight"), rule("normalizer")
-        try:
-            rate = float(wd.get("rate", 0.0))
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: weight rate must be a number, "
-                              f"got {wd['rate']!r}") from None
-        weight = momentmod.WeightRule(
-            wd.get("kind", "one"), rate=rate,
-            table=table(wd, "weight") if wd.get("kind") == "custom" else None)
-        if nd.get("kind") == "const":
-            norm = momentmod.NormalizerRule(
-                "const", c=Fraction(str(_need(nd, "c", f"{where}: normalizer"))))
-        elif nd.get("kind") == "custom":
-            norm = momentmod.NormalizerRule("custom", table=table(nd, "normalizer"))
-        else:
-            norm = momentmod.NormalizerRule(nd.get("kind", "one"))
-        return momentmod.AveragingScheme(self.cfg.folner, weight, norm)
-
-    def _build_function(self, d: dict) -> momentmod.FunctionSpec:
-        kind = _need(d, "kind", "function")
-        if kind == "exponential":
-            return momentmod.ExponentialFn(_need(d, "theta", "function"))
-        if kind == "indicator":
-            return momentmod.IndicatorFn(self.set_spec(_need(d, "set", "function")))
-        if kind == "random_disk":
-            if self.cfg.seed is None and "seed" not in d:
-                raise ConfigError("random_disk function requires a seed")
-            return momentmod.RandomDiskFn(_as_int(d.get("seed", self.cfg.seed), "seed"))
-        raise ConfigError(f"function: unknown kind {kind!r}")
+    def _build_function(self, name: str, d: dict) -> momentmod.FunctionSpec:
+        if d["kind"] == "exponential":
+            return momentmod.ExponentialFn(d["theta"])
+        if d["kind"] == "indicator":
+            return momentmod.IndicatorFn(self.set_spec(d["set"]))
+        if "seed" not in d:
+            raise ConfigError(f"function {name}: random_disk requires a seed")
+        return momentmod.RandomDiskFn(d["seed"])
 
 
 def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentConfig:
@@ -270,54 +260,28 @@ def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentCon
     return parse_config(raw, seed_override=seed_override)
 
 
-def _section(raw: dict, key: str, default, kind: type = dict):
-    """The top-level section `key`, absent or null giving `default`."""
-    node = raw.get(key)
-    if node is None:
-        return default
-    if not isinstance(node, kind):
-        raise ConfigError(f"{key} must be a {'mapping' if kind is dict else 'list'}, got {node!r}")
-    return node
-
-
 def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentConfig:
-    group = _build_group(_section(raw, "group", {"kind": "Z"}))
-    folner = _build_folner(_section(raw, "folner", {"shape": "interval", "start": 1}), group)
-    schedule = (_build_schedule(raw["schedule"]) if "schedule" in raw
-                else list(DEFAULT_SCHEDULE))
-    seed = seed_override if seed_override is not None else raw.get("seed")
-    if seed is not None and not _is_int(seed):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    caps = {**DEFAULT_CAPS, **_section(raw, "caps", {})}
-    for key, cap in caps.items():
-        if not _is_int(cap):
-            raise ConfigError(f"caps: {key} must be an integer, got {cap!r}")
-    cfg = ExperimentConfig(
-        group=group,
-        folner=folner,
-        schedule=schedule,
-        seed=seed,
-        tolerances={**DEFAULT_TOLERANCES, **_section(raw, "tolerances", {})},
-        caps=caps,
-        sets=_section(raw, "sets", {}),
-        systems=_section(raw, "systems", {}),
-        schemes=_section(raw, "schemes", {}),
-        functions=_section(raw, "functions", {}),
-        tasks=_section(raw, "tasks", [], list),
-    )
+    # a null top-level section reads as an absent one
+    c = parse_node({k: v for k, v in raw.items() if v is not None}, _CONFIG, None, "")
+    group = GroupSpec(**parse_node(c["group"], _GROUPS, None, "group", "kind"))
+    f = parse_node(c["folner"], _FOLNERS, group, "folner", "shape")
+    try:
+        folner = FolnerSpec(group, **f)
+    except ValueError as e:  # a shape of another group
+        raise ConfigError(f"folner: {e}") from e
+    cfg = ExperimentConfig(**{**c, "group": group, "folner": folner, "seed": (
+        seed_override if seed_override is not None else c.get("seed"))})
     _validate(cfg)
     return cfg
 
 
 def _complement_cycles(sets: dict) -> None:
-    """Refuse a complement set whose `of` chain leads back into itself."""
+    """Refuse a complement set whose `of` chain leads back into itself; each set has
+    been parsed, so each `of` names a set."""
     for name in sets:
         chain = [name]
-        while True:
-            d = sets.get(chain[-1])
-            of = d.get("of") if isinstance(d, dict) and d.get("rule") == "complement" else None
-            if not isinstance(of, Hashable) or of not in sets:
-                break
+        while sets[chain[-1]]["rule"] == "complement":
+            of = sets[chain[-1]]["of"]
             if of in chain:
                 cycle = " -> ".join(map(str, chain[chain.index(of):] + [of]))
                 raise ConfigError(f"set {chain[0]}: complement cycle {cycle}")
@@ -325,6 +289,12 @@ def _complement_cycles(sets: dict) -> None:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    """Parse every named entry, without building it, and every task."""
+    for kind in _ENTRIES:
+        for name in getattr(cfg, kind + "s"):
+            d = parse_entry(cfg, kind, name)
+            if d.get("rule") == "bitmask" and ("bits" in d) == ("n" in d):
+                raise ConfigError(f"set {name}: a bitmask reads exactly one of bits and n")
     _complement_cycles(cfg.sets)
     for i, task in enumerate(cfg.tasks):
         where = f"task {i}"

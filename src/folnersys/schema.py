@@ -1,11 +1,14 @@
-"""The task schema: every key each task kind reads, with its converter and default.
+"""The config schema: `parse_node` reads every node of a config by a table of the keys
+its kind reads, each with its converter and default, and refuses any other key.
 
-`parse_task` converts a task's values once by `_TASKS` and refuses any key its kind
-does not read; validation and the runner both read its result.
+`_TASKS` is the table of tasks, which validation and the runner both read through
+`parse_task`; the tables of the top level, its sections and the named entries are in
+`config`.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Hashable
 from fractions import Fraction
 from typing import List
@@ -17,14 +20,6 @@ from .spectrum import CONSISTENT, DISTINGUISHED
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _need(d: dict, key: str, where: str):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: must be a mapping, got {d!r}")
-    if key not in d:
-        raise ConfigError(f"{where}: missing key {key!r}")
-    return d[key]
 
 
 def _build_schedule(node) -> List[int]:
@@ -47,11 +42,11 @@ def _build_schedule(node) -> List[int]:
     raise ConfigError("schedule must be a list or a dyadic range")
 
 
-# The rule of a task key is (what, conv) when the key is required, (what, conv,
-# default) when it is optional.  conv(value, cfg) gives the value the runner reads; it
-# raises a ConfigError, or a TypeError or ValueError that `parse_task` reports as
-# "<key> must be <what>".  A default, a value or a function of the config, is
-# converted like a given value, except _OMIT, which leaves the key out.
+# The rule of a key is (what, conv) when the key is required, (what, conv, default)
+# when it is optional.  conv(value, cfg) gives the value the program reads; it raises
+# a ConfigError, or a TypeError or ValueError that `parse_node` reports as "<key> must
+# be <what>".  A default, a value or a function of the context cfg, is converted like
+# a given value, except _OMIT, which leaves the key out.
 _OMIT = object()
 _SEQ = (list, tuple)  # a config built in Python may hold tuples where YAML gives lists
 
@@ -114,11 +109,15 @@ def _name(section: str):
 
 
 def _int(least=None) -> tuple:
-    return (f"an integer{'' if least is None else f' >= {least}'}",
-            lambda v, cfg: _ok(v, _is_int(v) and (least is None or v >= least)))
+    """An integer: an int, or a numpy int from a config built in Python; never a bool."""
+    def conv(v, cfg):
+        _ok(v, _is_int(v) or isinstance(v, numbers.Integral) and not isinstance(v, bool))
+        return _ok(int(v), least is None or v >= least)
+    return f"an integer{'' if least is None else f' >= {least}'}", conv
 
 
 _SET, _SCHEME, _N = ("a set name", _name("sets")), ("a scheme name", _name("schemes")), _int(1)
+_INT, _ANY = _int(), ("a value", lambda v, cfg: v)  # _ANY: passed as given
 _ELEMENT = ("a group element", _element)
 _SHIFTS = ("a list of group elements", lambda v, cfg: _items(v, cfg, _element))
 _QUERIES, _FACTORS = _queries(_element), _queries(_factor)
@@ -135,48 +134,58 @@ _TASKS = {
     "upper_density": dict(set=_SET, schedule=_SCHEDULE, tau=_TAU),
     "subsequence": dict(set=_SET, queries=_QUERIES, schedule=_SCHEDULE, eps=_EPS),
     "pair_correlation": dict(set=_SET, N=_N, H=_int(0)),
-    "cylinders": dict(set=_SET, radius=_int(), depth=_int(), schedule=_SCHEDULE,
+    "cylinders": dict(set=_SET, radius=_INT, depth=_INT, schedule=_SCHEDULE,
                       eps=(*_EPS, 0.05), patterns=(*_BOOL, False)),
     "additivity": dict(set=_SET, cylinder=_CYLINDER, element=_ELEMENT, N=_N),
     "invariance": dict(set=_SET, cylinder=_CYLINDER, shift=_ELEMENT, N=_N),
     "verify": dict(system=("a system name", _name("systems")), queries=_QUERIES,
-                   schedule=_SCHEDULE, x0=("a start point", lambda v, cfg: v, 0),
-                   seed=(*_int(), lambda cfg: cfg.seed or 0)),
+                   schedule=_SCHEDULE, x0=(*_ANY, 0), seed=(*_INT, lambda cfg: cfg.seed or 0)),
     "spectrum": dict(set=_SET, depth=_int(1), radius=_int(0), schedule=_SCHEDULE),
     "compare": dict(set1=_SET, set2=_SET, depth=_int(1), radius=_int(0), schedule=_SCHEDULE,
                     eps=_EPS, expect=(*_VERDICT, _OMIT)),
     "moments": dict(family=_FAMILY, scheme=(*_SCHEME, lambda cfg: next(iter(cfg.schemes), "")),
                     queries=_FACTORS, N=_N, oracle_thetas=(*_THETAS, _OMIT)),
     "accordance": dict(family=_FAMILY, scheme=_SCHEME, queries=_FACTORS, schedule=_SCHEDULE,
-                       eps=_EPS, conj_depth=(*_int(), 3), expect=(*_BOOL, True)),
+                       eps=_EPS, conj_depth=(*_INT, 3), expect=(*_BOOL, True)),
     "normcheck": dict(scheme=_SCHEME, N=_N, tol=("a finite number", _finite, _OMIT)),
 }
 
 
-def parse_task(task, cfg, where: str) -> dict:
-    """The task's kind and each key that kind reads, converted once by its rule in
-    `_TASKS` against the `config.ExperimentConfig` cfg; a key its kind does not read
-    is refused."""
-    kind = _need(task, "task", where)
-    keys = _TASKS.get(kind) if isinstance(kind, str) else None
+def parse_node(node, table: dict, cfg, where: str, tag=None, default=None) -> dict:
+    """The node's kind, read from its key `tag` (absent: `default`), and each key of
+    `table[kind]` (of `table` when there is no tag), converted once by its rule
+    against the context cfg; a key the node's kind does not read is refused.
+    `where` names the node in each message; "" is the config's top level."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where or 'config root'} must be a mapping, got {node!r}")
+    at = f"{where}: " if where else ""
+    kind = node.get(tag, default) if tag else None
+    keys = table if not tag else table.get(kind) if isinstance(kind, str) else None
     if keys is None:
-        raise ConfigError(f"{where}: unknown task {kind!r}")
-    for key in task:
-        if key not in keys and key != "task":
-            raise ConfigError(f"{where}: unknown key {key!r} for task {kind}")
-    t = {"task": kind}
-    for key, (what, conv, *default) in keys.items():
-        if key not in task and not default:
-            raise ConfigError(f"{where}: missing key {key!r}")
-        v = task[key] if key in task else default[0](cfg) if callable(default[0]) else default[0]
+        raise ConfigError(f"{at}missing key {tag!r}" if kind is None
+                          else f"{at}unknown {tag} {kind!r}")
+    for key in node:
+        if key not in keys and key != tag:
+            raise ConfigError(f"{at}unknown key {key!r}" + (f" for {tag} {kind}" if tag else ""))
+    t = {tag: kind} if tag else {}
+    for key, (what, conv, *absent) in keys.items():
+        if key not in node and not absent:
+            raise ConfigError(f"{at}missing key {key!r}")
+        v = node[key] if key in node else absent[0](cfg) if callable(absent[0]) else absent[0]
         if v is not _OMIT:
             try:
                 t[key] = conv(v, cfg)
             except ConfigError as e:
-                raise ConfigError(f"{where}: {e}") from None
+                raise ConfigError(f"{at}{e}") from None
             except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"{where}: {key} must be {what}, got {v!r}") from None
+                raise ConfigError(f"{at}{key} must be {what}, got {v!r}") from None
     return t
+
+
+def parse_task(task, cfg, where: str) -> dict:
+    """The task's kind and each key that kind reads, converted against the
+    `config.ExperimentConfig` cfg by its rule in `_TASKS`."""
+    return parse_node(task, _TASKS, cfg, where, "task")
 
 
 def _task_shifts(t: dict, group: GroupSpec) -> list:

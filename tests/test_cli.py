@@ -41,9 +41,8 @@ BASE = {
 }
 
 
-# a unicode set name, a nested mapping and a date, which the key serializes with str
-KEYED_SETS = {**BASE["sets"], "évens": {"rule": "congruence", "a": 0, "m": 2,
-                                        "meta": {"since": datetime.date(2020, 1, 2)}}}
+# a unicode set name
+KEYED_SETS = {**BASE["sets"], "évens": {"rule": "congruence", "a": 0, "m": 2}}
 KEYED_TASKS = [
     {"task": "density", "set": "gold", "shifts": [0, 1], "N": 10000},
     {"task": "verify", "system": "mark", "queries": [[0], [0, 1]], "schedule": [10000]},
@@ -53,6 +52,9 @@ KEYED_TASKS = [
 
 def write_cfg(tmp_path, tasks, **overrides):
     raw = {**BASE, **overrides, "tasks": tasks}
+    if "sets" in overrides and "functions" not in overrides:
+        # BASE's indicator `ind` reads the set `evens`, which other sets replace
+        raw["functions"] = {"e1": BASE["functions"]["e1"]}
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(raw))
     return str(path)
@@ -102,14 +104,25 @@ def test_parse_error_positions(tmp_path, capsys, loader):
     assert "parse error" in capsys.readouterr().err
 
 
-def _bench_configs():
+def _bench_configs(seeds=(1, 2)):
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
-    return [(f"{w}:{seed}:{name}", text) for w in workloads.WORKLOADS for seed in (1, 2)
+    return [(f"{w}:{seed}:{name}", text) for w in workloads.WORKLOADS for seed in seeds
             for name, _, text in workloads.generate(w, seed)]
+
+
+def test_bench_configs_load(tmp_path):
+    # a rule that refused a benchmark config would fail every task of its workload
+    configs = _bench_configs(seeds=(1, 2, 3))
+    assert len(configs) >= 12
+    for where, text in configs:
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        cfg = load_config(str(path))
+        assert cfg.tasks, where
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="no libyaml")
@@ -125,14 +138,16 @@ def test_libyaml_loader_parity():
 
 def test_both_loaders_give_equal_configs(tmp_path, monkeypatch):
     path = tmp_path / "cfg.yaml"
-    raw = {**BASE, "sets": KEYED_SETS, "tasks": KEYED_TASKS}
-    path.write_text(yaml.safe_dump(raw, allow_unicode=True), encoding="utf-8")
+    # a set named by a date, in nested mappings
+    day = datetime.date(2020, 1, 2)
+    raw = {**BASE, "sets": {**KEYED_SETS, day: {"rule": "dyadic"}}, "tasks": KEYED_TASKS}
+    path.write_text(yaml.safe_dump(raw, allow_unicode=True, sort_keys=False), encoding="utf-8")
     seen = []
     load = yaml.load
     monkeypatch.setattr(yaml, "load", lambda text, Loader: seen.append(Loader) or
                         load(text, Loader=Loader))
     small = load_config(str(path))
-    assert small.sets["évens"]["meta"]["since"] == datetime.date(2020, 1, 2)
+    assert small.sets[day] == {"rule": "dyadic"} and "évens" in small.sets
     # a config of at least _LIBYAML_MIN_BYTES goes to libyaml, when PyYAML has it
     monkeypatch.setattr(config, "_LIBYAML_MIN_BYTES", 0)
     assert load_config(str(path)) == small
@@ -167,7 +182,10 @@ def test_determinism_and_cache(tmp_path):
 
 def test_cache_keys_digest_shared_config_task_and_code(tmp_path):
     cfg = load_config(write_cfg(tmp_path, KEYED_TASKS, sets=KEYED_SETS))
-    assert isinstance(cfg.sets["évens"]["meta"]["since"], datetime.date)
+    # a date inside a nested mapping serializes as its str
+    day = datetime.date(2020, 1, 2)
+    assert digest({"sets": {"s": {"meta": {"since": day}}}}) == \
+        digest({"sets": {"s": {"meta": {"since": "2020-01-02"}}}})
     # every config section but caps, which are checked before any lookup
     shared = {
         "group": {"kind": cfg.group.kind, "d": cfg.group.d},
@@ -383,7 +401,7 @@ def test_python_built_config_may_hold_numpy_ints():
     # an entry parameter that is an integer type other than int reads as that int
     def tasks_with(num):
         entries = {"sets": {"c": {"rule": "congruence", "a": num(1), "m": num(3)}},
-                   "functions": {**BASE["functions"],
+                   "functions": {"ind": {"kind": "indicator", "set": "c"},
                                  "d": {"kind": "random_disk", "seed": num(5)}}}
         tasks = [{"task": "density", "set": "c", "N": 100},
                  {"task": "moments", "family": ["d"], "N": 10, "queries": [[[1, 0, 0]]]}]
@@ -424,8 +442,6 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
     # and a linear weight on negative points are each a config error of task 0
     refused = [
         ({"task": "pair_correlation", "set": "evens", "N": 100}, {}, "missing key 'H'"),
-        ({"task": "density", "set": "b", "N": 10},
-         {"sets": {"b": {"rule": "bitmask", "n": "abc"}}}, "n must be an integer, got 'abc'"),
         ({"task": "density", "set": "c", "N": 10},
          {"sets": {"c": {"rule": "congruence", "a": 0, "m": 0}}}, "modulus must be positive"),
         ({"task": "density", "set": "b", "N": 10},
@@ -510,14 +526,6 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
         ({**verify, "system": "m"},
          {"systems": {"m": {"kind": "markov", "P": 5, "accept": [0]}}},
          "transition matrix must be square"),
-        ({"task": "density", "set": "c", "N": 10},
-         {"sets": {"c": {"rule": "congruence", "a": [1], "m": 2}}},
-         "a must be an integer, got [1]"),
-        ({"task": "density", "set": "b", "N": 10},
-         {"sets": {"b": {"rule": "bitmask", "n": float("inf")}}}, "n must be an integer, got inf"),
-        ({"task": "density", "set": "o", "N": 10},
-         {"sets": {"o": {"rule": "orbit", "system": "per", "lo": [0], "hi": 10}}},
-         "lo must be an integer, got [0]"),
         # 11 orbit points cannot fill 32 batch means: the sigma bound used to
         # average empty batches into NaN and write it to report.json
         ({**verify, "system": "mark", "schedule": [10]}, {},
@@ -539,29 +547,6 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
          "family must be a list of function names, got 3"),
         ({"task": "additivity", "set": "evens", "element": 1, "N": 10, "cylinder": 5}, {},
          "cylinder must be a list of [element, polarity] pairs, got 5"),
-    ]
-    # int() used to truncate a float or bool parameter of a named entry and to parse a
-    # numeric string, with exit 0
-    lin = {"task": "normcheck", "N": 3}
-    refused += [
-        ({"task": "density", "set": "c", "N": 10},
-         {"sets": {"c": {"rule": "congruence", "a": 0, "m": "3"}}}, "m must be an integer, got '3'"),
-        ({"task": "density", "set": "c", "N": 1000},
-         {"sets": {"c": {"rule": "congruence", "a": 0, "m": 2.5}}}, "m must be an integer, got 2.5"),
-        ({"task": "density", "set": "c", "N": 10},
-         {"sets": {"c": {"rule": "congruence", "a": True, "m": 2}}}, "a must be an integer, got True"),
-        ({"task": "density", "set": "b", "N": 3},
-         {"sets": {"b": {"rule": "bitmask", "lo": 0.5, "bits": "1011"}}},
-         "lo must be an integer, got 0.5"),
-        ({"task": "density", "set": "o", "N": 10},
-         {"sets": {"o": {"rule": "orbit", "system": "per", "lo": 0, "hi": 20.0}}},
-         "hi must be an integer, got 20.0"),
-        ({**moment, "family": ["d"], "queries": [[[1, 0, 0]]]},
-         {"functions": {"d": {"kind": "random_disk", "seed": 2.5}}},
-         "seed must be an integer, got 2.5"),
-        ({**lin, "scheme": "w"},
-         {"schemes": {"w": {"weight": {"kind": "custom", "table": {0: 1, 1: 1, 2.5: 1}}}}},
-         "weight table key must be an integer, got 2.5"),
     ]
     # a string or list flag used to read as true, a lowercase verdict to fail as
     # exit 1, and an empty verify query list to raise "min() arg is an empty sequence"
@@ -614,15 +599,67 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
         path = write_cfg(tmp_path, [task], **overrides)
         assert main(["run", "--config", path]) == 2, (task, overrides)
         assert f"task 0: {message}" in capsys.readouterr().err
+    # a named entry is parsed before any task runs, used or not, and each message names
+    # it: int() used to truncate a float or bool parameter and to parse a numeric string,
+    # a misspelled key was ignored, and an unquoted bit string was read as the digits
+    # of a YAML integer, all with exit 0
+    for entries, message in [
+        ({"sets": {"b": {"rule": "bitmask", "n": "abc"}}}, "set b: n must be an integer, got 'abc'"),
+        ({"sets": {"c": {"rule": "congruence", "a": [1], "m": 2}}},
+         "set c: a must be an integer, got [1]"),
+        ({"sets": {"b": {"rule": "bitmask", "n": float("inf")}}},
+         "set b: n must be an integer, got inf"),
+        ({"sets": {"o": {"rule": "orbit", "system": "per", "lo": [0], "hi": 10}}},
+         "set o: lo must be an integer, got [0]"),
+        ({"sets": {"c": {"rule": "congruence", "a": 0, "m": "3"}}},
+         "set c: m must be an integer, got '3'"),
+        ({"sets": {"c": {"rule": "congruence", "a": 0, "m": 2.5}}},
+         "set c: m must be an integer, got 2.5"),
+        ({"sets": {"c": {"rule": "congruence", "a": True, "m": 2}}},
+         "set c: a must be an integer, got True"),
+        ({"sets": {"b": {"rule": "bitmask", "lo": 0.5, "bits": "1011"}}},
+         "set b: lo must be an integer, got 0.5"),
+        ({"sets": {"o": {"rule": "orbit", "system": "per", "lo": 0, "hi": 20.0}}},
+         "set o: hi must be an integer, got 20.0"),
+        ({"functions": {"d": {"kind": "random_disk", "seed": 2.5}}},
+         "function d: seed must be an integer, got 2.5"),
+        ({"schemes": {"w": {"weight": {"kind": "custom", "table": {0: 1, 1: 1, 2.5: 1}}}}},
+         "scheme w: weight: table must be a mapping with integer keys, got {0: 1, 1: 1, 2.5: 1}"),
+        ({"sets": {"r": {"rule": "rotation", "alpa": "1/3"}}},
+         "set r: unknown key 'alpa' for rule rotation"),
+        ({"functions": {"d": {"kind": "random_disk", "sed": 5}}},
+         "function d: unknown key 'sed' for kind random_disk"),
+        ({"systems": {"p": {"kind": "periodic", "pattern": 110}}},
+         "system p: pattern must be a quoted string of 0s and 1s, got 110"),
+        ({"sets": {"b": {"rule": "bitmask", "bits": "0120"}}},
+         "set b: bits must be a quoted string of 0s and 1s, got '0120'"),
+        ({"sets": {"b": {"rule": "bitmask", "bits": "01", "n": 4}}},
+         "set b: a bitmask reads exactly one of bits and n"),
+        ({"schemes": {"w": {"weight": {"kind": "linear", "rate": 1}}}},
+         "scheme w: weight: unknown key 'rate' for kind linear"),
+    ]:
+        path = write_cfg(tmp_path, [{"task": "density", "set": "evens", "N": 10}],
+                         **{**entries, "sets": {**BASE["sets"], **entries.get("sets", {})}})
+        assert main(["run", "--config", path]) == 2, entries
+        assert f"config error: {message}" in capsys.readouterr().err
+    # YAML 1.1 reads an unquoted 0110 as the octal integer 72 and 12 as twelve
+    for text, message in [("bits: 0110", "got 72"), ("bits: 12", "got 12")]:
+        path = tmp_path / "bits.yaml"
+        path.write_text("folner: {shape: interval, start: 0}\n"
+                        "sets: {b: {rule: bitmask, lo: 0, %s}}\n"
+                        "tasks: [{task: density, set: b, N: 2}]\n" % text)
+        assert main(["run", "--config", str(path)]) == 2, text
+        assert "set b: bits must be a quoted string of 0s and 1s, " + message in \
+            capsys.readouterr().err
     # a complement of itself used to recurse until RecursionError, and a list where
     # a set names another entry to raise TypeError
     for sets, message in [
         ({"a": {"rule": "complement", "of": "a"}}, "set a: complement cycle a -> a"),
         ({"a": {"rule": "complement", "of": "b"}, "b": {"rule": "complement", "of": "a"}},
          "set a: complement cycle a -> b -> a"),
-        ({"a": {"rule": "complement", "of": [1]}}, "config error: undefined set [1]"),
+        ({"a": {"rule": "complement", "of": [1]}}, "config error: set a: undefined set [1]"),
         ({"a": {"rule": "orbit", "system": [1], "lo": 0, "hi": 10}},
-         "config error: undefined system [1]"),
+         "config error: set a: undefined system [1]"),
     ]:
         path = write_cfg(tmp_path, [{"task": "density", "set": "a", "N": 10}], sets=sets)
         assert main(["run", "--config", path]) == 2, sets
@@ -630,20 +667,24 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
     # a malformed scheme used to raise AttributeError, TypeError or KeyError
     # where the scheme was built
     for scheme, message in [
-        (5, "scheme w: must be a mapping, got 5"),
+        (5, "scheme w must be a mapping, got 5"),
         ({"weight": 5}, "scheme w: weight must be a mapping, got 5"),
         ({"weight": {"kind": "custom", "table": 5}},
-         "scheme w: weight table must be a mapping, got 5"),
+         "scheme w: weight: table must be a mapping with integer keys, got 5"),
         ({"weight": {"kind": "custom"}}, "scheme w: weight: missing key 'table'"),
         ({"weight": {"kind": "exp_decay", "rate": [1]}},
-         "scheme w: weight rate must be a number, got [1]"),
+         "scheme w: weight: rate must be a number, got [1]"),
         ({"normalizer": {"kind": "const"}}, "scheme w: normalizer: missing key 'c'"),
     ]:
         path = write_cfg(tmp_path, [{"task": "normcheck", "scheme": "w", "N": 3}],
                          schemes={"w": scheme})
         assert main(["run", "--config", path]) == 2, scheme
         assert message in capsys.readouterr().err
-    # a malformed top-level section used to raise TypeError, ValueError or KeyError
+    # a malformed top-level section used to raise TypeError, ValueError or KeyError, and
+    # an unknown section or key was ignored and a float start or anchor truncated, with
+    # exit 0
+    z2 = {"group": {"kind": "Zd", "d": 2},
+          "sets": {"evens": {"rule": "component", "rules": [[0, 2], None]}}}
     for overrides, message in [
         ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
         ({"schedule": {"dyadic": {}}}, "dyadic schedule needs"),
@@ -654,20 +695,36 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
         ({"sets": 5}, "sets must be a mapping, got 5"),
         ({"schedule": [100.5]}, "schedule indices must be integers >= 1, got [100.5]"),
         ({"folner": {"shape": "interval", "start": float("inf")}},
-         "folner: cannot convert float infinity to integer"),
+         "folner: start must be an integer, got inf"),
+        ({"taks": [{"task": "density", "set": "evens", "N": 10}]},
+         "config error: unknown key 'taks'"),
+        ({"caps": {"windw": 10}}, "caps: unknown key 'windw'"),
+        ({"tolerances": {"tua": 0.5}}, "tolerances: unknown key 'tua'"),
+        ({"folner": {"shape": "interval", "start": 2.5}},
+         "folner: start must be an integer, got 2.5"),
+        ({**z2, "folner": {"shape": "box", "anchor": [0.5, 0]}},
+         "folner: anchor must be a list of integers, got [0.5, 0]"),
+        ({"group": {"kind": "Z", "d": 2}}, "group: unknown key 'd' for kind Z"),
     ]:
         path = write_cfg(tmp_path, [{"task": "density", "set": "evens", "N": 10}], **overrides)
         assert main(["run", "--config", path]) == 2, overrides
         assert message in capsys.readouterr().err
     assert main(["run", "--config", write_cfg(tmp_path, 5)]) == 2
     assert "tasks must be a list, got 5" in capsys.readouterr().err
-    # a mapping key JSON cannot write or order used to raise TypeError in the digest
+    # a mapping key JSON cannot write or order used to raise TypeError in the digest;
+    # a custom table mixing integer and string keys is now refused as a table
+    mixed = {0: 1, "a": 2}
+    path = write_cfg(tmp_path, [{"task": "normcheck", "scheme": "w", "N": 3}],
+                     schemes={"w": {"weight": {"kind": "custom", "table": mixed}}})
+    assert main(["run", "--config", path]) == 2
+    assert "scheme w: weight: table must be a mapping with integer keys, got {0: 1, 'a': 2}" \
+        in capsys.readouterr().err
     day = datetime.date(2020, 1, 2)
     for task, overrides in [
         ({"task": "density", "set": day, "N": 10},
          {"sets": {day: {"rule": "congruence", "a": 0, "m": 2}}}),
-        ({"task": "normcheck", "scheme": "w", "N": 3},
-         {"schemes": {"w": {"weight": {"kind": "custom", "table": {0: 1, "a": 2}}}}}),
+        ({"task": "density", "set": "evens", "N": 10},
+         {"sets": {**BASE["sets"], "r": {"rule": "rotation", "alpha": mixed}}}),
     ]:
         assert main(["run", "--config", write_cfg(tmp_path, [task], **overrides)]) == 2, task
         assert "config error: config cannot be written as a cache key" in capsys.readouterr().err
