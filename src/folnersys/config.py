@@ -63,10 +63,8 @@ def check_window(cfg: "ExperimentConfig", n: int, where: str, states: int = 1) -
 
 def _chain_states(cfg: "ExperimentConfig", system) -> int:
     """The number of states k of the Markov system named `system`, else 1."""
-    d = cfg.systems.get(system) if isinstance(system, str) else None
-    if isinstance(d, dict) and d.get("kind") == "markov" and isinstance(d.get("P"), list):
-        return len(d["P"])
-    return 1
+    d = cfg.systems.get(system, {})
+    return len(d["P"]) if d.get("kind") == "markov" and isinstance(d["P"], list) else 1
 
 
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
@@ -76,6 +74,11 @@ def check_extent(cfg: "ExperimentConfig", t: dict, N: int, where: str) -> None:
     """Refuse, by arithmetic alone, a parsed task whose windows at index N
     exceed `caps.window` (exit 3) or hold a point outside int64 (exit 2)."""
     f, shifts = cfg.folner, _task_shifts(t, cfg.group)
+    if t.get("patterns"):  # one int8 entry per point of F_N and element of the ball; the
+        # ball is counted up to the cylinder cap, which refuses a larger one when the task runs
+        size, caps = f.size(N), cfg.caps
+        ball = cfg.group.ball_size(t["radius"], min(caps["window"] // size, caps["cylinders"]))
+        check_window(cfg, size * ball, where)
     if f.shape == SHAPE_INTERVAL:
         lo, hi = min(shifts + [0]), max(shifts + [0])
         check_window(cfg, N + hi - lo, where, _chain_states(cfg, t.get("system")))
@@ -304,3 +307,13 @@ def _validate(cfg: ExperimentConfig) -> None:
                                TUPLE_CAP)
         # a task runs at one index N or over a schedule, never both
         check_extent(cfg, t, t["N"] if "N" in t else max(t["schedule"]), where)
+    # a Markov orbit starts from `seed`, a rotation or periodic one from `x0`; the other
+    # key, which its system does not read, is refused
+    orbits = [(f"set {name}", d) for name, d in cfg.sets.items() if d["rule"] == "orbit"]
+    for where, node in orbits + [(f"task {i}", task) for i, task in enumerate(cfg.tasks)
+                                 if task["task"] == "verify"]:
+        kind = cfg.systems[node["system"]]["kind"]
+        read, other = ("seed", "x0") if kind == "markov" else ("x0", "seed")
+        if other in node:
+            raise ConfigError(f"{where}: key {other!r} is not read by a {kind} system, "
+                              f"which starts from {read!r}")

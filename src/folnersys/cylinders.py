@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NoConvergentSubsequenceError
 from .groups import FolnerSpec, GroupSpec, Element
 from .sets import SetSpec
-from .density import constraint_counts, extract_subsequence, upper_density, window_count
+from .density import constraint_counts, extract_subsequence, window_count
 from .spectrum import check_subset_count
 
 
@@ -203,10 +203,9 @@ def furstenberg_report(
         values = {N: Fraction(c, f.size(N)) for N, c in counts.items()}
         osc = max(values.values()) - min(values.values())
         rows.append(MeasureRow(C, counts, values, osc))
-    est, _ = upper_density(E, f, list(schedule))
+    # A = {e -> 1} is one of the table's cylinders; its row holds E's densities
     e = E.group.identity()
-    A = CylinderSpec.make(E.group, {e: 1})
-    nu_A = cylinder_measure(E, A, f, max(schedule))
+    dens = next(r.values for r in rows if r.cylinder.constraints == ((e, 1),))
     try:
         sub = extract_subsequence(E, [(e,)], f, list(schedule), subsequence_eps)
     except NoConvergentSubsequenceError:
@@ -219,8 +218,8 @@ def furstenberg_report(
         folner=f,
         schedule=list(schedule),
         rows=rows,
-        density_estimate=est,
-        nu_of_A=nu_A,
+        density_estimate=max(dens.values()),
+        nu_of_A=dens[max(schedule)],
         subsequence=sub,
         observed_patterns=patterns,
     )

@@ -234,9 +234,8 @@ def pair_correlation_naive(E: SetSpec, f: FolnerSpec, N: int, H: int) -> Dict[El
         return out
 
     def grid(lo, hi):
-        axes = [np.arange(a + lo, a + hi, dtype=np.int64) for a in f.anchor]
-        coords = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-        return E.member_coords(coords).reshape([hi - lo] * len(axes))
+        box = FolnerSpec(f.group, SHAPE_BOX, anchor=tuple(a + lo for a in f.anchor))
+        return E.member_coords(box.coords(hi - lo)).reshape([hi - lo] * f.group.d)
 
     x = grid(0, N)
     y = grid(-H, N + H)

@@ -30,9 +30,6 @@ class FunctionSpec(ExtendOnlyWindow):
         return self._window(lo, hi, lambda a, b: self.eval_coords(
             GroupSpec(INT_Z), np.arange(a, b, dtype=np.int64)))
 
-    def conj(self) -> "FunctionSpec":
-        return ConjFn(self)
-
 
 class ExponentialFn(FunctionSpec):
     """f(n) = exp(2 pi i theta n)."""
@@ -95,9 +92,6 @@ class ConjFn(FunctionSpec):
 
     def eval_coords(self, group, coords):
         return np.conj(self.inner.eval_coords(group, coords))
-
-    def conj(self):
-        return self.inner
 
 
 class ProductFn(FunctionSpec):

@@ -102,23 +102,20 @@ class GroupSpec:
 
     def translate_left(self, g: Element, coords: np.ndarray) -> np.ndarray:
         """Columns g*x for the fixed element g."""
-        self.check(g)
-        if self.kind == INT_Z:
-            return coords + g
-        if self.kind == INT_ZD:
-            return coords + np.asarray(g, dtype=np.int64).reshape(-1, 1)
-        a0, b0, c0 = g
-        a, b, c = coords
-        return np.stack([a + a0, b + b0, c + c0 + a0 * b])
+        return self._translate(coords, g, left=True)
 
     def translate_right(self, coords: np.ndarray, h: Element) -> np.ndarray:
         """Columns x*h for the fixed element h."""
-        self.check(h)
-        if self.kind != HEISENBERG3:
-            return self.translate_left(h, coords)
-        a0, b0, c0 = h
-        a, b, c = coords
-        return np.stack([a + a0, b + b0, c + c0 + a * b0])
+        return self._translate(coords, h, left=False)
+
+    def _translate(self, coords: np.ndarray, g: Element, left: bool) -> np.ndarray:
+        """coords plus g, column by column; on H3 the c row then gains the product
+        term of the group law, a0*b for g*x and a*b0 for x*g."""
+        self.check(g)
+        out = coords + np.asarray(g, dtype=np.int64).reshape(-1, 1)
+        if self.kind == HEISENBERG3:
+            out[2] += g[0] * coords[1] if left else coords[0] * g[1]
+        return out
 
     def word_ball(self, radius: int, limit: float = float("inf")) -> list:
         """The radius ball: the sup-norm box on Z and Z^d; on H3 the elements
@@ -182,38 +179,31 @@ class FolnerSpec:
         else:
             raise ValueError(f"unknown Folner shape {self.shape!r}")
 
-    def size(self, N: int) -> int:
-        self._check_index(N)
+    def _sides(self, N: int) -> list:
+        """F_N as a box: the least point and the length along each coordinate."""
+        if N < 1:
+            raise ValueError("empty Folner index")
         if self.shape == SHAPE_INTERVAL:
-            return N
+            return [(self.start, N)]
         if self.shape == SHAPE_BOX:
-            return N ** self.group.d
-        return N ** 4
+            return [(a, N) for a in self.anchor]
+        return [(0, N), (0, N), (0, N * N)]
+
+    def size(self, N: int) -> int:
+        return math.prod(n for _, n in self._sides(N))
 
     def elements(self, N: int) -> Iterator[Element]:
         """F_N in canonical (ascending / lexicographic) order, no duplicates."""
-        self._check_index(N)
-        if self.shape == SHAPE_INTERVAL:
-            yield from range(self.start, self.start + N)
-        elif self.shape == SHAPE_BOX:
-            ranges = [range(a, a + N) for a in self.anchor]
-            for v in itertools.product(*ranges):
-                yield v
-        else:
-            for a in range(N):
-                for b in range(N):
-                    for c in range(N * N):
-                        yield (a, b, c)
+        points = itertools.product(*(range(a, a + n) for a, n in self._sides(N)))
+        return (v for (v,) in points) if self.shape == SHAPE_INTERVAL else points
 
     def coords(self, N: int) -> np.ndarray:
         """(ncoords, |F_N|) int64 array in canonical order."""
-        self._check_index(N)
-        if self.shape == SHAPE_INTERVAL:
-            return np.arange(self.start, self.start + N, dtype=np.int64).reshape(1, -1)
-        sides = ([(a, N) for a in self.anchor] if self.shape == SHAPE_BOX
-                 else [(0, N), (0, N), (0, N * N)])
-        grids = np.meshgrid(*(np.arange(a, a + n, dtype=np.int64) for a, n in sides), indexing="ij")
-        return np.stack([g.ravel() for g in grids])
+        sides = self._sides(N)
+        out = np.indices([n for _, n in sides], dtype=np.int64).reshape(len(sides), -1)
+        for row, (a, _) in zip(out, sides):
+            row += a
+        return out
 
     # -- defects ----------------------------------------------------------
 
@@ -248,7 +238,3 @@ class FolnerSpec:
         for b in range(max(0, -b0), min(N, N - b0)):
             total += max(0, N * N - abs(c0 + a0 * b))
         return ab * total
-
-    def _check_index(self, N: int) -> None:
-        if N < 1:
-            raise ValueError("empty Folner index")

@@ -159,14 +159,15 @@ def moment_exact(
     s: AveragingScheme,
     N: int,
 ) -> Optional[Fraction]:
-    """Exact rational value for all-indicator unconjugated unweighted moments.
+    """Exact rational value for all-indicator unweighted moments; a conjugated
+    0/1 function is itself.
 
     Returns None when the query does not admit the exact counting path.
     """
     _check_query(family, query)
     if not (s.weight.is_unit and s.normalizer.is_unit):
         return None
-    if any(conj or not isinstance(family[i - 1], IndicatorFn) for i, conj, _ in query):
+    if not all(isinstance(family[i - 1], IndicatorFn) for i, _, _ in query):
         return None
     terms = [(family[i - 1].E, g, 1) for i, _, g in query]
     return Fraction(window_count(terms, s.folner, N), s.folner.size(N))
@@ -199,22 +200,24 @@ def weighted_moment(
     s: AveragingScheme,
     N: int,
 ) -> complex:
-    """Finite-N weighted moment; exact counting path taken when available."""
+    """Finite-N weighted moment; exact counting path taken when available.  Off Z a
+    family holds indicators only, under the unit weight, so the sum is a count."""
     exact = moment_exact(family, query, s, N)  # also validates the query
     if exact is not None:
         return complex(exact)
     f = s.folner
     if f.shape == SHAPE_INTERVAL:
         prod = _interval_product(family, query, f, N)
+        if not s.weight.is_unit:
+            prod *= s.weight.values(np.arange(*_weight_window(s, N), dtype=np.int64))
+        total = complex(np.sum(prod))  # numpy pairwise summation keeps error tiny
     else:
-        coords, prod = f.coords(N), None
-        for i, conj, g in query:
-            fn = family[i - 1].conj() if conj else family[i - 1]
-            vals = fn.eval_coords(f.group, f.group.translate_left(g, coords))
-            prod = vals if prod is None else prod * vals
-    if not s.weight.is_unit:
-        prod *= s.weight.values(np.arange(*_weight_window(s, N), dtype=np.int64))
-    total = complex(np.sum(prod))  # numpy pairwise summation keeps error tiny
+        for i, _, _ in query:
+            if not isinstance(family[i - 1], IndicatorFn):
+                raise ValueError(f"{type(family[i - 1]).__name__} is defined on Z only")
+        if not s.weight.is_unit:
+            _weight_window(s, N)
+        total = complex(window_count([(family[i - 1].E, g, 1) for i, _, g in query], f, N))
     b = float(s.normalizer.value(N))
     if b == 0:
         raise ValueError("degenerate normalizer")

@@ -481,6 +481,10 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
          {**z2, "schemes": weights, "sets": {"s": {"rule": "component", "rules": [[0, 2], None]}},
           "functions": {"f": {"kind": "indicator", "set": "s"}}},
          "exp_decay weight is defined on Z only"),
+        # off Z only indicators are defined, and a non-indicator is named before a weight
+        ({**moment, "queries": [[[1, 0, [0, 0, 0]]]]}, h3, "ExponentialFn is defined on Z only"),
+        ({**moment, "scheme": "decay", "queries": [[[1, 1, [0, 0, 0]]]]},
+         {**h3, "schemes": weights}, "ExponentialFn is defined on Z only"),
         # int64 wrapping past 2^63 used to make this count 33, not 34
         ({"task": "density", "set": "thirds", "N": 100},
          {"folner": {"shape": "interval", "start": 2 ** 63 - 8},
@@ -531,6 +535,14 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
         ({**verify, "system": "mark", "schedule": [10]}, {},
          "a Markov verify needs at least 32 orbit points past its largest shift gap "
          "for 32 batch means, got 11"),
+        # the start key the system does not read used to be ignored, with exit 0
+        ({**verify, "system": "gold", "schedule": [1000], "seed": 12345},
+         {"systems": {"gold": {"kind": "rotation"}}},
+         "key 'seed' is not read by a rotation system, which starts from 'x0'"),
+        ({**verify, "system": "mark", "schedule": [1000], "x0": "abc"}, {},
+         "key 'x0' is not read by a markov system, which starts from 'seed'"),
+        ({**verify, "system": "per", "schedule": [1000], "seed": 3}, {},
+         "key 'seed' is not read by a periodic system, which starts from 'x0'"),
     ]
     # the runner used to truncate a float or bool radius, and to raise TypeError
     # on a scalar where a list belongs
@@ -637,6 +649,12 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
          "set b: a bitmask reads exactly one of bits and n"),
         ({"schemes": {"w": {"weight": {"kind": "linear", "rate": 1}}}},
          "scheme w: weight: unknown key 'rate' for kind linear"),
+        # an orbit set read only the start key of its system's kind and ignored the other
+        ({"systems": {**BASE["systems"], "rot": {"kind": "rotation"}},
+          "sets": {"o": {"rule": "orbit", "system": "rot", "lo": 0, "hi": 1000, "seed": 99}}},
+         "set o: key 'seed' is not read by a rotation system, which starts from 'x0'"),
+        ({"sets": {"o": {"rule": "orbit", "system": "mark", "lo": 0, "hi": 1000, "x0": "abc"}}},
+         "set o: key 'x0' is not read by a markov system, which starts from 'seed'"),
     ]:
         path = write_cfg(tmp_path, [{"task": "density", "set": "evens", "N": 10}],
                          **{**entries, "sets": {**BASE["sets"], **entries.get("sets", {})}})
@@ -813,6 +831,21 @@ def test_cli_window_cap_exit_code(tmp_path, capsys):
         assert main(["run", "--config", path]) == 3, task
         assert "window of 1000 elements x 2 Markov states exceeds cap 1500" in \
             capsys.readouterr().err
+    # observed patterns hold one entry per point of F_N and element of the ball:
+    # 65,536 x 41 and 4^4 x 5 on the H3 box, which used to be built with exit 0
+    h3 = {"group": {"kind": "H3"}, "folner": {"shape": "heisenberg_box"},
+          "sets": {"evens": {"rule": "component", "rules": [[0, 2], None, None]}}}
+    for cap, radius, N, overrides, size in [(100000, 20, 65536, {}, 2686976),
+                                            (1000, 1, 4, h3, 1280)]:
+        task = {"task": "cylinders", "set": "evens", "radius": radius, "depth": 1,
+                "schedule": [N], "patterns": True}
+        path = write_cfg(tmp_path, [task], caps={"window": cap}, **overrides)
+        assert main(["run", "--config", path]) == 3, task
+        assert f"task 0: window of {size} elements exceeds cap {cap}" in capsys.readouterr().err
+        path = write_cfg(tmp_path, [{**task, "patterns": False}], caps={"window": cap},
+                         **overrides)
+        assert main(["run", "--config", path]) == 0, task
+        capsys.readouterr()
 
 
 def test_cli_extent_and_ball_caps_exit_code(tmp_path, capsys):
@@ -831,6 +864,8 @@ def test_cli_extent_and_ball_caps_exit_code(tmp_path, capsys):
     for overrides, task, message in [
         (z2, {"task": "cylinders", "radius": 100000}, "cylinder count at least"),
         (h3, {"task": "cylinders", "radius": 100000}, "cylinder count at least"),
+        # the observed-pattern cap counts the ball no further than the cylinder cap
+        (h3, {"task": "cylinders", "radius": 100000, "patterns": True}, "cylinder count at least"),
     ]:
         task = {**task, "set": "s", "depth": 1, "schedule": [4]}
         path = write_cfg(tmp_path, [task], **overrides)

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from folnersys import GroupSpec, FolnerSpec
@@ -77,6 +78,58 @@ def test_folner_set_no_duplicates_and_sizes():
             assert len(s) == len(set(s)) == f.size(N)
             sizes.append(len(s))
         assert sizes == sorted(set(sizes))
+
+
+FOLNERS = [
+    FolnerSpec(Z, "interval", start=-3),
+    FolnerSpec(GroupSpec("Zd", 1), "box", anchor=(-2,)),
+    FolnerSpec(Z2, "box", anchor=(1, -4)),
+    FolnerSpec(GroupSpec("Zd", 3), "box", anchor=(-1, 0, -5)),
+    FolnerSpec(H3, "heisenberg_box"),
+]
+
+
+def _brute_window(f, N):
+    """F_N as the sorted points of a larger region that meet its defining bounds."""
+    if f.shape == "interval":
+        return [n for n in range(-10, 10) if f.start <= n < f.start + N]
+    if f.shape == "box":
+        return [v for v in itertools.product(range(-10, 10), repeat=f.group.d)
+                if all(a <= x < a + N for a, x in zip(f.anchor, v))]
+    return [(a, b, c) for a in range(-1, N + 1) for b in range(-1, N + 1)
+            for c in range(-1, N * N + 1) if 0 <= a < N and 0 <= b < N and 0 <= c < N * N]
+
+
+def _columns(coords):
+    return [tuple(int(x) for x in col) for col in coords.T]
+
+
+def _tuple(g):
+    return g if isinstance(g, tuple) else (g,)
+
+
+@pytest.mark.parametrize("f", FOLNERS, ids=lambda f: f"{f.shape}-{f.group.ncoords}")
+def test_size_elements_coords_agree_with_brute_force(f):
+    for N in range(1, 5):
+        brute = _brute_window(f, N)
+        assert list(f.elements(N)) == brute
+        assert f.size(N) == len(brute)
+        coords = f.coords(N)
+        assert coords.dtype == np.int64 and coords.shape == (f.group.ncoords, len(brute))
+        assert _columns(coords) == [_tuple(v) for v in brute]
+
+
+@pytest.mark.parametrize("f", FOLNERS, ids=lambda f: f"{f.shape}-{f.group.ncoords}")
+def test_translation_is_the_group_law_column_by_column(f):
+    G = f.group
+    coords = f.coords(3)
+    before = coords.copy()
+    xs = list(f.elements(3))
+    for t in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, -3, 5), (-4, 7, -11)]:
+        g = t[0] if G.kind == "Z" else tuple((t * 2)[:G.ncoords])
+        assert _columns(G.translate_left(g, coords)) == [_tuple(G.mul(g, x)) for x in xs]
+        assert _columns(G.translate_right(coords, g)) == [_tuple(G.mul(x, g)) for x in xs]
+    assert np.array_equal(coords, before)
 
 
 def test_folner_index_zero():

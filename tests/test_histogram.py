@@ -178,9 +178,9 @@ def test_h3_cylinder_table_reads_each_index_once(monkeypatch):
     f, E = BOXES["h3"]
     schedule = [2, 3, 4, 5]
     furstenberg_report(E, f, 1, 2, schedule)
-    # the table reads each index once, the upper density and the subsequence
-    # of A once per index each, and nu(A) the last index: not once per cylinder
-    assert sorted(calls) == sorted(3 * schedule + [5])
+    # the table reads each index once, which also gives the density estimate and
+    # nu(A), and the subsequence of A once per index: not once per cylinder
+    assert sorted(calls) == sorted(2 * schedule)
 
 
 def test_spectrum_builds_one_window(monkeypatch):

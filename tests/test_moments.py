@@ -12,7 +12,7 @@ from folnersys import (
     WeightRule, accordance_check, density_at, exponential_oracle,
     scheme_normalization, weighted_moment,
 )
-from folnersys.moments import moment_exact, moment_table
+from folnersys.moments import ConjFn, moment_exact, moment_table
 
 Z = GroupSpec("Z")
 FZ1 = FolnerSpec(Z, "interval", start=1)
@@ -86,7 +86,7 @@ def _per_factor_moment(family, query, s, N):
     group, coords = s.folner.group, s.folner.coords(N)
     prod = None
     for i, conj, g in query:
-        fn = family[i - 1].conj() if conj else family[i - 1]
+        fn = ConjFn(family[i - 1]) if conj else family[i - 1]
         vals = fn.eval_coords(group, group.translate_left(g, coords))
         prod = vals if prod is None else prod * vals
     if not s.weight.is_unit:
@@ -217,6 +217,76 @@ def test_indicator_reduction_exact():
         )
         family = [IndicatorFn(E) for E in sets]
         assert moment_exact(family, q, s, N) == Fraction(brute, s.folner.size(N))
+
+
+def test_indicator_moments_off_z_are_counts():
+    # off Z a family holds indicators only, under the unit weight, and a moment is the
+    # count of its intersection divided as on Z; a conjugated indicator is itself
+    h3, z2 = GroupSpec("H3"), GroupSpec("Zd", 2)
+    cases = [(FolnerSpec(h3, "heisenberg_box"),
+              [ComponentCongruence(h3, [(0, 2), None, None]),
+               ComponentCongruence(h3, [None, (1, 3), (0, 2)])],
+              [(0, 0, 0), (1, 0, 1), (-1, 2, -3)]),
+             (FolnerSpec(z2, "box", anchor=(-3, 2)),
+              [ComponentCongruence(z2, [(0, 2), None]), ComponentCongruence(z2, [(1, 3), (2, 5)])],
+              [(0, 0), (1, -1), (4, 2)])]
+    norms = [NormalizerRule("one"), NormalizerRule("const", c=3), NormalizerRule("const", c=0.7),
+             NormalizerRule("linear_mean"),
+             NormalizerRule("custom", table=((1, 2), (2, Fraction(1, 3)), (3, 0.7)))]
+    for f, sets, shifts in cases:
+        family = [IndicatorFn(E) for E in sets]
+        queries = [[(i, c, g)] for i in (1, 2) for c in (False, True) for g in shifts]
+        queries += [[(1, c1, shifts[0]), (2, c2, shifts[1]), (2, c1, shifts[2])]
+                    for c1, c2 in itertools.product((False, True), repeat=2)]
+        for norm, N, q in itertools.product(norms, (1, 2, 3), queries):
+            count = sum(1 for h in f.elements(N)
+                        if all(sets[i - 1].member(f.group.mul(g, h)) for i, _, g in q))
+            expected = complex(count) / (float(norm.value(N)) * f.size(N))
+            value = weighted_moment(family, q, AveragingScheme(f, normalizer=norm), N)
+            assert repr(value) == repr(expected), (f.shape, norm, N, q)
+
+
+def test_conjugated_indicator_moments_on_z_keep_their_values():
+    # the reprs computed when conjugated indicators still took the float path
+    f = FolnerSpec(Z, "interval", start=-7)
+    family = [IndicatorFn(Congruence(1, 3)), IndicatorFn(DyadicBlocks())]
+    queries = [[(1, True, 0)], [(2, True, 5)], [(1, True, 0), (2, False, 3)],
+               [(1, True, 0), (2, True, 3)]]
+    pinned = {
+        "one": [["0j", "(0.3333333333333333+0j)", "(0.333+0j)", "(0.3333282470703125+0j)"],
+                ["0j", "(0.4444444444444444+0j)", "(0.341+0j)", "(0.3333282470703125+0j)"],
+                ["0j", "(0.2222222222222222+0j)", "(0.117+0j)", "(0.1111907958984375+0j)"],
+                ["0j", "(0.2222222222222222+0j)", "(0.117+0j)", "(0.1111907958984375+0j)"]],
+        "const": [["0j", "(0.1111111111111111+0j)", "(0.111+0j)", "(0.11110941569010417+0j)"],
+                  ["0j", "(0.14814814814814814+0j)", "(0.11366666666666667+0j)",
+                   "(0.11110941569010417+0j)"],
+                  ["0j", "(0.07407407407407407+0j)", "(0.039+0j)", "(0.0370635986328125+0j)"],
+                  ["0j", "(0.07407407407407407+0j)", "(0.039+0j)", "(0.0370635986328125+0j)"]],
+    }
+    for norm in (NormalizerRule("one"), NormalizerRule("const", c=3)):
+        s = AveragingScheme(f, normalizer=norm)
+        assert [[repr(weighted_moment(family, q, s, N)) for N in (1, 9, 1000, 65536)]
+                for q in queries] == pinned[norm.kind]
+    assert moment_exact(family, queries[3], AveragingScheme(f), 1000) == Fraction(117, 1000)
+
+
+def test_non_indicators_refused_off_z():
+    h3 = GroupSpec("H3")
+    f = FolnerSpec(h3, "heisenberg_box")
+    E = ComponentCongruence(h3, [(0, 2), None, None])
+    e = (0, 0, 0)
+    decay = AveragingScheme(f, WeightRule("exp_decay", rate=0.1))
+    for family, s, message in [
+        ([ExponentialFn(0.3)], AveragingScheme(f), "ExponentialFn is defined on Z only"),
+        # the function is refused before the weight
+        ([IndicatorFn(E), RandomDiskFn(3)], decay, "RandomDiskFn is defined on Z only"),
+        ([IndicatorFn(E)], decay, "exp_decay weight is defined on Z only"),
+        # no config builds a product, which off Z is a non-indicator like any other
+        ([ProductFn(IndicatorFn(E), IndicatorFn(E))], AveragingScheme(f),
+         "ProductFn is defined on Z only"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            weighted_moment(family, [(i + 1, True, e) for i in range(len(family))], s, 2)
 
 
 def test_indicator_reduction_skips_weighted():
