@@ -207,47 +207,56 @@ class Workspace:
     def function(self, name: str) -> momentmod.FunctionSpec:
         return self._get("function", name, self._build_function)
 
-    # -- builders: each constructs from the values `parse_entry` gave --------
+    # -- builders: each constructs from the values `parse_entry` gave, which
+    # validation has already checked (`_check_entry`) --------------------------
 
     def _build_set(self, name: str, d: dict) -> setmod.SetSpec:
-        rule, where = d.pop("rule"), f"set {name}"
-        if rule == "complement":
+        if d["rule"] == "complement":
             return self.set_spec(d["of"]).complement()
-        if rule == "component":
-            return setmod.ComponentCongruence(self.cfg.group, d["rules"])
-        if rule == "orbit":
+        if d["rule"] == "orbit":
             system = self.system(d["system"])
-            check_window(self.cfg, d["hi"] - d["lo"], where, _chain_states(self.cfg, d["system"]))
-            if not isinstance(system, oraclemod.MarkovSystem):
-                return system.orbit_set(d["lo"], d["hi"], x0=d["x0"])
-            if "seed" not in d:
-                raise ConfigError(f"{where}: Markov orbit requires a seed")
-            return system.orbit_set(d["lo"], d["hi"], seed=d["seed"])
+            if isinstance(system, oraclemod.MarkovSystem):
+                return system.orbit_set(d["lo"], d["hi"], seed=d["seed"])
+            return system.orbit_set(d["lo"], d["hi"], x0=d["x0"])
         if "n" in d:
-            check_window(self.cfg, d["n"], where)
-            if self.cfg.seed is None:
-                raise ConfigError(f"{where}: random bitmask requires a seed")
             rng = np.random.default_rng(self.cfg.seed)
             return setmod.Bitmask(d["lo"], rng.integers(0, 2, size=d["n"]).astype(bool))
-        return {"congruence": setmod.Congruence, "rotation": setmod.RotationSet,
-                "dyadic": setmod.DyadicBlocks, "bitmask": setmod.Bitmask}[rule](**d)
+        if d["rule"] == "bitmask":
+            return setmod.Bitmask(d["lo"], d["bits"])
+        return _make(self.cfg, "set", d)
 
     def _build_system(self, name: str, d: dict) -> oraclemod.OracleSystem:
-        return {"rotation": oraclemod.RotationSystem, "periodic": oraclemod.PeriodicSystem,
-                "markov": oraclemod.MarkovSystem}[d.pop("kind")](**d)
+        return _make(self.cfg, "system", d)
 
     def _build_scheme(self, name: str, d: dict) -> momentmod.AveragingScheme:
         return momentmod.AveragingScheme(self.cfg.folner, momentmod.WeightRule(**d["weight"]),
                                          momentmod.NormalizerRule(**d["normalizer"]))
 
     def _build_function(self, name: str, d: dict) -> momentmod.FunctionSpec:
-        if d["kind"] == "exponential":
-            return momentmod.ExponentialFn(d["theta"])
         if d["kind"] == "indicator":
             return momentmod.IndicatorFn(self.set_spec(d["set"]))
-        if "seed" not in d:
-            raise ConfigError(f"function {name}: random_disk requires a seed")
-        return momentmod.RandomDiskFn(d["seed"])
+        if d["kind"] == "random_disk":
+            return momentmod.RandomDiskFn(d["seed"])
+        return _make(self.cfg, "function", d)
+
+
+# the constructor of each kind of entry that is built from its own values alone
+_MAKERS = {("set", "congruence"): setmod.Congruence, ("set", "rotation"): setmod.RotationSet,
+           ("set", "dyadic"): setmod.DyadicBlocks,
+           ("set", "component"): setmod.ComponentCongruence,
+           ("system", "rotation"): oraclemod.RotationSystem,
+           ("system", "periodic"): oraclemod.PeriodicSystem,
+           ("system", "markov"): oraclemod.MarkovSystem,
+           ("function", "exponential"): momentmod.ExponentialFn}
+
+
+def _make(cfg: ExperimentConfig, kind: str, d: dict):
+    """The parsed entry d built by its constructor in `_MAKERS`, else None."""
+    tag = _ENTRIES[kind][1]
+    make = _MAKERS.get((kind, d.get(tag)))
+    args = {k: v for k, v in d.items() if k != tag}
+    return make and (make(cfg.group, **args) if make is setmod.ComponentCongruence
+                     else make(**args))
 
 
 def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentConfig:
@@ -291,13 +300,33 @@ def _complement_cycles(sets: dict) -> None:
             chain.append(of)
 
 
+def _check_entry(cfg: ExperimentConfig, kind: str, name, d: dict):
+    """Every check that building the parsed entry d makes, run whether a task uses
+    it or not, with no window built, no bit drawn and no orbit sampled.  Returns
+    the entry built when its constructor needs nothing else (`_make`)."""
+    where, rule = f"{kind} {name}", d.get("rule")
+    if rule == "bitmask" and ("bits" in d) == ("n" in d):
+        raise ConfigError(f"{where}: a bitmask reads exactly one of bits and n")
+    if "n" in d:
+        check_window(cfg, d["n"], where)
+        if cfg.seed is None:
+            raise ConfigError(f"{where}: random bitmask requires a seed")
+    if rule == "orbit":
+        check_window(cfg, d["hi"] - d["lo"], where, _chain_states(cfg, d["system"]))
+        if cfg.systems[d["system"]]["kind"] == "markov" and "seed" not in d:
+            raise ConfigError(f"{where}: Markov orbit requires a seed")
+    if d.get("kind") == "random_disk" and "seed" not in d:
+        raise ConfigError(f"{where}: random_disk requires a seed")
+    try:
+        return _make(cfg, kind, d)
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from None
+
+
 def _validate(cfg: ExperimentConfig) -> None:
-    """Parse every named entry, without building it, and every task."""
-    for kind in _ENTRIES:
-        for name in getattr(cfg, kind + "s"):
-            d = parse_entry(cfg, kind, name)
-            if d.get("rule") == "bitmask" and ("bits" in d) == ("n" in d):
-                raise ConfigError(f"set {name}: a bitmask reads exactly one of bits and n")
+    """Parse and check every named entry, without building a window, and every task."""
+    built = {(kind, name): _check_entry(cfg, kind, name, parse_entry(cfg, kind, name))
+             for kind in _ENTRIES for name in getattr(cfg, kind + "s")}
     _complement_cycles(cfg.sets)
     for i, task in enumerate(cfg.tasks):
         where = f"task {i}"
@@ -317,3 +346,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         if other in node:
             raise ConfigError(f"{where}: key {other!r} is not read by a {kind} system, "
                               f"which starts from {read!r}")
+        if kind == "markov":
+            continue
+        try:  # the start as the orbit reads it
+            built["system", node["system"]].start(node.get("x0", 0))
+        except ValueError as e:
+            raise ConfigError(f"{where}: {e}") from None

@@ -6,8 +6,10 @@ C = {x : x(h_i) = eps_i}, the empirical measure at window F_N is
     nu_N(C) = |{g in F_N : 1_E(g * h_i) = eps_i for all i}| / |F_N|
 
 which is exactly the fraction of g in F_N whose shifted sequence S_g omega
-lies in C.  All values are exact rationals; additivity over polarity splits
-is an integer counting identity and must hold with residual exactly zero.
+lies in C.  Every count reads its columns g -> 1_E(g * h_i) from
+`density.columns`, the one place a count reads F_N.  All values are exact
+rationals; additivity over polarity splits is an integer counting identity
+and must hold with residual exactly zero.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import NoConvergentSubsequenceError
 from .groups import FolnerSpec, GroupSpec, Element
 from .sets import SetSpec
-from .density import constraint_counts, extract_subsequence, window_count
+from .density import columns, constraint_counts, select_subsequence, window_count
 from .spectrum import check_subset_count
 
 
@@ -64,8 +66,6 @@ class CylinderSpec:
 
 def cylinder_count(E: SetSpec, C: CylinderSpec, f: FolnerSpec, N: int) -> int:
     """Exact |{g in F_N : 1_E(g*h_i) = eps_i for all i}|."""
-    if f.group != E.group:
-        raise ValueError("group mismatch between set and Folner spec")
     return window_count([(E, h, eps) for h, eps in C.constraints], f, N, right=True)
 
 
@@ -207,7 +207,7 @@ def furstenberg_report(
     e = E.group.identity()
     dens = next(r.values for r in rows if r.cylinder.constraints == ((e, 1),))
     try:
-        sub = extract_subsequence(E, [(e,)], f, list(schedule), subsequence_eps)
+        sub = select_subsequence([dens], schedule, subsequence_eps)
     except NoConvergentSubsequenceError:
         sub = None
     patterns = None
@@ -227,7 +227,7 @@ def furstenberg_report(
 
 def _observed_patterns(E, f, radius, N):
     """Distinct words of S_g omega over the radius ball, g in F_N (opt-in)."""
-    coords = f.coords(N)
-    words = np.stack([E.member_coords(E.group.translate_right(coords, h)).astype(np.int8)
-                      for h in E.group.word_ball(radius)], axis=1)
+    ball = E.group.word_ball(radius)
+    column = columns(E, f, N, ball, right=True)
+    words = np.stack([column(h).astype(np.int8) for h in ball], axis=1)
     return [tuple(int(v) for v in row) for row in np.unique(words, axis=0)]

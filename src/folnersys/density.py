@@ -5,19 +5,20 @@ The central count is, for shifts (g_1,...,g_r) and the window F_N,
     |{h in F_N : g_i * h in E for all i}|
 
 i.e. the window count of the intersection of the left-translated sets
-g_i^{-1} E.  Counts are exact integers, ratios exact `Fraction`s.  Single
-counts, pair correlation included, go through `window_count`.  Spectra and
-cylinder tables go through `constraint_counts`: on every group and Folner
-shape, a ball of at most HISTOGRAM_BITS elements is counted from one
-`pattern_histograms` pass (one window over the hull on a Z interval, one
-coordinate array per index elsewhere), and a larger ball list by list with
-`window_count`.
+g_i^{-1} E.  Counts are exact integers, ratios exact `Fraction`s.  Every count
+reads F_N through `columns`, the one place that turns a set and a shift into
+the boolean column h -> 1_E(g*h): a slice of one window over the hull on a Z
+interval, membership on translated coordinates elsewhere.  Single counts, pair
+correlation included, AND columns in `window_count`.  Spectra and cylinder
+tables go through `constraint_counts`: a ball of at most HISTOGRAM_BITS
+elements is counted from one `pattern_histograms` pass, and a larger ball list
+by list with `window_count`.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,34 +34,38 @@ HISTOGRAM_BITS = 16
 HISTOGRAM_CHUNK = 1 << 16
 
 
+def columns(E: SetSpec, f: FolnerSpec, N: int, gs: Sequence[Element], right: bool = False):
+    """g -> the boolean column h -> 1_E(g*h) over h in F_N (1_E(h*g) with `right`),
+    for each g in gs; callers must not write the columns.
+
+    On a Z interval every column is a slice of one window over the hull of the
+    shifts; elsewhere F_N's coordinates are built once and each column is
+    membership on their translate."""
+    if f.group != E.group:
+        raise ValueError("group mismatch between set and Folner spec")
+    if f.shape == SHAPE_INTERVAL:
+        f.size(N)  # refuses an index below 1
+        lo = min(gs, default=0)
+        bits = indicator_bits(E, f.start + lo, f.start + N + max(gs, default=0))
+        return lambda g: bits[g - lo:g - lo + N]
+    coords = f.coords(N)
+    return lambda g: E.member_coords(f.group.translate_right(coords, g) if right else
+                                     f.group.translate_left(g, coords))
+
+
 def window_count(terms: Sequence[Tuple[SetSpec, Element, int]], f: FolnerSpec, N: int,
                  right: bool = False) -> int:
-    """Exact |{h in F_N : 1_E(g*h) = eps for every term (E, g, eps)}|.
-
-    With `right` the terms constrain h*g instead.  On Z intervals one window
-    per distinct set covers every shift and the terms AND its slices;
-    elsewhere membership is evaluated on translated window coordinates.
-    """
-    if not terms:
-        return f.size(N)
-    if f.shape == SHAPE_INTERVAL:
-        s = f.start
-        gs = [g for _, g, _ in terms]
-        lo = s + min(gs)
-        hi = s + N + max(gs)
-        windows = {E: indicator_bits(E, lo, hi) for E in dict.fromkeys(E for E, _, _ in terms)}
-        acc = np.ones(N, dtype=bool)
-        for E, g, eps in terms:
-            seg = windows[E][s + g - lo:s + g - lo + N]
-            acc &= seg if eps else ~seg
-        return int(np.count_nonzero(acc))
-    coords = f.coords(N)
-    acc = np.ones(coords.shape[1], dtype=bool)
-    for E, g, eps in terms:
-        moved = f.group.translate_right(coords, g) if right else f.group.translate_left(g, coords)
-        hit = E.member_coords(moved)
-        acc &= hit if eps else ~hit
-    return int(np.count_nonzero(acc))
+    """Exact |{h in F_N : 1_E(g*h) = eps for every term (E, g, eps)}|, h*g with
+    `right`: the AND of the columns of the terms, one `columns` call per set."""
+    acc = None
+    for E in dict.fromkeys(E for E, _, _ in terms):
+        column = columns(E, f, N, [g for F, g, _ in terms if F is E], right)
+        if acc is None:  # allocated after the first window, whose build on Z is a peak
+            acc = np.ones(f.size(N), dtype=bool)
+        for F, g, eps in terms:
+            if F is E:
+                acc &= column(g) if eps else ~column(g)
+    return f.size(N) if acc is None else int(np.count_nonzero(acc))
 
 
 def pattern_histograms(E: SetSpec, f: FolnerSpec, ball: Sequence[Element],
@@ -69,28 +74,25 @@ def pattern_histograms(E: SetSpec, f: FolnerSpec, ball: Sequence[Element],
 
     Row i counts, for every word w < 2^k (k = len(ball) <= HISTOGRAM_BITS), the h in
     F_N (N = schedule[i]) with sum_j 1_E(ball[j]*h) 2^j = w, or 1_E(h*ball[j]) with
-    `right`.  On a Z interval one window covers the hull of the largest index and each
-    nested block [N_{j-1}, N_j) adds its bincount, HISTOGRAM_CHUNK points at a time;
-    elsewhere each F_N is encoded from its translated coordinates.
+    `right`.  On a Z interval the columns of the largest index hold those of every
+    smaller one, and each nested block [N_{j-1}, N_j) adds its bincount,
+    HISTOGRAM_CHUNK points at a time; elsewhere each F_N is encoded from its own
+    columns.
     """
     f.size(min(schedule))  # refuses an empty schedule or an index below 1
     Ns = sorted(set(schedule))
     acc, rows = np.zeros(1 << len(ball), dtype=np.int64), {}
     if f.shape == SHAPE_INTERVAL:
-        lo, done = min(ball, default=0), 0
-        bits = indicator_bits(E, f.start + lo, f.start + Ns[-1] + max(ball, default=0))
+        column, done = columns(E, f, Ns[-1], ball, right), 0
         for N in Ns:
             for a in range(done, N, HISTOGRAM_CHUNK):
                 b = min(a + HISTOGRAM_CHUNK, N)
-                acc += _bincount(ball, lambda g: bits[a - lo + g:b - lo + g], b - a)
+                acc += _bincount(ball, lambda g: column(g)[a:b], b - a)
             rows[N] = acc.copy()
             done = N
     else:
         for N in Ns:
-            coords = f.coords(N)
-            rows[N] = _bincount(ball, lambda g: E.member_coords(
-                f.group.translate_right(coords, g) if right else
-                f.group.translate_left(g, coords)), coords.shape[1])
+            rows[N] = _bincount(ball, columns(E, f, N, ball, right), f.size(N))
     return np.array([rows[N] for N in schedule])
 
 
@@ -123,8 +125,6 @@ def constraint_counts(E: SetSpec, f: FolnerSpec,
     one `pattern_histograms` over them: c's count is the sum over subsets S of its
     eps = 0 bits of (-1)^|S| times the number of words containing its eps = 1 bits
     and S.  Otherwise each list is counted by `window_count`."""
-    if f.group != E.group:
-        raise ValueError("group mismatch between set and Folner spec")
     ball = list(dict.fromkeys(g for c in constraints for g, _ in c))
     if not constraints or len(ball) > HISTOGRAM_BITS:
         return [[window_count([(E, g, eps) for g, eps in c], f, N, right) for N in schedule]
@@ -149,8 +149,6 @@ def intersection_count(E: SetSpec, shifts: Sequence[Element], f: FolnerSpec, N: 
         raise ValueError("query must contain at least one shift")
     for g in shifts:
         E.group.check(g)
-    if f.group != E.group:
-        raise ValueError("group mismatch between set and Folner spec")
     return window_count([(E, g, 1) for g in shifts], f, N)
 
 
@@ -159,12 +157,8 @@ def density_at(E: SetSpec, shifts: Sequence[Element], f: FolnerSpec, N: int) -> 
     return Fraction(intersection_count(E, shifts, f, N), f.size(N))
 
 
-def upper_density(
-    E: SetSpec,
-    f: FolnerSpec,
-    schedule: Sequence[int],
-    tol: Fraction = Fraction(1, 1000),
-) -> Tuple[Fraction, List[int]]:
+def upper_density(E: SetSpec, f: FolnerSpec, schedule: Sequence[int],
+                  tol: Fraction = Fraction(1, 1000)) -> Tuple[Fraction, List[int]]:
     """Finite-scale limsup surrogate over the schedule.
 
     Returns the maximal single-shift density and every index whose density
@@ -181,31 +175,32 @@ def upper_density(
     return est, attaining
 
 
-def extract_subsequence(
-    E: SetSpec,
-    queries: Sequence[Query],
-    f: FolnerSpec,
-    schedule: Sequence[int],
-    eps: float,
-) -> List[int]:
-    """Greedy finite surrogate of the diagonal subsequence argument.
+def extract_subsequence(E: SetSpec, queries: Sequence[Query], f: FolnerSpec,
+                        schedule: Sequence[int], eps: float) -> List[int]:
+    """Greedy finite surrogate of the diagonal subsequence argument: the
+    `select_subsequence` of the densities of the queries, the first one leading."""
+    if not queries:
+        raise ValueError("at least one query required")
+    # a generator: nothing is counted before `select_subsequence` checks eps
+    return select_subsequence(({N: density_at(E, q, f, N) for N in schedule}
+                               for q in queries), schedule, eps)
 
-    Selects, earliest index first, a subset S of the schedule on which every
-    query's density oscillates by at most `eps`, and on which the first
-    query's density stays within `eps` of its limsup estimate over the full
-    schedule.  Raises when no S with at least two indices exists.
+
+def select_subsequence(dens: Iterable[Dict[int, Fraction]], schedule: Sequence[int],
+                       eps: float) -> List[int]:
+    """Selects, earliest index first, a subset S of the schedule on which every
+    row of densities (index -> density) oscillates by at most `eps`, and on which
+    the first row stays within `eps` of its maximum over the full schedule.
+    Raises when no S with at least two indices exists.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not queries:
-        raise ValueError("at least one query required")
-    dens = {q: {N: density_at(E, q, f, N) for N in schedule} for q in queries}
-    first = queries[0]
-    est = max(dens[first].values())
+    dens = list(dens)
+    est = max(dens[0].values())
     chosen: List[int] = []
     for N in schedule:
-        if abs(dens[first][N] - est) <= eps and all(
-                abs(dens[q][N] - dens[q][M]) <= eps for q in queries for M in chosen):
+        if abs(dens[0][N] - est) <= eps and all(
+                abs(d[N] - d[M]) <= eps for d in dens for M in chosen):
             chosen.append(N)
     if len(chosen) < 2:
         raise NoConvergentSubsequenceError(
@@ -249,11 +244,14 @@ def pair_correlation_naive(E: SetSpec, f: FolnerSpec, N: int, H: int) -> Dict[El
 def pair_correlation_fft(E: SetSpec, f: FolnerSpec, N: int, H: int) -> Dict[Element, int]:
     """|{x in F_N : x in E, h*x in E}| for every h in the radius-H word ball.
 
-    The counts are exact window counts, one `window_count` per shift.
+    The counts are exact: one `columns` call reads every shift's column, and
+    each is ANDed with the identity's.
     """
     _require_abelian(f)
-    e = f.group.identity()
-    return {h: window_count([(E, e, 1), (E, h, 1)], f, N) for h in f.group.word_ball(H)}
+    ball = f.group.word_ball(H)
+    column = columns(E, f, N, ball)
+    base = column(f.group.identity())
+    return {h: int(np.count_nonzero(base & column(h))) for h in ball}
 
 
 def _require_abelian(f: FolnerSpec) -> None:

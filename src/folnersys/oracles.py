@@ -68,8 +68,12 @@ class RotationSystem(OracleSystem):
                 total += b - a
         return Fraction(total, SCALE)
 
+    def start(self, x0) -> int:
+        """The orbit's start x0 on the fixed-point circle."""
+        return to_fixed(x0) % SCALE
+
     def orbit_set(self, lo: int, hi: int, x0=0) -> OrbitSet:
-        x0_fp = to_fixed(x0) % SCALE
+        x0_fp = self.start(x0)
         bits = rotation_bits(x0_fp, self.alpha_fp, self.beta_fp, lo, hi)
         return OrbitSet(lo, bits, self.label(), f"x0_fp={x0_fp}")
 
@@ -95,9 +99,14 @@ class PeriodicSystem(OracleSystem):
         )
         return Fraction(hits, self.p)
 
-    def orbit_set(self, lo: int, hi: int, x0: int = 0) -> OrbitSet:
+    def start(self, x0) -> int:
+        """The orbit's start x0, a point of Z/pZ given as an integer."""
         if not isinstance(x0, int) or isinstance(x0, bool):
             raise ValueError(f"x0 of a periodic orbit must be an integer, got {x0!r}")
+        return x0
+
+    def orbit_set(self, lo: int, hi: int, x0: int = 0) -> OrbitSet:
+        x0 = self.start(x0)
         n = np.arange(lo, hi)
         bits = np.asarray(self.pattern)[(x0 + n) % self.p].astype(bool)
         return OrbitSet(lo, bits, self.label(), f"x0={x0}")

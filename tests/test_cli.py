@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 import yaml
 
-from folnersys import __version__, cli, config, runner
+from folnersys import __version__, cli, config, oracles, runner
 from folnersys.cache import ResultCache, digest, source_digest
 from folnersys.cli import main
 from folnersys.config import load_config, parse_config
 from folnersys.errors import CapExceededError, ConfigError
 from folnersys.runner import run
+from folnersys.sets import ExtendOnlyWindow
 
 BASE = {
     "group": {"kind": "Z"},
@@ -443,7 +444,7 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
     refused = [
         ({"task": "pair_correlation", "set": "evens", "N": 100}, {}, "missing key 'H'"),
         ({"task": "density", "set": "c", "N": 10},
-         {"sets": {"c": {"rule": "congruence", "a": 0, "m": 0}}}, "modulus must be positive"),
+         {"sets": {"c": {"rule": "congruence", "a": 0, "m": 0}}}, "set c: modulus must be positive"),
         ({"task": "density", "set": "b", "N": 10},
          {"sets": {"b": {"rule": "bitmask", "bits": "1011"}}}, "window exceeded"),
         ({"task": "normcheck", "scheme": "lin", "N": 11},
@@ -506,17 +507,17 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
     refused += [
         ({"task": "density", "set": "r", "N": 10},
          {"sets": {"r": {"rule": "rotation", "alpha": [1, 2]}}},
-         "circle coordinate must be a number, got [1, 2]"),
-        ({**verify, "system": "rot"}, rot, "circle coordinate must be a number, got [1, 2]"),
+         "set r: circle coordinate must be a number, got [1, 2]"),
+        ({**verify, "system": "rot"}, rot, "system rot: circle coordinate must be a number, got [1, 2]"),
         ({**verify, "system": "m"},
          {"systems": {"m": {"kind": "markov", "P": [[0.5, 0.5], [0.5, 0.5]], "accept": 1}}},
-         "accept must be a list of states, got 1"),
+         "system m: accept must be a list of states, got 1"),
         ({**moment, "family": ["t"], "queries": [[[1, 0, 0]]]},
          {"functions": {"t": {"kind": "exponential", "theta": [1]}}},
-         "theta must be a number, got [1]"),
+         "function t: theta must be a number, got [1]"),
         ({"task": "density", "set": "s", "shifts": [[0, 0, 0]], "N": 4},
          {**h3, "sets": {"s": {"rule": "component", "rules": [1, None, None]}}},
-         "a component rule is null or [a, m], got 1"),
+         "set s: a component rule is null or [a, m], got 1"),
         ({**verify, "system": "per", "x0": "abc"}, {},
          "x0 of a periodic orbit must be an integer, got 'abc'"),
         ({**verify, "system": "gold", "x0": [1]}, {"systems": {"gold": {"kind": "rotation"}}},
@@ -526,10 +527,10 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
          "window exceeded"),
         ({"task": "density", "set": "s", "shifts": [[0, 0, 0]], "N": 4},
          {**h3, "sets": {"s": {"rule": "component", "rules": [[0, 0], None, None]}}},
-         "modulus must be positive"),
+         "set s: modulus must be positive"),
         ({**verify, "system": "m"},
          {"systems": {"m": {"kind": "markov", "P": 5, "accept": [0]}}},
-         "transition matrix must be square"),
+         "system m: transition matrix must be square"),
         # 11 orbit points cannot fill 32 batch means: the sigma bound used to
         # average empty batches into NaN and write it to report.json
         ({**verify, "system": "mark", "schedule": [10]}, {},
@@ -610,7 +611,9 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
     for task, overrides, message in refused:
         path = write_cfg(tmp_path, [task], **overrides)
         assert main(["run", "--config", path]) == 2, (task, overrides)
-        assert f"task 0: {message}" in capsys.readouterr().err
+        # a value an entry's constructor refuses names the entry, not the task using it
+        prefix = "" if message.split(" ")[1].endswith(":") else "task 0: "
+        assert f"config error: {prefix}{message}" in capsys.readouterr().err
     # a named entry is parsed before any task runs, used or not, and each message names
     # it: int() used to truncate a float or bool parameter and to parse a numeric string,
     # a misspelled key was ignored, and an unquoted bit string was read as the digits
@@ -737,12 +740,15 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
     assert main(["run", "--config", path]) == 2
     assert "scheme w: weight: table must be a mapping with integer keys, got {0: 1, 'a': 2}" \
         in capsys.readouterr().err
+    # (a rotation alpha of `mixed` is now refused by validation, as its constructor
+    # refuses it; a Markov system reads the keys of an `accept` mapping as its states)
     day = datetime.date(2020, 1, 2)
+    chain = {"kind": "markov", "P": [[0.5, 0.5], [0.5, 0.5]], "accept": {1: 0, "0": 1}}
     for task, overrides in [
         ({"task": "density", "set": day, "N": 10},
          {"sets": {day: {"rule": "congruence", "a": 0, "m": 2}}}),
         ({"task": "density", "set": "evens", "N": 10},
-         {"sets": {**BASE["sets"], "r": {"rule": "rotation", "alpha": mixed}}}),
+         {"systems": {**BASE["systems"], "m2": chain}}),
     ]:
         assert main(["run", "--config", write_cfg(tmp_path, [task], **overrides)]) == 2, task
         assert "config error: config cannot be written as a cache key" in capsys.readouterr().err
@@ -802,6 +808,60 @@ def test_cache_miss_under_other_code(tmp_path, monkeypatch):
     assert not other["tasks"][0]["cache_hit"]
     assert other["tasks"][0]["key"] != first["tasks"][0]["key"]
     assert other["config_digest"] == first["config_digest"]
+
+
+def test_unused_entry_checked_as_if_built(tmp_path, capsys):
+    # an entry no task uses runs every check its builder and constructor make: each
+    # of these used to exit 0 beside a density task on another set
+    noseed = {"seed": None}
+    for entries, message in [
+        ({"sets": {"c": {"rule": "congruence", "a": 0, "m": 0}}},
+         "set c: modulus must be positive"),
+        ({"sets": {"r": {"rule": "rotation", "beta": 7}}}, "set r: beta must lie in (0, 1]"),
+        ({"sets": {"b": {"rule": "bitmask", "n": 64}}, **noseed},
+         "set b: random bitmask requires a seed"),
+        ({"functions": {"d": {"kind": "random_disk"}}, **noseed},
+         "function d: random_disk requires a seed"),
+        ({"sets": {"o": {"rule": "orbit", "system": "mark", "lo": 0, "hi": 64}}, **noseed},
+         "set o: Markov orbit requires a seed"),
+        ({"sets": {"o": {"rule": "orbit", "system": "per", "lo": 0, "hi": 10, "x0": "abc"}}},
+         "set o: x0 of a periodic orbit must be an integer, got 'abc'"),
+        ({"sets": {"s": {"rule": "component", "rules": [[0, 2]]}}},
+         "set s: componentwise rules are for lattice or Heisenberg groups"),
+        ({"systems": {"p": {"kind": "periodic", "pattern": ""}}},
+         "system p: pattern must be a nonempty 0/1 vector"),
+        ({"functions": {"t": {"kind": "exponential", "theta": [1]}}},
+         "function t: theta must be a number, got [1]"),
+    ]:
+        path = write_cfg(tmp_path, [{"task": "density", "set": "evens", "N": 10}],
+                         **{**entries, "sets": {**BASE["sets"], **entries.get("sets", {})}})
+        assert main(["run", "--config", path]) == 2, entries
+        assert f"config error: {message}" in capsys.readouterr().err
+    # a window over the cap is a cap error, exit 3, used or not
+    path = write_cfg(tmp_path, [{"task": "density", "set": "evens", "N": 10}],
+                     sets={**BASE["sets"], "b": {"rule": "bitmask", "n": 10 ** 8}})
+    assert main(["run", "--config", path]) == 3
+    assert "set b: window of 100000000 elements exceeds cap 67108864" in capsys.readouterr().err
+
+
+def test_validation_builds_nothing(monkeypatch):
+    # the checks run on parsed values: no window, random bit, orbit or workspace entry
+    def refuse(*args, **kw):
+        raise AssertionError("built during validation")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for cls in (oracles.RotationSystem, oracles.PeriodicSystem, oracles.MarkovSystem):
+        monkeypatch.setattr(cls, "orbit_set", refuse)
+    for name in ("set_spec", "system", "scheme", "function"):
+        monkeypatch.setattr(config.Workspace, name, refuse)
+    monkeypatch.setattr(ExtendOnlyWindow, "_window", refuse)
+    raw = {**BASE, "systems": {**BASE["systems"], "rot": {"kind": "rotation"}},
+           "sets": {**BASE["sets"], "b": {"rule": "bitmask", "n": 64},
+                    "o": {"rule": "orbit", "system": "mark", "lo": 0, "hi": 64},
+                    "p": {"rule": "orbit", "system": "rot", "lo": 0, "hi": 64, "x0": 0.25}},
+           "functions": {**BASE["functions"], "d": {"kind": "random_disk"}},
+           "tasks": [{"task": "verify", "system": "per", "queries": [[0]], "x0": 1}]}
+    parse_config(raw)
 
 
 def test_cli_window_cap_exit_code(tmp_path, capsys):

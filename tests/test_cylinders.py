@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from folnersys import (
-    Complement, ComponentCongruence, Congruence, CylinderSpec, DyadicBlocks, FolnerSpec,
-    GroupSpec, additivity_check, cylinder_measure, furstenberg_report,
+    Bitmask, Complement, ComponentCongruence, Congruence, CylinderSpec, DyadicBlocks,
+    FolnerSpec, GroupSpec, RotationSet, additivity_check, cylinder_measure, furstenberg_report,
     invariance_defect,
 )
 from folnersys.cylinders import cylinder_count, enumerate_cylinders
@@ -159,3 +159,23 @@ def test_furstenberg_report_patterns():
     table = furstenberg_report(evens, FZ, 1, 1, [100], collect_patterns=True)
     # only the two alternating words appear over the radius-1 ball
     assert table.observed_patterns == [(0, 1, 0), (1, 0, 1)]
+
+
+Z2 = GroupSpec("Zd", 2)
+START = 2 ** 62 - 100  # the Z words are slices of one window, near the int64 edge
+
+
+@pytest.mark.parametrize("E, f, radius, N", [
+    (RotationSet("golden", Fraction(2, 5), x0=Fraction(1, 7)),
+     FolnerSpec(Z, "interval", start=START), 4, 60),
+    (Bitmask(START - 4, np.random.default_rng(5).integers(0, 2, size=68).tolist()),
+     FolnerSpec(Z, "interval", start=START), 4, 60),
+    (ComponentCongruence(Z2, [(1, 3), (0, 2)]), FolnerSpec(Z2, "box", anchor=(-7, 12)), 1, 5),
+    # a rule on the c coordinate tells the right translate g*h from h*g
+    (ComponentCongruence(H3, [None, (1, 2), (1, 3)]), FH, 1, 3),
+])
+def test_observed_patterns_brute_force(E, f, radius, N):
+    ball = E.group.word_ball(radius)
+    brute = {tuple(int(E.member(E.group.mul(g, h))) for h in ball) for g in f.elements(N)}
+    table = furstenberg_report(E, f, radius, 1, [N], collect_patterns=True)
+    assert table.observed_patterns == sorted(brute)

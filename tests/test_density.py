@@ -5,9 +5,12 @@ import pytest
 
 from folnersys import (
     Complement, Congruence, ComponentCongruence, DyadicBlocks, FolnerSpec, GroupSpec,
-    RotationSet, density_at, extract_subsequence, intersection_count,
+    RotationSet, density_at, extract_subsequence, furstenberg_report, intersection_count,
     upper_density,
 )
+from folnersys.cylinders import CylinderSpec, _observed_patterns, cylinder_count
+from folnersys.density import (constraint_counts, pair_correlation_fft, pattern_histograms,
+                               window_count)
 from folnersys.errors import NoConvergentSubsequenceError
 
 Z = GroupSpec("Z")
@@ -63,6 +66,51 @@ def test_intersection_count_validation():
     fh = FolnerSpec(GroupSpec("H3"), "heisenberg_box")
     with pytest.raises(ValueError, match="group mismatch"):
         intersection_count(evens, ((0, 0, 0),), fh, 2)
+
+
+MISMATCHED = [  # a set and a Folner spec of another group
+    (Congruence(0, 2), FolnerSpec(GroupSpec("H3"), "heisenberg_box")),
+    (Congruence(0, 2), FolnerSpec(GroupSpec("Zd", 2), "box", anchor=(0, 0))),
+    (ComponentCongruence(GroupSpec("H3"), [(0, 2), None, None]), FZ),
+]
+
+
+@pytest.mark.parametrize("E, f", MISMATCHED)
+def test_group_mismatch_refused_by_every_count(E, f):
+    # every count reads F_N through `density.columns`, which refuses the mismatch
+    e = E.group.identity()
+    calls = [
+        lambda: window_count([(E, e, 1)], f, 2),
+        lambda: pattern_histograms(E, f, [e], [2]),
+        lambda: constraint_counts(E, f, [[(e, 1)]], [2]),
+        lambda: intersection_count(E, (e,), f, 2),
+        lambda: cylinder_count(E, CylinderSpec.make(E.group, {e: 1}), f, 2),
+        lambda: furstenberg_report(E, f, 1, 1, [2], collect_patterns=True),
+        lambda: _observed_patterns(E, f, 1, 2),
+    ]
+    if f.shape != "heisenberg_box":  # pair correlation refuses the H3 box on its own
+        calls.append(lambda: pair_correlation_fft(E, f, 2, 1))
+    for call in calls:
+        with pytest.raises(ValueError, match="group mismatch between set and Folner spec"):
+            call()
+
+
+def test_counts_build_coords_once_per_set(monkeypatch):
+    calls = []
+    coords = FolnerSpec.coords
+    monkeypatch.setattr(FolnerSpec, "coords", lambda self, N: calls.append(N) or coords(self, N))
+    h3 = GroupSpec("H3")
+    fh = FolnerSpec(h3, "heisenberg_box")
+    e = ComponentCongruence(h3, [(0, 2), None, (1, 3)])
+    shifts = [(0, 0, 0), (1, 0, 0), (0, 1, 1)]
+    terms = [(E, g, 1) for E in (e, Complement(e)) for g in shifts]
+    assert window_count(terms, fh, 3) == 0
+    assert calls == [3, 3]  # one per distinct set, not one per term
+    calls.clear()
+    z2 = GroupSpec("Zd", 2)
+    counts = pair_correlation_fft(ComponentCongruence(z2, [(1, 3), None]),
+                                  FolnerSpec(z2, "box", anchor=(1, -2)), 6, 2)
+    assert len(counts) == 25 and calls == [6]  # not one per shift
 
 
 def test_upper_density_periodic():
