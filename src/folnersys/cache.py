@@ -1,17 +1,24 @@
 """Content-addressed result cache.
 
 Keys are sha256 digests of the canonical JSON of (shared config sections,
-task, digest of the package sources).  Entries are JSON files; anything
-unreadable is treated as a miss with a warning, never an error.
+task, code identity).  Entries are JSON files; the same directory holds the
+parsed config blobs (`get_blob`, `put_blob`).  Anything unreadable is treated
+as a miss with a warning, never an error.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
+import marshal
 import os
+import sys
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
+import yaml
 
 log = logging.getLogger(__name__)
 
@@ -38,12 +45,58 @@ def digest(obj, prefix=None) -> str:
     return h.hexdigest()
 
 
+@functools.cache
 def source_digest() -> str:
-    """sha256 of the package's .py sources, so other code never shares a key."""
-    h = hashlib.sha256()
+    """sha256 of the package's .py sources and of the Python, numpy and PyYAML versions
+    (and whether PyYAML has libyaml) they run on, so other code never shares a key;
+    computed once per process."""
+    h = hashlib.sha256(repr((sys.version, np.__version__, yaml.__version__,
+                             yaml.__with_libyaml__)).encode())
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
+
+
+def _read(path: str, key: str, load) -> Optional[dict]:
+    """The mapping stored at path under key, or None: silently when there is no file,
+    with a warning when it cannot be read as {"key": key, "value": mapping}."""
+    try:
+        with open(path, "rb") as fh:
+            entry = load(fh.read())
+        if not isinstance(entry, dict) or entry.get("key") != key:
+            raise ValueError("key mismatch")
+        if not isinstance(entry.get("value"), dict):
+            raise ValueError("value is not a mapping")
+        return entry["value"]
+    except FileNotFoundError:
+        return None
+    except (OSError, EOFError, TypeError, ValueError) as e:
+        log.warning("corrupt cache entry %s (%s); recomputing", os.path.basename(path), e)
+        return None
+
+
+def _replace(path: str, mode: str, write) -> None:
+    """write(fh) to a temporary file, then moved to path, so no reader sees a part."""
+    tmp = path + ".tmp"
+    with open(tmp, mode) as fh:
+        write(fh)
+    os.replace(tmp, path)
+
+
+def get_blob(root: str, key: str) -> Optional[dict]:
+    """The mapping `put_blob` stored under key, or None as for a result entry."""
+    return _read(os.path.join(root, key + ".marshal"), key, marshal.loads)
+
+
+def put_blob(root: str, key: str, mapping: dict) -> None:
+    """Stores mapping under key as a marshal blob; nothing when marshal cannot write
+    one of its values, such as a YAML date."""
+    try:
+        blob = marshal.dumps({"key": key, "value": mapping})
+    except ValueError:
+        return
+    os.makedirs(root, exist_ok=True)
+    _replace(os.path.join(root, key + ".marshal"), "wb", lambda fh: fh.write(blob))
 
 
 class ResultCache:
@@ -56,21 +109,9 @@ class ResultCache:
 
     def get(self, key: str) -> Optional[dict]:
         """The stored value, or None: silently when there is no entry, with a warning
-        when the entry cannot be read."""
-        try:
-            with open(self._path(key)) as fh:
-                entry = json.load(fh)
-            if not isinstance(entry, dict) or entry.get("key") != key:
-                raise ValueError("key mismatch")
-            return entry["value"]
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, KeyError) as e:
-            log.warning("corrupt cache entry %s (%s); recomputing", key, e)
-            return None
+        when the entry cannot be read or its value is not a mapping."""
+        return _read(self._path(key), key, json.loads)
 
     def put(self, key: str, value: dict) -> None:
-        tmp = self._path(key) + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump({"key": key, "value": value}, fh, sort_keys=True)
-        os.replace(tmp, self._path(key))
+        _replace(self._path(key), "w",
+                 lambda fh: json.dump({"key": key, "value": value}, fh, sort_keys=True))

@@ -121,7 +121,8 @@ def _write_report(report: dict, out_dir, fmt: str) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, seed_override=args.seed)
+        cache_dir = os.path.join(args.out, ".cache") if args.out and not args.no_cache else None
+        cfg = load_config(args.config, seed_override=args.seed, cache_dir=cache_dir)
         if args.command != "run":
             cfg.tasks = [{"task": args.command,
                           **{key: getattr(args, key) for key in args.task_keys}}]

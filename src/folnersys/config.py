@@ -11,6 +11,8 @@ the workspace and the runner build from the same parsed values.
 """
 from __future__ import annotations
 
+import hashlib
+import marshal
 from collections.abc import Hashable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -259,17 +261,36 @@ def _make(cfg: ExperimentConfig, kind: str, d: dict):
                      else make(**args))
 
 
-def load_config(path: str, seed_override: Optional[int] = None) -> ExperimentConfig:
+def load_config(path: str, seed_override: Optional[int] = None,
+                cache_dir: Optional[str] = None) -> ExperimentConfig:
+    """The config in the YAML file at path, parsed and validated.  With `cache_dir`,
+    YAML's mapping is read from a marshal blob there when one holds it, and stored
+    there once `parse_config` accepts it, under a key of the file's bytes, the loader,
+    `marshal.version` and `source_digest` (which covers the Python and PyYAML
+    versions and libyaml's presence)."""
+    # imported on first use: imported at the top, before this module's body runs, the
+    # cache module shifted the allocator's layout and raised a run's peak memory by
+    # 0.1 to 0.3 MB
+    from .cache import get_blob, put_blob, source_digest
+    blob = None
     try:
         with open(path, "rb") as fh:  # bytes: YAML detects its own encoding
             text = fh.read()
         fast = _LIBYAML is not None and len(text) >= _LIBYAML_MIN_BYTES
-        raw = yaml.load(text, Loader=_LIBYAML if fast else yaml.SafeLoader)
+        loader = _LIBYAML if fast else yaml.SafeLoader
+        if cache_dir:
+            key = hashlib.sha256(text + repr(
+                (loader.__name__, marshal.version, source_digest())).encode()).hexdigest()
+            blob = get_blob(cache_dir, key)
+        raw = blob if blob is not None else yaml.load(text, Loader=loader)
     except (yaml.YAMLError, ValueError) as e:  # ValueError: int literals over 4300 digits
         raise ConfigError(f"parse error in {path}: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    return parse_config(raw, seed_override=seed_override)
+    cfg = parse_config(raw, seed_override=seed_override)
+    if cache_dir and blob is None:
+        put_blob(cache_dir, key, raw)
+    return cfg
 
 
 def parse_config(raw: dict, seed_override: Optional[int] = None) -> ExperimentConfig:

@@ -178,12 +178,22 @@ def upper_density(E: SetSpec, f: FolnerSpec, schedule: Sequence[int],
 def extract_subsequence(E: SetSpec, queries: Sequence[Query], f: FolnerSpec,
                         schedule: Sequence[int], eps: float) -> List[int]:
     """Greedy finite surrogate of the diagonal subsequence argument: the
-    `select_subsequence` of the densities of the queries, the first one leading."""
+    `select_subsequence` of the densities of the queries, the first one leading,
+    every query counted at every index by one `constraint_counts` call."""
     if not queries:
         raise ValueError("at least one query required")
-    # a generator: nothing is counted before `select_subsequence` checks eps
-    return select_subsequence(({N: density_at(E, q, f, N) for N in schedule}
-                               for q in queries), schedule, eps)
+
+    def rows():  # a generator: nothing is read before `select_subsequence` checks eps
+        for q in queries:
+            if not q:
+                raise ValueError("query must contain at least one shift")
+            for g in q:
+                E.group.check(g)
+        counts = constraint_counts(E, f, [[(g, 1) for g in q] for q in queries], schedule)
+        for row in counts:
+            yield {N: Fraction(c, f.size(N)) for N, c in zip(schedule, row)}
+
+    return select_subsequence(rows(), schedule, eps)
 
 
 def select_subsequence(dens: Iterable[Dict[int, Fraction]], schedule: Sequence[int],

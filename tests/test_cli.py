@@ -1,7 +1,9 @@
 import datetime
 import json
 import logging
+import marshal
 import os
+import re
 import sys
 from collections import Counter
 
@@ -976,3 +978,176 @@ def test_cli_flags_fill_the_task(tmp_path, monkeypatch):
     for argv, task in cases:
         assert main(argv.split() + ["--config", path]) == 0
         assert seen.pop() == task
+
+
+def test_result_entry_with_a_list_value_is_a_miss(tmp_path, caplog):
+    # an entry whose value is not a mapping used to be served as a hit, and the run
+    # died in the runner with "'list' object has no attribute 'get'"
+    caplog.set_level(logging.WARNING, logger="folnersys.cache")
+    path = write_cfg(tmp_path, [{"task": "density", "set": "evens", "shifts": [0], "N": 100}])
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    cold = json.loads((out / "report.json").read_text())["tasks"][0]
+    entry = out / ".cache" / f"{cold['key']}.json"
+    entry.write_text(json.dumps({"key": cold["key"], "value": [1]}))
+    caplog.clear()
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "value is not a mapping" in caplog.records[0].getMessage()
+    warm = json.loads((out / "report.json").read_text())["tasks"][0]
+    assert not warm["cache_hit"] and warm["result"] == cold["result"]
+    assert ResultCache(str(out / ".cache")).get(cold["key"]) == cold["result"]
+
+
+@pytest.fixture
+def fresh_code_identity():
+    """`source_digest` recomputed on its next call, and again after the test."""
+    source_digest.cache_clear()
+    yield
+    source_digest.cache_clear()
+
+
+def test_code_identity_covers_numpy_version(tmp_path, monkeypatch, fresh_code_identity):
+    assert source_digest() is source_digest()  # computed once per process
+    path = write_cfg(tmp_path, KEYED_TASKS, sets=KEYED_SETS)
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", path, "--out", out]) == 0
+    first = json.loads((tmp_path / "out" / "report.json").read_text())
+    monkeypatch.setattr(np, "__version__", "0.0.0")
+    source_digest.cache_clear()
+    parsed = []
+    load = yaml.load
+    monkeypatch.setattr(yaml, "load", lambda *a, **kw: parsed.append(1) or load(*a, **kw))
+    assert main(["run", "--config", path, "--out", out]) == 0
+    other = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert parsed == [1]  # the parsed-config blob missed too
+    for a, b in zip(first["tasks"], other["tasks"], strict=True):
+        assert a["key"] != b["key"] and not b["cache_hit"] and a["result"] == b["result"]
+
+
+def _report_bytes(out) -> bytes:
+    """report.json with its timings taken out."""
+    return re.sub(rb'"seconds": [0-9.e-]+', b"", (out / "report.json").read_bytes())
+
+
+def _blobs(root) -> list:
+    return sorted(p.name for p in root.rglob("*.marshal"))
+
+
+def _warm_reports(tmp_path, path, argv=()) -> tuple:
+    """The report of a warm run through YAML and that of the warm run after it through
+    the blob the first one stored, yaml.load refused in the second."""
+    out = tmp_path / "out"
+    run_ = ["run", "--config", path, "--out", str(out), *argv]
+    assert main(run_) == 0  # cold: every result and the blob stored
+    for blob in (out / ".cache").glob("*.marshal"):
+        blob.unlink()
+    assert main(run_) == 0
+    through_yaml = _report_bytes(out)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(yaml, "load", lambda *a, **kw: pytest.fail("yaml.load called"))
+        assert main(run_) == 0
+    return through_yaml, _report_bytes(out)
+
+
+def test_blob_hit_never_calls_yaml(tmp_path):
+    path = write_cfg(tmp_path, KEYED_TASKS, sets=KEYED_SETS)
+    through_yaml, through_blob = _warm_reports(tmp_path, path)
+    assert through_blob == through_yaml
+    assert len(_blobs(tmp_path)) == 1
+
+
+def test_blob_of_anchored_config_gives_the_same_report(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(
+        "group: {kind: Z}\n"
+        "folner: {shape: interval, start: 0}\n"
+        "schedule: &sched [100, 1000]\n"
+        "seed: 7\n"
+        "sets:\n"
+        "  evens: &ev {rule: congruence, a: 0, m: 2}\n"
+        "  twin: *ev\n"
+        "tasks:\n"
+        "  - &t {task: density, set: evens, shifts: &sh [0, 2], N: 1000}\n"
+        "  - *t\n"
+        "  - {task: density, set: twin, shifts: *sh, N: 500}\n"
+        "  - {task: upper_density, set: twin, schedule: *sched}\n")
+    through_yaml, through_blob = _warm_reports(tmp_path, str(path))
+    assert through_blob == through_yaml
+    assert through_blob.count(b'"set": "twin"') == 2
+
+
+def test_seed_override_applied_on_blob_hit(tmp_path):
+    raw = {**BASE, "sets": {**BASE["sets"], "rnd": {"rule": "bitmask", "lo": 0, "n": 256}}}
+    path = write_cfg(tmp_path, [{"task": "density", "set": "rnd", "shifts": [0], "N": 256}],
+                     sets=raw["sets"])
+    out = tmp_path / "out"
+    counts = {}
+    for seed, blob_hit in [(1, False), (2, True), (1, True)]:
+        with pytest.MonkeyPatch.context() as mp:
+            if blob_hit:
+                mp.setattr(yaml, "load", lambda *a, **kw: pytest.fail("yaml.load called"))
+            assert main(["run", "--config", path, "--out", str(out), "--seed", str(seed)]) == 0
+        task = json.loads((out / "report.json").read_text())["tasks"][0]
+        counts.setdefault(seed, task["result"]["count"])
+        assert task["result"]["count"] == counts[seed]
+        assert task["result"] == run(load_config(path, seed_override=seed))["tasks"][0]["result"]
+    assert counts[1] != counts[2]
+
+
+def test_unreadable_blob_is_a_miss(tmp_path, caplog):
+    caplog.set_level(logging.WARNING, logger="folnersys.cache")
+    path = write_cfg(tmp_path, KEYED_TASKS, sets=KEYED_SETS)
+    through_yaml, _ = _warm_reports(tmp_path, path)
+    out = tmp_path / "out"
+    (blob,) = (out / ".cache").glob("*.marshal")
+    good = blob.read_bytes()
+    other = marshal.dumps({"key": "0" * 64, "value": {}})
+    for damaged in (good[:len(good) // 2], b"\x00garbage", other,
+                    marshal.dumps((blob.stem, {})), marshal.dumps({"key": blob.stem})):
+        blob.write_bytes(damaged)
+        caplog.clear()
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        assert [r.levelname for r in caplog.records] == ["WARNING"], damaged
+        assert "corrupt cache entry" in caplog.records[0].getMessage()
+        assert _report_bytes(out) == through_yaml
+        assert blob.read_bytes() == good  # stored again once the config was accepted
+
+
+def test_comment_line_misses_blob_but_hits_results(tmp_path, monkeypatch):
+    path = write_cfg(tmp_path, KEYED_TASKS, sets=KEYED_SETS)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    with open(path, "a") as fh:
+        fh.write("# one more line\n")
+    parsed = []
+    load = yaml.load
+    monkeypatch.setattr(yaml, "load", lambda *a, **kw: parsed.append(1) or load(*a, **kw))
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert parsed == [1]
+    report = json.loads((out / "report.json").read_text())
+    assert all(e["cache_hit"] for e in report["tasks"])
+    assert len(_blobs(tmp_path)) == 2
+
+
+def test_no_blob_without_an_accepted_cached_run(tmp_path, capsys):
+    # a set named by a date: marshal cannot write it, and the run exits 2 as before
+    day = datetime.date(2020, 1, 2)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({**BASE, "sets": {**BASE["sets"], day: {"rule": "dyadic"}},
+                                    "tasks": []}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "cannot be written as a cache key" in capsys.readouterr().err
+    assert _blobs(tmp_path) == []
+    # a config validation refuses
+    bad = write_cfg(tmp_path, [{"task": "density", "set": "evens", "shift": [0], "N": 10}])
+    assert main(["run", "--config", bad, "--out", str(out)]) == 2
+    assert "unknown key 'shift'" in capsys.readouterr().err
+    assert _blobs(tmp_path) == []
+    # no cache asked for, or no output directory
+    good = write_cfg(tmp_path, [{"task": "density", "set": "evens", "shifts": [0], "N": 10}])
+    assert main(["run", "--config", good, "--out", str(out), "--no-cache"]) == 0
+    assert main(["run", "--config", good]) == 0
+    assert main(["density", "--config", good, "--set", "odds", "-N", "10"]) == 0
+    assert _blobs(tmp_path) == []

@@ -10,7 +10,7 @@ from folnersys import (
 )
 from folnersys.cylinders import CylinderSpec, _observed_patterns, cylinder_count
 from folnersys.density import (constraint_counts, pair_correlation_fft, pattern_histograms,
-                               window_count)
+                               select_subsequence, window_count)
 from folnersys.errors import NoConvergentSubsequenceError
 
 Z = GroupSpec("Z")
@@ -111,6 +111,45 @@ def test_counts_build_coords_once_per_set(monkeypatch):
     counts = pair_correlation_fft(ComponentCongruence(z2, [(1, 3), None]),
                                   FolnerSpec(z2, "box", anchor=(1, -2)), 6, 2)
     assert len(counts) == 25 and calls == [6]  # not one per shift
+    calls.clear()
+    queries = [[(0, 0, 0)], [(0, 0, 0), (2, 0, 0)], [(1, 0, 0), (0, 1, 1)]]
+    assert extract_subsequence(e, queries, fh, [4, 8, 12], 0.5) == [4, 8, 12]
+    assert calls == [4, 8, 12]  # one per index, not one per query and index
+
+
+def _selected(select, *args):
+    try:
+        return select(*args)
+    except NoConvergentSubsequenceError as e:
+        return str(e)
+
+
+def test_extract_subsequence_matches_density_rows(monkeypatch):
+    """The subsequence of one count per index is the one the densities of each query
+    at each index select, on the histogram path and on the list-by-list path (more
+    than HISTOGRAM_BITS shifts); every refusal comes before anything is counted."""
+    h3 = GroupSpec("H3")
+    cases = [
+        (ComponentCongruence(h3, [(0, 2), None, (1, 3)]), FolnerSpec(h3, "heisenberg_box"),
+         [[(0, 0, 0)], [(0, 0, 0), (1, 0, 0)], [(0, 1, 1), (2, 0, 0)]], [3, 6, 9, 12], 0.2),
+        (DyadicBlocks(), FZ1, [[0], [1]], [1 << k for k in range(4, 15)], 0.05),
+        (DyadicBlocks(), FZ1, [[0], [0, 1]], [1 << k for k in range(4, 15)], 0.05),
+        (Congruence(0, 2), FZ, [[0], list(range(0, 34, 2)), [1]], [99, 100, 301], 0.01),
+    ]
+    for E, f, queries, schedule, eps in cases:
+        rows = [{N: density_at(E, q, f, N) for N in schedule} for q in queries]
+        assert _selected(extract_subsequence, E, queries, f, schedule, eps) == \
+            _selected(select_subsequence, rows, schedule, eps)
+    e, fh = cases[0][:2]
+    monkeypatch.setattr(FolnerSpec, "coords", lambda self, N: pytest.fail("counted"))
+    for queries, eps, message in [
+        ([], 0.1, "at least one query required"),
+        ([[(0, 0, 0)], []], 0.1, "query must contain at least one shift"),
+        ([[(0, 0, 0)], [(0, 0)]], 0.1, "is not an element of"),
+        ([[(0, 0, 0)], []], 0.0, "eps must be positive"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            extract_subsequence(e, queries, fh, [3, 6], eps)
 
 
 def test_upper_density_periodic():
