@@ -68,7 +68,7 @@ def _read(path: str, key: str, load) -> Optional[dict]:
         if not isinstance(entry.get("value"), dict):
             raise ValueError("value is not a mapping")
         return entry["value"]
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):  # no entry, or no directory to hold one
         return None
     except (OSError, EOFError, TypeError, ValueError) as e:
         log.warning("corrupt cache entry %s (%s); recomputing", os.path.basename(path), e)

@@ -128,13 +128,14 @@ def main(argv=None) -> int:
                           **{key: getattr(args, key) for key in args.task_keys}}]
             _validate(cfg)
         report = run(cfg, out_dir=args.out, use_cache=not args.no_cache)
-    except ConfigError as e:
+        _write_report(report, args.out, args.fmt)
+    except (ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError) as e:  # a path error: no config file, or an --out that is a file
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except CapExceededError as e:
         print(f"resource cap: {e}", file=sys.stderr)
         return 3
-    _write_report(report, args.out, args.fmt)
     if args.out:
         for entry in report["tasks"]:
             status = entry["result"].get("passed")

@@ -63,18 +63,12 @@ def check_window(cfg: "ExperimentConfig", n: int, where: str, states: int = 1) -
         raise CapExceededError(f"{where}: window of {size} elements{per} exceeds cap {cap}")
 
 
-def _chain_states(cfg: "ExperimentConfig", system) -> int:
-    """The number of states k of the Markov system named `system`, else 1."""
-    d = cfg.systems.get(system, {})
-    return len(d["P"]) if d.get("kind") == "markov" and isinstance(d["P"], list) else 1
-
-
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
-def check_extent(cfg: "ExperimentConfig", t: dict, N: int, where: str) -> None:
-    """Refuse, by arithmetic alone, a parsed task whose windows at index N
-    exceed `caps.window` (exit 3) or hold a point outside int64 (exit 2)."""
+def check_extent(cfg: "ExperimentConfig", t: dict, N: int, where: str, per_point=1) -> None:
+    """Refuse, by arithmetic alone, a parsed task whose windows at index N, at `per_point`
+    a point, exceed `caps.window` (exit 3) or hold a point outside int64 (exit 2)."""
     f, shifts = cfg.folner, _task_shifts(t, cfg.group)
     if t.get("patterns"):  # one int8 entry per point of F_N and element of the ball; the
         # ball is counted up to the cylinder cap, which refuses a larger one when the task runs
@@ -83,7 +77,7 @@ def check_extent(cfg: "ExperimentConfig", t: dict, N: int, where: str) -> None:
         check_window(cfg, size * ball, where)
     if f.shape == SHAPE_INTERVAL:
         lo, hi = min(shifts + [0]), max(shifts + [0])
-        check_window(cfg, N + hi - lo, where, _chain_states(cfg, t.get("system")))
+        check_window(cfg, N + hi - lo, where, per_point)
         # the verify orbit reads [start + lo, start + N + hi], one point past the window
         if f.start + lo < INT64_MIN or f.start + N + hi > INT64_MAX:
             raise ConfigError(f"{where}: window [{f.start + lo}, {f.start + N + hi}) "
@@ -143,8 +137,8 @@ _NORMALIZERS = {"one": {}, "linear_mean": {}, "custom": dict(table=_TABLE),
                 "const": dict(c=("a number", lambda v, cfg: Fraction(str(v))))}
 _SCHEME = dict(weight=_node(_WEIGHTS, "weight", "kind", "one"),
                normalizer=_node(_NORMALIZERS, "normalizer", "kind", "one"))
-# the table and the tag of each kind of named entry
-_ENTRIES = {"set": (_SETS, "rule"), "system": (_SYSTEMS, "kind"), "scheme": (_SCHEME, None),
+# the table and the tag of each kind of named entry, systems first: an orbit set reads its system
+_ENTRIES = {"system": (_SYSTEMS, "kind"), "set": (_SETS, "rule"), "scheme": (_SCHEME, None),
             "function": (_FUNCTIONS, "kind")}
 
 # parsed first, the group is the context of the Folner shape
@@ -217,9 +211,7 @@ class Workspace:
             return self.set_spec(d["of"]).complement()
         if d["rule"] == "orbit":
             system = self.system(d["system"])
-            if isinstance(system, oraclemod.MarkovSystem):
-                return system.orbit_set(d["lo"], d["hi"], seed=d["seed"])
-            return system.orbit_set(d["lo"], d["hi"], x0=d["x0"])
+            return system.orbit_set(d["lo"], d["hi"], d[system.start_key])
         if "n" in d:
             rng = np.random.default_rng(self.cfg.seed)
             return setmod.Bitmask(d["lo"], rng.integers(0, 2, size=d["n"]).astype(bool))
@@ -321,10 +313,10 @@ def _complement_cycles(sets: dict) -> None:
             chain.append(of)
 
 
-def _check_entry(cfg: ExperimentConfig, kind: str, name, d: dict):
-    """Every check that building the parsed entry d makes, run whether a task uses
-    it or not, with no window built, no bit drawn and no orbit sampled.  Returns
-    the entry built when its constructor needs nothing else (`_make`)."""
+def _check_entry(cfg: ExperimentConfig, kind: str, name, d: dict, built: dict):
+    """Every check that building the parsed entry d makes, run whether a task uses it
+    or not, with no window built, no bit drawn and no orbit sampled (an orbit reads
+    its system from `built`).  Returns d built when `_make` can build it."""
     where, rule = f"{kind} {name}", d.get("rule")
     if rule == "bitmask" and ("bits" in d) == ("n" in d):
         raise ConfigError(f"{where}: a bitmask reads exactly one of bits and n")
@@ -333,8 +325,9 @@ def _check_entry(cfg: ExperimentConfig, kind: str, name, d: dict):
         if cfg.seed is None:
             raise ConfigError(f"{where}: random bitmask requires a seed")
     if rule == "orbit":
-        check_window(cfg, d["hi"] - d["lo"], where, _chain_states(cfg, d["system"]))
-        if cfg.systems[d["system"]]["kind"] == "markov" and "seed" not in d:
+        system = built["system", d["system"]]
+        check_window(cfg, d["hi"] - d["lo"], where, system.per_point)
+        if system.start_key not in d:  # x0 has a default; a seed only the config's
             raise ConfigError(f"{where}: Markov orbit requires a seed")
     if d.get("kind") == "random_disk" and "seed" not in d:
         raise ConfigError(f"{where}: random_disk requires a seed")
@@ -346,8 +339,9 @@ def _check_entry(cfg: ExperimentConfig, kind: str, name, d: dict):
 
 def _validate(cfg: ExperimentConfig) -> None:
     """Parse and check every named entry, without building a window, and every task."""
-    built = {(kind, name): _check_entry(cfg, kind, name, parse_entry(cfg, kind, name))
-             for kind in _ENTRIES for name in getattr(cfg, kind + "s")}
+    built: dict = {}
+    for kind, name in [(kind, name) for kind in _ENTRIES for name in getattr(cfg, kind + "s")]:
+        built[kind, name] = _check_entry(cfg, kind, name, parse_entry(cfg, kind, name), built)
     _complement_cycles(cfg.sets)
     for i, task in enumerate(cfg.tasks):
         where = f"task {i}"
@@ -356,20 +350,20 @@ def _validate(cfg: ExperimentConfig) -> None:
             check_subset_count(f"{where}: shift", cfg.group.ball_size(t["H"], TUPLE_CAP), 1,
                                TUPLE_CAP)
         # a task runs at one index N or over a schedule, never both
-        check_extent(cfg, t, t["N"] if "N" in t else max(t["schedule"]), where)
-    # a Markov orbit starts from `seed`, a rotation or periodic one from `x0`; the other
-    # key, which its system does not read, is refused
+        check_extent(cfg, t, t["N"] if "N" in t else max(t["schedule"]), where,
+                     built["system", t["system"]].per_point if "system" in t else 1)
+    # an orbit starts from its system's `start_key`, x0 or seed; the other key, which
+    # its system does not read, is refused
     orbits = [(f"set {name}", d) for name, d in cfg.sets.items() if d["rule"] == "orbit"]
     for where, node in orbits + [(f"task {i}", task) for i, task in enumerate(cfg.tasks)
                                  if task["task"] == "verify"]:
-        kind = cfg.systems[node["system"]]["kind"]
-        read, other = ("seed", "x0") if kind == "markov" else ("x0", "seed")
+        system, kind = built["system", node["system"]], cfg.systems[node["system"]]["kind"]
+        read = system.start_key
+        other = "seed" if read == "x0" else "x0"
         if other in node:
             raise ConfigError(f"{where}: key {other!r} is not read by a {kind} system, "
                               f"which starts from {read!r}")
-        if kind == "markov":
-            continue
         try:  # the start as the orbit reads it
-            built["system", node["system"]].start(node.get("x0", 0))
+            system.start(node.get(read, 0))
         except ValueError as e:
             raise ConfigError(f"{where}: {e}") from None

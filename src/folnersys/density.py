@@ -57,14 +57,16 @@ def window_count(terms: Sequence[Tuple[SetSpec, Element, int]], f: FolnerSpec, N
                  right: bool = False) -> int:
     """Exact |{h in F_N : 1_E(g*h) = eps for every term (E, g, eps)}|, h*g with
     `right`: the AND of the columns of the terms, one `columns` call per set."""
-    acc = None
+    acc, fresh = None, False
     for E in dict.fromkeys(E for E, _, _ in terms):
         column = columns(E, f, N, [g for F, g, _ in terms if F is E], right)
-        if acc is None:  # allocated after the first window, whose build on Z is a peak
-            acc = np.ones(f.size(N), dtype=bool)
         for F, g, eps in terms:
             if F is E:
-                acc &= column(g) if eps else ~column(g)
+                c = column(g) if eps else ~column(g)
+                if fresh:
+                    acc &= c
+                else:  # a column may be a view of a cached window: it is never written
+                    acc, fresh = (c, not eps) if acc is None else (acc & c, True)
     return f.size(N) if acc is None else int(np.count_nonzero(acc))
 
 
@@ -175,25 +177,27 @@ def upper_density(E: SetSpec, f: FolnerSpec, schedule: Sequence[int],
     return est, attaining
 
 
+def density_rows(E: SetSpec, queries: Sequence[Query], f: FolnerSpec,
+                 schedule: Sequence[int]) -> Iterable[Dict[int, Fraction]]:
+    """Each query's exact densities (index -> density) over the schedule, every query
+    counted at every index by one `constraint_counts` call.  A generator: nothing is
+    checked or counted before the first row is asked for."""
+    for q in queries:
+        if not q:
+            raise ValueError("query must contain at least one shift")
+        for g in q:
+            E.group.check(g)
+    for row in constraint_counts(E, f, [[(g, 1) for g in q] for q in queries], schedule):
+        yield {N: Fraction(c, f.size(N)) for N, c in zip(schedule, row)}
+
+
 def extract_subsequence(E: SetSpec, queries: Sequence[Query], f: FolnerSpec,
                         schedule: Sequence[int], eps: float) -> List[int]:
     """Greedy finite surrogate of the diagonal subsequence argument: the
-    `select_subsequence` of the densities of the queries, the first one leading,
-    every query counted at every index by one `constraint_counts` call."""
+    `select_subsequence` of the `density_rows` of the queries, the first one leading."""
     if not queries:
         raise ValueError("at least one query required")
-
-    def rows():  # a generator: nothing is read before `select_subsequence` checks eps
-        for q in queries:
-            if not q:
-                raise ValueError("query must contain at least one shift")
-            for g in q:
-                E.group.check(g)
-        counts = constraint_counts(E, f, [[(g, 1) for g in q] for q in queries], schedule)
-        for row in counts:
-            yield {N: Fraction(c, f.size(N)) for N, c in zip(schedule, row)}
-
-    return select_subsequence(rows(), schedule, eps)
+    return select_subsequence(density_rows(E, queries, f, schedule), schedule, eps)
 
 
 def select_subsequence(dens: Iterable[Dict[int, Fraction]], schedule: Sequence[int],

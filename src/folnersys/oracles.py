@@ -16,16 +16,25 @@ import numpy as np
 
 from .groups import FolnerSpec, INT_Z
 from .sets import OrbitSet, SCALE, rotation_bits, to_fixed
-from .density import density_at
+from .density import density_rows
 
 
 class OracleSystem:
-    """Base for the closed-form systems; all act by Z."""
+    """Base for the closed-form systems; all act by Z.  An orbit starts from the config
+    key `start_key`; each of its points costs `per_point` elements of `caps.window`."""
+
+    start_key = "x0"
+    per_point = 1
 
     def exact_measure(self, shifts: Sequence[int]) -> Fraction:
         raise NotImplementedError
 
-    def orbit_set(self, lo: int, hi: int, **kw) -> OrbitSet:
+    def start(self, start):
+        """The orbit's start as `orbit_set` reads it; a ValueError refuses it."""
+        return start
+
+    def orbit_set(self, lo: int, hi: int, start) -> OrbitSet:
+        """The visit set of the orbit from `start` over [lo, hi)."""
         raise NotImplementedError
 
     def label(self) -> str:
@@ -72,8 +81,8 @@ class RotationSystem(OracleSystem):
         """The orbit's start x0 on the fixed-point circle."""
         return to_fixed(x0) % SCALE
 
-    def orbit_set(self, lo: int, hi: int, x0=0) -> OrbitSet:
-        x0_fp = self.start(x0)
+    def orbit_set(self, lo: int, hi: int, start) -> OrbitSet:
+        x0_fp = self.start(start)
         bits = rotation_bits(x0_fp, self.alpha_fp, self.beta_fp, lo, hi)
         return OrbitSet(lo, bits, self.label(), f"x0_fp={x0_fp}")
 
@@ -105,25 +114,28 @@ class PeriodicSystem(OracleSystem):
             raise ValueError(f"x0 of a periodic orbit must be an integer, got {x0!r}")
         return x0
 
-    def orbit_set(self, lo: int, hi: int, x0: int = 0) -> OrbitSet:
-        x0 = self.start(x0)
-        n = np.arange(lo, hi)
-        bits = np.asarray(self.pattern)[(x0 + n) % self.p].astype(bool)
-        return OrbitSet(lo, bits, self.label(), f"x0={x0}")
+    def orbit_set(self, lo: int, hi: int, start) -> OrbitSet:
+        x0, n = self.start(start), max(hi - lo, 0)
+        # one period, rotated to start at x0 + lo and tiled: no int64 index arrays
+        period = np.roll(np.array(self.pattern, dtype=bool), -((x0 + lo) % self.p))
+        return OrbitSet(lo, np.tile(period, -(-n // self.p))[:n], self.label(), f"x0={x0}")
 
     def label(self) -> str:
         return f"periodic({''.join(map(str, self.pattern))})"
 
 
 class MarkovSystem(OracleSystem):
-    """Stationary Markov shift; A = {sequences whose 0th state is accepted}."""
+    """Stationary Markov shift; A = {sequences whose 0th state is accepted}.  An orbit
+    starts from a seed; a point costs k, the number of states: `states` scans n x k maps."""
+
+    start_key = "seed"
 
     def __init__(self, P: Sequence[Sequence[float]], accept: Sequence[int],
                  pi: Optional[Sequence[float]] = None):
         self.P = np.asarray(P, dtype=np.float64)
         if self.P.ndim != 2 or self.P.shape[0] != self.P.shape[1]:
             raise ValueError("transition matrix must be square")
-        k = self.P.shape[0]
+        k = self.per_point = self.P.shape[0]
         if not np.allclose(self.P.sum(axis=1), 1.0, atol=1e-10):
             raise ValueError("rows of P must sum to 1")
         try:
@@ -162,9 +174,10 @@ class MarkovSystem(OracleSystem):
             v = (v @ np.linalg.matrix_power(self.P, nxt - prev)) * mask
         return float(v.sum())
 
-    def orbit_set(self, lo: int, hi: int, seed: int = 0) -> OrbitSet:
-        """Sample a stationary trajectory over [lo, hi); deterministic per seed."""
-        return OrbitSet(lo, self.accepted[self.states(hi - lo, seed)], self.label(), f"seed={seed}")
+    def orbit_set(self, lo: int, hi: int, start) -> OrbitSet:
+        """Sample a stationary trajectory over [lo, hi); deterministic per seed `start`."""
+        return OrbitSet(lo, self.accepted[self.states(hi - lo, start)], self.label(),
+                        f"seed={start}")
 
     def states(self, n: int, seed: int = 0) -> np.ndarray:
         """The first n states of the trajectory sampled from ``seed``.
@@ -256,15 +269,10 @@ ROTATION_TOL = 5e-3
 MARKOV_SIGMA_FACTOR = 4.0
 
 
-def verify_correspondence(
-    sys: OracleSystem,
-    queries: Sequence[Sequence[int]],
-    f: FolnerSpec,
-    schedule: Sequence[int],
-    x0=0,
-    seed: int = 0,
-) -> CorrespondenceReport:
-    """Check empirical orbit densities against the closed-form measures.
+def verify_correspondence(sys: OracleSystem, queries: Sequence[Sequence[int]], f: FolnerSpec,
+                          schedule: Sequence[int], start=0) -> CorrespondenceReport:
+    """Check the `density_rows` of an orbit's visit set against the closed-form
+    measures, on the orbit from `start` (the system's `start_key`: x0 or a seed).
 
     Tolerances per system: rotations must land within ROTATION_TOL at the
     final index; Markov orbits within a 4-sigma batch-means band; periodic
@@ -272,18 +280,14 @@ def verify_correspondence(
     """
     if f.group.kind != INT_Z:
         raise ValueError("oracle systems act by Z only")
+    queries = [tuple(int(g) for g in q) for q in queries]
     final = max(schedule)
     lo = f.start + min(min(q) for q in queries)
     hi = f.start + final + max(max(q) for q in queries) + 1
-    if isinstance(sys, MarkovSystem):
-        orbit = sys.orbit_set(lo, hi, seed=seed)
-    else:
-        orbit = sys.orbit_set(lo, hi, x0=x0)
+    orbit = sys.orbit_set(lo, hi, start)
     rows = []
-    for q in queries:
-        q = tuple(int(g) for g in q)
+    for q, emp in zip(queries, density_rows(orbit, queries, f, schedule)):
         exact = sys.exact_measure(q)
-        emp = {N: density_at(orbit, q, f, N) for N in schedule}
         dev = abs(float(emp[final]) - float(exact))
         if isinstance(sys, PeriodicSystem):
             tol = 0.0 if final % sys.p == 0 else float(Fraction(sys.p, final))

@@ -57,10 +57,9 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
         return {"defect": frac(value), "folner_defect": frac(f.defect(N, t["shift"]))}
 
     if kind == "verify":
-        return verify_correspondence(
-            ws.system(t["system"]), t["queries"], f, t["schedule"],
-            x0=t["x0"], seed=t["seed"],
-        ).to_dict()
+        system = ws.system(t["system"])
+        return verify_correspondence(system, t["queries"], f, t["schedule"],
+                                     t[system.start_key]).to_dict()
 
     if kind == "spectrum":
         spec = correlation_spectrum(E, f, t["depth"], t["radius"], t["schedule"])

@@ -227,22 +227,20 @@ class DyadicBlocks(ZSetSpec):
 
 
 class Bitmask(ZSetSpec):
-    """Explicit membership on a half-open window [lo, lo+len(bits))."""
+    """Explicit membership on a half-open window [lo, lo+len(bits)).  The mask is the
+    cached window, so every read inside it is a slice of the mask."""
 
     def __init__(self, lo: int, bits: Sequence[int]):
         super().__init__()
-        self.lo = lo
-        self.mask = np.asarray(bits, dtype=bool)
+        self.lo = self._cache_lo = lo
+        self.mask = self._cache = np.asarray(bits, dtype=bool)
 
     @property
     def hi(self) -> int:
         return self.lo + len(self.mask)
 
     def _compute_bits(self, lo, hi):
-        if lo < self.lo or hi > self.hi:
-            raise WindowExceededError(
-                f"window exceeded: [{lo},{hi}) outside [{self.lo},{self.hi})")
-        return self.mask[lo - self.lo:hi - self.lo].copy()
+        raise WindowExceededError(f"window exceeded: [{lo},{hi}) outside [{self.lo},{self.hi})")
 
     def member(self, g):
         self.group.check(g)

@@ -242,8 +242,8 @@ def test_acceptance_7_exponential_moments(acceptance):
 def test_acceptance_8_markov_statistical(acceptance):
     system = MarkovSystem([[0.7, 0.3], [0.4, 0.6]], accept=[1])
     queries = [(0, gap) for gap in (1, 2, 3, 4)]
-    first = verify_correspondence(system, queries, FZ, [10**5], seed=42)
-    second = verify_correspondence(system, queries, FZ, [10**5], seed=42)
+    first = verify_correspondence(system, queries, FZ, [10**5], start=42)
+    second = verify_correspondence(system, queries, FZ, [10**5], start=42)
     worst = max(row.deviation / row.tolerance for row in first.rows)
     ok = first.passed and first.to_dict() == second.to_dict()
     acceptance.check(

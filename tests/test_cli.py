@@ -846,6 +846,42 @@ def test_unused_entry_checked_as_if_built(tmp_path, capsys):
     assert "set b: window of 100000000 elements exceeds cap 67108864" in capsys.readouterr().err
 
 
+def test_markov_window_cap_reads_the_built_system(monkeypatch, capsys):
+    # a config built in Python may give P as a tuple of tuples: its orbit costs k states
+    # per point all the same, through an orbit set and through a verify task
+    mark = {"kind": "markov", "P": ((0.7, 0.3), (0.4, 0.6)), "accept": (1,)}
+    orbit = {"rule": "orbit", "system": "mark", "lo": 0, "hi": 1000}
+    for task, sets in [
+        ({"task": "verify", "system": "mark", "queries": [[0]], "schedule": [1000]}, {}),
+        ({"task": "density", "set": "o", "N": 10}, {"o": orbit}),
+    ]:
+        raw = {**BASE, "systems": {**BASE["systems"], "mark": mark}, "caps": {"window": 1500},
+               "sets": {**BASE["sets"], **sets}, "tasks": [task]}
+        monkeypatch.setattr(cli, "load_config", lambda *args, **kw: parse_config(raw))
+        assert main(["run", "--config", "built-in-python.yaml"]) == 3, task
+        assert "window of 1000 elements x 2 Markov states exceeds cap 1500" in \
+            capsys.readouterr().err
+
+
+def test_path_errors_exit_2(tmp_path, capsys, caplog):
+    # each of these used to end in a traceback
+    path = write_cfg(tmp_path, [{"task": "density", "set": "evens", "N": 10}])
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for argv, message in [
+        (["run", "--config", str(tmp_path / "missing.yaml")], "No such file or directory"),
+        (["run", "--config", str(tmp_path)], "Is a directory"),
+        (["run", "--config", path, "--out", str(afile)], "Not a directory"),
+        (["run", "--config", path, "--out", str(afile), "--no-cache"], "File exists"),
+        (["density", "--config", path, "--set", "evens", "-N", "10", "--out", str(afile)],
+         "Not a directory"),
+    ]:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, argv
+    assert afile.read_text() == "" and "corrupt cache entry" not in caplog.text
+
+
 def test_validation_builds_nothing(monkeypatch):
     # the checks run on parsed values: no window, random bit, orbit or workspace entry
     def refuse(*args, **kw):

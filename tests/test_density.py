@@ -1,10 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from folnersys import (
-    Complement, Congruence, ComponentCongruence, DyadicBlocks, FolnerSpec, GroupSpec,
+    Bitmask, Complement, Congruence, ComponentCongruence, DyadicBlocks, FolnerSpec, GroupSpec,
     RotationSet, density_at, extract_subsequence, furstenberg_report, intersection_count,
     upper_density,
 )
@@ -115,6 +116,42 @@ def test_counts_build_coords_once_per_set(monkeypatch):
     queries = [[(0, 0, 0)], [(0, 0, 0), (2, 0, 0)], [(1, 0, 0), (0, 1, 1)]]
     assert extract_subsequence(e, queries, fh, [4, 8, 12], 0.5) == [4, 8, 12]
     assert calls == [4, 8, 12]  # one per index, not one per query and index
+
+
+def test_window_count_reads_a_cached_window_in_place():
+    """A one-term count is the count of its column, a view of the set's window:
+    nothing of |F_N| bytes is allocated (it used to start from np.ones(|F_N|))."""
+    N = 1 << 20
+    warm = Congruence(1, 3)
+    warm.bits(0, N)
+    for E in (Bitmask(0, np.random.default_rng(1).integers(0, 2, N).astype(bool)), warm):
+        expect = int(np.count_nonzero(E.bits(0, N)))
+        tracemalloc.start()
+        try:
+            assert window_count([(E, 0, 1)], FZ, N) == expect
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < N, (E.describe(), peak)
+
+
+def test_window_count_mixed_polarity():
+    """Counts with 1- and 0-constraints, the first of either polarity, over one set or
+    two, equal point-by-point counting, and no cached window is written to."""
+    rng = np.random.default_rng(5)
+    N = 257
+    E = Bitmask(-20, rng.integers(0, 2, N + 60).astype(bool))
+    F = Congruence(1, 3)
+    mask = E.mask.copy()
+    cases = [[(E, 0, 0)], [(E, 3, 1), (E, -5, 0)], [(E, 2, 0), (F, 1, 1), (E, 7, 1)],
+             [(F, 0, 0), (E, 0, 1), (F, 2, 0)], [(E, 1, 1), (E, 1, 1)], [(E, 4, 1), (E, 4, 0)]]
+    cases += [[(rng.choice([E, F]), int(rng.integers(-8, 9)), int(rng.integers(2)))
+               for _ in range(rng.integers(1, 6))] for _ in range(30)]
+    for terms in cases:
+        expect = sum(all(S.member(h + g) == bool(eps) for S, g, eps in terms) for h in range(N))
+        assert window_count(terms, FZ, N) == expect, terms
+    np.testing.assert_array_equal(E.mask, mask)
+    np.testing.assert_array_equal(F.bits(-8, N + 8), [F.member(n) for n in range(-8, N + 8)])
 
 
 def _selected(select, *args):

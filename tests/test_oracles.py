@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from folnersys import (
     FolnerSpec, GroupSpec, MarkovSystem, PeriodicSystem, RotationSystem,
@@ -40,7 +42,7 @@ def test_rotation_measure_monotone_and_bounded():
 
 def test_rotation_orbit_matches_membership():
     r = RotationSystem("golden", Fraction(1, 2))
-    orbit = r.orbit_set(-10, 50, x0=Fraction(1, 3))
+    orbit = r.orbit_set(-10, 50, Fraction(1, 3))
     x0_fp = round(Fraction(1, 3) * SCALE)
     for n in range(-10, 50):
         expected = (x0_fp + n * r.alpha_fp) % SCALE < r.beta_fp
@@ -57,9 +59,22 @@ def test_periodic_exact_measure():
 
 def test_periodic_orbit_and_density():
     p = PeriodicSystem([1, 0, 1, 1])
-    orbit = p.orbit_set(0, 400, x0=1)
+    orbit = p.orbit_set(0, 400, 1)
     assert orbit.member(0) == False  # pattern[1]
     assert density_at(orbit, (0,), FZ, 400) == Fraction(3, 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(1, 40),
+       x0=st.one_of(st.integers(-50, 50), st.integers(2 ** 62 - 50, 2 ** 62 + 50)),
+       lo=st.integers(-300, 300), n=st.integers(0, 400))
+@example(seed=0, p=7, x0=2 ** 62 - 3, lo=-123, n=200)
+@example(seed=1, p=5, x0=2 ** 62, lo=-5, n=0)
+def test_periodic_orbit_tiles_its_pattern(seed, p, x0, lo, n):
+    pattern = np.random.default_rng(seed).integers(0, 2, p)
+    orbit = PeriodicSystem(pattern).orbit_set(lo, lo + n, x0)
+    assert orbit.lo == lo and len(orbit.mask) == n
+    assert orbit.mask.tolist() == [bool(pattern[(x0 + k) % p]) for k in range(lo, lo + n)]
 
 
 def test_markov_stationary_vector():
@@ -90,10 +105,10 @@ def test_markov_validation():
 
 def test_markov_orbit_deterministic():
     m = MarkovSystem([[0.7, 0.3], [0.4, 0.6]], accept=[1])
-    a = m.orbit_set(0, 1000, seed=5)
-    b = m.orbit_set(0, 1000, seed=5)
+    a = m.orbit_set(0, 1000, 5)
+    b = m.orbit_set(0, 1000, 5)
     np.testing.assert_array_equal(a.mask, b.mask)
-    c = m.orbit_set(0, 1000, seed=6)
+    c = m.orbit_set(0, 1000, 6)
     assert not np.array_equal(a.mask, c.mask)
 
 
@@ -118,7 +133,7 @@ def test_markov_scan_matches_sequential_states(k):
     for n in lengths:
         for seed in (0, 17):
             np.testing.assert_array_equal(m.states(n, seed), markov_states_loop(m, n, seed))
-    orbit = m.orbit_set(-5, 995, seed=3)
+    orbit = m.orbit_set(-5, 995, 3)
     np.testing.assert_array_equal(orbit.mask, m.accepted[markov_states_loop(m, 1000, 3)])
 
 
@@ -141,7 +156,7 @@ def test_verify_correspondence_periodic_exact():
 
 def test_verify_correspondence_markov():
     m = MarkovSystem([[0.7, 0.3], [0.4, 0.6]], accept=[1])
-    report = verify_correspondence(m, [(0,), (0, 1), (0, 2)], FZ, [10**4], seed=42)
+    report = verify_correspondence(m, [(0,), (0, 1), (0, 2)], FZ, [10**4], start=42)
     assert report.passed
     d = report.to_dict()
     assert d["passed"] and len(d["rows"]) == 3
@@ -152,3 +167,25 @@ def test_verify_correspondence_requires_z():
     fh = FolnerSpec(GroupSpec("H3"), "heisenberg_box")
     with pytest.raises(ValueError):
         verify_correspondence(r, [(0,)], fh, [8])
+
+
+def test_verify_rows_match_density_at():
+    """Each verify row's densities are `density_at` of its query on the orbit, at each
+    index: rotations with at most 16 and with more distinct shifts (the histogram and
+    the list-by-list counts), periodic and Markov orbits."""
+    f = FolnerSpec(Z, "interval", start=-7)
+    schedule = [50, 301, 1000]
+    cases = [
+        (RotationSystem("golden", Fraction(2, 5)), [(0,), (0, 1, 5), (-3, 2)], Fraction(1, 7)),
+        (RotationSystem("sqrt2", Fraction(1, 3)), [(k, k + 9) for k in range(-4, 6)], 0),
+        (PeriodicSystem([1, 0, 1, 1, 0]), [(0,), (0, 1), (2, 4, 7)], 3),
+        (MarkovSystem([[0.7, 0.3], [0.4, 0.6]], accept=[1]), [(0,), (0, 1), (0, 2)], 11),
+    ]
+    for system, queries, start in cases:
+        report = verify_correspondence(system, queries, f, schedule, start)
+        lo = f.start + min(min(q) for q in queries)
+        hi = f.start + max(schedule) + max(max(q) for q in queries) + 1
+        orbit = system.orbit_set(lo, hi, start)
+        assert [row.query for row in report.rows] == queries
+        for q, row in zip(queries, report.rows):
+            assert row.empirical == {N: density_at(orbit, q, f, N) for N in schedule}

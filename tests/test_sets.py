@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from folnersys import (
     Bitmask, Complement, ComponentCongruence, Congruence, DyadicBlocks,
-    FolnerSpec, GroupSpec, RotationSet, indicator_bits, intersection_count,
+    FolnerSpec, GroupSpec, MarkovSystem, PeriodicSystem, RotationSet, RotationSystem,
+    indicator_bits, intersection_count,
 )
 from folnersys.errors import WindowExceededError
 from folnersys.sets import FRAC_BITS, ROTATION_BLOCK, SCALE, rotation_bits, to_fixed
@@ -171,6 +172,24 @@ def test_bitmask_window():
         b.member(9)
     with pytest.raises(WindowExceededError):
         b.bits(4, 8)
+
+
+def test_bitmask_reads_are_slices_of_its_mask():
+    # the mask is the window: a read inside it is never a copy, and a read partly or
+    # wholly outside it is refused and leaves the mask the window
+    for b in (Bitmask(5, [1, 0, 1, 1, 0, 1]), Bitmask(3, []),
+              PeriodicSystem([1, 0, 0]).orbit_set(-4, 20, 1),
+              RotationSystem("golden", Fraction(1, 2)).orbit_set(-10, 40, Fraction(1, 3)),
+              MarkovSystem([[0.7, 0.3], [0.4, 0.6]], accept=[1]).orbit_set(2, 60, 9)):
+        for lo, hi in [(b.lo, b.hi), (b.lo + 1, b.hi - 2), (b.lo + 2, b.lo + 3)]:
+            if b.lo <= lo < hi <= b.hi:
+                assert np.shares_memory(b.bits(lo, hi), b.mask)
+                assert np.shares_memory(indicator_bits(b, lo, hi), b.mask)
+        for lo, hi in [(b.lo - 1, b.hi), (b.lo, b.hi + 1), (b.lo - 3, b.hi + 3),
+                       (b.hi, b.hi + 3), (b.lo - 5, b.lo - 1), (b.hi + 2, b.hi + 4)]:
+            with pytest.raises(WindowExceededError, match="window exceeded"):
+                b.bits(lo, hi)
+        assert b._cache is b.mask
 
 
 def test_component_congruence():
