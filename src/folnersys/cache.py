@@ -3,7 +3,9 @@
 Keys are sha256 digests of the canonical JSON of (shared config sections,
 task, code identity).  Entries are JSON files; the same directory holds the
 parsed config blobs (`get_blob`, `put_blob`).  Anything unreadable is treated
-as a miss with a warning, never an error.
+as a miss with a warning, never an error.  The code identity reads numpy's
+version from its `version.py` without importing numpy, so a run served wholly
+from here never loads it.
 """
 from __future__ import annotations
 
@@ -17,8 +19,9 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
 import yaml
+
+from ._numpy import version_bytes
 
 log = logging.getLogger(__name__)
 
@@ -49,8 +52,9 @@ def digest(obj, prefix=None) -> str:
 def source_digest() -> str:
     """sha256 of the package's .py sources and of the Python, numpy and PyYAML versions
     (and whether PyYAML has libyaml) they run on, so other code never shares a key;
-    computed once per process."""
-    h = hashlib.sha256(repr((sys.version, np.__version__, yaml.__version__,
+    computed once per process.  numpy's version and git revision are the bytes of its
+    `version.py`, read without importing numpy."""
+    h = hashlib.sha256(repr((sys.version, version_bytes(), yaml.__version__,
                              yaml.__with_libyaml__)).encode())
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes())

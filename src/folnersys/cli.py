@@ -97,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write_report(report: dict, out_dir, fmt: str) -> None:
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
             # streamed chunk by chunk: a large report is never held whole as one string
             json.dump(report, fh, indent=2, sort_keys=True, default=str)
@@ -127,6 +126,8 @@ def main(argv=None) -> int:
             cfg.tasks = [{"task": args.command,
                           **{key: getattr(args, key) for key in args.task_keys}}]
             _validate(cfg)
+        if args.out:  # an --out that is a regular file is refused before any task runs
+            os.makedirs(args.out, exist_ok=True)
         report = run(cfg, out_dir=args.out, use_cache=not args.no_cache)
         _write_report(report, args.out, args.fmt)
     except (ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError,

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
-import numpy as np
 import yaml
 
+from ._numpy import np
 from .errors import CapExceededError, ConfigError
 from .groups import (GroupSpec, FolnerSpec, HEISENBERG3, INT_Z, INT_ZD, SHAPE_BOX,
                      SHAPE_HEISENBERG_BOX, SHAPE_INTERVAL)
@@ -36,6 +36,8 @@ from .spectrum import TUPLE_CAP, check_subset_count
 # code, so it reads only configs of at least this many bytes
 _LIBYAML = getattr(yaml, "CSafeLoader", None)
 _LIBYAML_MIN_BYTES = 1 << 14
+
+_DRAW_CHUNK = 1 << 16  # draws per call for a random bitmask
 
 
 @dataclass
@@ -213,8 +215,14 @@ class Workspace:
             system = self.system(d["system"])
             return system.orbit_set(d["lo"], d["hi"], d[system.start_key])
         if "n" in d:
-            rng = np.random.default_rng(self.cfg.seed)
-            return setmod.Bitmask(d["lo"], rng.integers(0, 2, size=d["n"]).astype(bool))
+            # drawn in chunks, so no int64 array of n draws is held; the generator keeps
+            # the unused half of a 64-bit output between calls (`has_uint32` in its
+            # state), so the chunks give the bits of one call
+            rng, n = np.random.default_rng(self.cfg.seed), d["n"]
+            bits = np.empty(n, dtype=bool)
+            for i in range(0, n, _DRAW_CHUNK):
+                bits[i:i + _DRAW_CHUNK] = rng.integers(0, 2, size=min(_DRAW_CHUNK, n - i))
+            return setmod.Bitmask(d["lo"], bits)
         if d["rule"] == "bitmask":
             return setmod.Bitmask(d["lo"], d["bits"])
         return _make(self.cfg, "set", d)

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .errors import NoConvergentSubsequenceError
 from .groups import FolnerSpec, GroupSpec, Element
 from .sets import SetSpec

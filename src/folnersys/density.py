@@ -20,8 +20,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .errors import NoConvergentSubsequenceError
 from .groups import FolnerSpec, Element, SHAPE_INTERVAL, SHAPE_BOX
 from .sets import SetSpec, indicator_bits

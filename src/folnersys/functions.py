@@ -7,8 +7,7 @@ slice; an indicator reads its set's own boolean window instead.
 """
 from __future__ import annotations
 
-import numpy as np
-
+from ._numpy import np
 from .groups import GroupSpec, INT_Z
 from .sets import ExtendOnlyWindow, SetSpec, indicator_bits
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Tuple, Union
 
-import numpy as np
-
+from ._numpy import np
 from .errors import GroupMismatchError
 
 Element = Union[int, Tuple[int, ...]]

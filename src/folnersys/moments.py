@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
+from ._numpy import np
 from .density import window_count
 from .functions import (  # noqa: F401  (the function specs stay importable from here)
     ConjFn, ExponentialFn, FunctionSpec, IndicatorFn, ProductFn, RandomDiskFn,

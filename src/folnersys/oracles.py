@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
+from ._numpy import np
 from .groups import FolnerSpec, INT_Z
 from .sets import OrbitSet, SCALE, rotation_bits, to_fixed
 from .density import density_rows

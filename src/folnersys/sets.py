@@ -18,8 +18,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
-import numpy as np
-
+from ._numpy import np
 from .errors import WindowExceededError
 from .groups import GroupSpec, Element, INT_Z, INT_ZD, HEISENBERG3
 

@@ -357,6 +357,17 @@ def test_seed_override(tmp_path):
     assert isinstance(c, int)
 
 
+def test_random_bitmask_drawn_in_chunks_equals_one_draw():
+    chunk = config._DRAW_CHUNK
+    sizes = [1, 2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 3]
+    sets = {f"r{n}": {"rule": "bitmask", "lo": -5, "n": n} for n in sizes}
+    ws = config.Workspace(parse_config({**BASE, "sets": sets, "functions": {}, "seed": 11}))
+    for n in sizes:
+        E = ws.set_spec(f"r{n}")
+        assert E.lo == -5
+        assert np.array_equal(E.mask, np.random.default_rng(11).integers(0, 2, size=n) != 0), n
+
+
 def test_cli_tuple_cap_exit_code(tmp_path, capsys):
     # 559,736 tuples at depth 4, radius 60: refused before any is built
     path = write_cfg(tmp_path, [
@@ -863,11 +874,16 @@ def test_markov_window_cap_reads_the_built_system(monkeypatch, capsys):
             capsys.readouterr().err
 
 
-def test_path_errors_exit_2(tmp_path, capsys, caplog):
-    # each of these used to end in a traceback
+def test_path_errors_exit_2(tmp_path, monkeypatch, capsys, caplog):
+    # each of these used to end in a traceback; each is refused before any task runs
     path = write_cfg(tmp_path, [{"task": "density", "set": "evens", "N": 10}])
     afile = tmp_path / "afile"
     afile.write_text("")
+
+    def refuse(*args, **kw):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(runner, "run_task", refuse)
     for argv, message in [
         (["run", "--config", str(tmp_path / "missing.yaml")], "No such file or directory"),
         (["run", "--config", str(tmp_path)], "Is a directory"),
@@ -1049,7 +1065,8 @@ def test_code_identity_covers_numpy_version(tmp_path, monkeypatch, fresh_code_id
     out = str(tmp_path / "out")
     assert main(["run", "--config", path, "--out", out]) == 0
     first = json.loads((tmp_path / "out" / "report.json").read_text())
-    monkeypatch.setattr(np, "__version__", "0.0.0")
+    # numpy's version enters as the bytes of its version.py, read without importing numpy
+    monkeypatch.setattr("folnersys.cache.version_bytes", lambda: b'version = "0.0.0"\n')
     source_digest.cache_clear()
     parsed = []
     load = yaml.load
