@@ -1,11 +1,12 @@
 """Content-addressed result cache.
 
 Keys are sha256 digests of the canonical JSON of (shared config sections,
-task, code identity).  Entries are JSON files; the same directory holds the
-parsed config blobs (`get_blob`, `put_blob`).  Anything unreadable is treated
-as a miss with a warning, never an error.  The code identity reads numpy's
-version from its `version.py` without importing numpy, so a run served wholly
-from here never loads it.
+task, code identity).  Task results (`KEY.result`) and parsed config blobs
+(`KEY.marshal`) are both marshal dumps of {"key": KEY, "value": mapping}, so a
+value comes back exactly as stored, tuples and integer dict keys included.
+Anything unreadable is treated as a miss with a warning, never an error.  The
+code identity reads numpy's version from its `version.py` without importing
+numpy, so a run served wholly from here never loads it.
 """
 from __future__ import annotations
 
@@ -61,12 +62,12 @@ def source_digest() -> str:
     return h.hexdigest()
 
 
-def _read(path: str, key: str, load) -> Optional[dict]:
-    """The mapping stored at path under key, or None: silently when there is no file,
-    with a warning when it cannot be read as {"key": key, "value": mapping}."""
+def _read(path: str, key: str) -> Optional[dict]:
+    """The mapping `_write` stored at path under key, or None: silently when there is
+    no entry, with a warning when it cannot be read or its value is not a mapping."""
     try:
         with open(path, "rb") as fh:
-            entry = load(fh.read())
+            entry = marshal.loads(fh.read())
         if not isinstance(entry, dict) or entry.get("key") != key:
             raise ValueError("key mismatch")
         if not isinstance(entry.get("value"), dict):
@@ -79,28 +80,28 @@ def _read(path: str, key: str, load) -> Optional[dict]:
         return None
 
 
-def _replace(path: str, mode: str, write) -> None:
-    """write(fh) to a temporary file, then moved to path, so no reader sees a part."""
-    tmp = path + ".tmp"
-    with open(tmp, mode) as fh:
-        write(fh)
-    os.replace(tmp, path)
-
-
-def get_blob(root: str, key: str) -> Optional[dict]:
-    """The mapping `put_blob` stored under key, or None as for a result entry."""
-    return _read(os.path.join(root, key + ".marshal"), key, marshal.loads)
-
-
-def put_blob(root: str, key: str, mapping: dict) -> None:
-    """Stores mapping under key as a marshal blob; nothing when marshal cannot write
-    one of its values, such as a YAML date."""
+def _write(path: str, key: str, mapping: dict) -> None:
+    """Stores mapping under key at path through a temporary file, so no reader sees a
+    part; nothing when marshal cannot write a value, such as a YAML date.  marshal
+    writes an object with a buffer, such as a numpy scalar, as bytes: pass none."""
     try:
         blob = marshal.dumps({"key": key, "value": mapping})
     except ValueError:
         return
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(blob)
+    os.replace(tmp, path)
+
+
+def get_blob(root: str, key: str) -> Optional[dict]:
+    """YAML's mapping of a config file that `put_blob` stored under key, or None."""
+    return _read(os.path.join(root, key + ".marshal"), key)
+
+
+def put_blob(root: str, key: str, mapping: dict) -> None:
     os.makedirs(root, exist_ok=True)
-    _replace(os.path.join(root, key + ".marshal"), "wb", lambda fh: fh.write(blob))
+    _write(os.path.join(root, key + ".marshal"), key, mapping)
 
 
 class ResultCache:
@@ -109,13 +110,11 @@ class ResultCache:
         os.makedirs(root, exist_ok=True)
 
     def _path(self, key: str) -> str:
-        return os.path.join(self.root, key + ".json")
+        return os.path.join(self.root, key + ".result")
 
     def get(self, key: str) -> Optional[dict]:
-        """The stored value, or None: silently when there is no entry, with a warning
-        when the entry cannot be read or its value is not a mapping."""
-        return _read(self._path(key), key, json.loads)
+        """The stored value, or None, as `_read` gives it."""
+        return _read(self._path(key), key)
 
     def put(self, key: str, value: dict) -> None:
-        _replace(self._path(key), "w",
-                 lambda fh: json.dump({"key": key, "value": value}, fh, sort_keys=True))
+        _write(self._path(key), key, value)

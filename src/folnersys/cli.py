@@ -3,7 +3,7 @@
 `folnersys run --config cfg.yaml` executes the config's task list.  The
 direct subcommands (density, spectrum, cylinders, verify, compare,
 moments, normcheck) build a one-task run from flags, using the config file
-for the shared definitions.
+for the shared definitions only: its own task list is neither read nor validated.
 
 Exit codes: 0 pass, 1 verdict failure, 2 config error, 3 resource cap.
 """
@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .config import _validate, load_config
+from .config import load_config
 from .errors import CapExceededError, ConfigError
 from .runner import run
 
@@ -121,11 +121,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cache_dir = os.path.join(args.out, ".cache") if args.out and not args.no_cache else None
-        cfg = load_config(args.config, seed_override=args.seed, cache_dir=cache_dir)
-        if args.command != "run":
-            cfg.tasks = [{"task": args.command,
-                          **{key: getattr(args, key) for key in args.task_keys}}]
-            _validate(cfg)
+        tasks = None if args.command == "run" else [
+            {"task": args.command, **{key: getattr(args, key) for key in args.task_keys}}]
+        cfg = load_config(args.config, seed_override=args.seed, cache_dir=cache_dir,
+                          tasks=tasks)
         if args.out:  # an --out that is a regular file is refused before any task runs
             os.makedirs(args.out, exist_ok=True)
         report = run(cfg, out_dir=args.out, use_cache=not args.no_cache)

@@ -29,7 +29,8 @@ from . import oracles as oraclemod
 from . import moments as momentmod
 from .schema import (_ANY, _INT, _OMIT, _SEQ, _SET, _build_schedule, _int, _name, _ok,
                      _task_shifts, parse_node, parse_task)
-from .spectrum import TUPLE_CAP, check_subset_count
+from .cylinders import check_cylinder_count
+from .spectrum import TUPLE_CAP, check_subset_count, check_tuple_count
 
 # libyaml's loader, when PyYAML was built with it: it gives the objects the pure-Python
 # loader gives, about six times faster, but its first use pages in about 0.15 MB of
@@ -262,12 +263,14 @@ def _make(cfg: ExperimentConfig, kind: str, d: dict):
 
 
 def load_config(path: str, seed_override: Optional[int] = None,
-                cache_dir: Optional[str] = None) -> ExperimentConfig:
-    """The config in the YAML file at path, parsed and validated.  With `cache_dir`,
-    YAML's mapping is read from a marshal blob there when one holds it, and stored
-    there once `parse_config` accepts it, under a key of the file's bytes, the loader,
-    `marshal.version` and `source_digest` (which covers the Python and PyYAML
-    versions and libyaml's presence)."""
+                cache_dir: Optional[str] = None,
+                tasks: Optional[List[dict]] = None) -> ExperimentConfig:
+    """The config in the YAML file at path, parsed and validated; `tasks`, when given,
+    replaces the file's task list, which is then neither read nor validated.  With
+    `cache_dir`, YAML's mapping of the file is read from a marshal blob there when one
+    holds it, and stored there once `parse_config` accepts it, under a key of the
+    file's bytes, the loader, `marshal.version` and `source_digest` (which covers the
+    Python and PyYAML versions and libyaml's presence)."""
     # imported on first use: imported at the top, before this module's body runs, the
     # cache module shifted the allocator's layout and raised a run's peak memory by
     # 0.1 to 0.3 MB
@@ -287,7 +290,8 @@ def load_config(path: str, seed_override: Optional[int] = None,
         raise ConfigError(f"parse error in {path}: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    cfg = parse_config(raw, seed_override=seed_override)
+    cfg = parse_config(raw if tasks is None else {**raw, "tasks": tasks},
+                       seed_override=seed_override)
     if cache_dir and blob is None:
         put_blob(cache_dir, key, raw)
     return cfg
@@ -357,6 +361,15 @@ def _validate(cfg: ExperimentConfig) -> None:
         if "H" in t:  # pair correlation counts one window per shift of its ball
             check_subset_count(f"{where}: shift", cfg.group.ball_size(t["H"], TUPLE_CAP), 1,
                                TUPLE_CAP)
+        if t["task"] in ("spectrum", "compare"):
+            check_tuple_count(cfg.group, t["depth"], t["radius"], f"{where}: tuple")
+        if t["task"] == "cylinders":  # ahead of the observed-pattern window, which
+            # counts the ball no further than the cylinder cap
+            check_cylinder_count(cfg.group, t["radius"], t["depth"], cfg.caps["cylinders"],
+                                 f"{where}: cylinder")
+        if t["task"] == "accordance":
+            momentmod.check_variant_count(t["queries"], t["conj_depth"],
+                                          f"{where}: conjugation variant")
         # a task runs at one index N or over a schedule, never both
         check_extent(cfg, t, t["N"] if "N" in t else max(t["schedule"]), where,
                      built["system", t["system"]].per_point if "system" in t else 1)

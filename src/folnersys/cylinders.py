@@ -155,6 +155,13 @@ class MeasureTable:
         }
 
 
+def check_cylinder_count(group: GroupSpec, support_radius: int, max_depth: int, cap: int,
+                         what: str = "cylinder") -> None:
+    """Refuse more than `cap` cylinders of `enumerate_cylinders`, before any is built."""
+    check_subset_count(what, group.ball_size(support_radius, cap), max_depth, cap,
+                       weight=lambda r: 2 ** r)
+
+
 def enumerate_cylinders(
     group: GroupSpec, support_radius: int, max_depth: int, cap: int = 20000,
 ) -> List[CylinderSpec]:
@@ -163,8 +170,7 @@ def enumerate_cylinders(
     Canonical order: supports in lexicographic element order, polarities
     enumerated 0 before 1.
     """
-    check_subset_count("cylinder", group.ball_size(support_radius, cap), max_depth, cap,
-                       weight=lambda r: 2 ** r)
+    check_cylinder_count(group, support_radius, max_depth, cap)
     ball = group.word_ball(support_radius)
     out = []
     for r in range(1, max_depth + 1):

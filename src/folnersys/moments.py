@@ -24,10 +24,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._numpy import np
 from .density import window_count
+from .errors import CapExceededError
 from .functions import (  # noqa: F401  (the function specs stay importable from here)
     ConjFn, ExponentialFn, FunctionSpec, IndicatorFn, ProductFn, RandomDiskFn,
 )
 from .groups import FolnerSpec, INT_Z, SHAPE_INTERVAL, Element
+from .spectrum import TUPLE_CAP
 
 Factor = Tuple[int, bool, Element]  # (1-based function index, conjugate?, shift)
 
@@ -249,6 +251,15 @@ class AccordanceRow:
     accordant: bool
 
 
+def check_variant_count(queries: Sequence[Sequence[Factor]], conj_depth: int,
+                        what: str = "conjugation variant", cap: int = TUPLE_CAP) -> None:
+    """Refuse more than `cap` query variants of `accordance_check`, before any is listed."""
+    total = sum(1 << len(q) if len(q) <= conj_depth else 1 for q in queries)
+    if total > cap:
+        size = total if total < 1 << 64 else f"over 2^{total.bit_length() - 1}"
+        raise CapExceededError(f"{what} count {size} exceeds cap {cap}")
+
+
 def accordance_check(
     family: Sequence[FunctionSpec],
     queries: Sequence[Sequence[Factor]],
@@ -266,6 +277,7 @@ def accordance_check(
     if eps <= 0:
         raise ValueError("eps must be positive")
     queries = [tuple((int(i), bool(c), g) for i, c, g in q) for q in queries]
+    check_variant_count(queries, conj_depth)
     patterns = [list(itertools.product((False, True), repeat=len(q))) if len(q) <= conj_depth
                 else [tuple(c for _, c, _ in q)] for q in queries]
     variants = [tuple((i, c, g) for (i, _, g), c in zip(q, pat))

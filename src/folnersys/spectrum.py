@@ -54,6 +54,14 @@ def check_subset_count(what: str, n: int, depth: int, cap: int, weight=lambda r:
             raise CapExceededError(f"{what} count {least}{total} exceeds cap {cap}")
 
 
+def check_tuple_count(group: GroupSpec, r_max: int, radius: int, what: str = "tuple",
+                      cap: int = TUPLE_CAP) -> None:
+    """Refuse a spectrum of more than `cap` canonical tuples, before any is built."""
+    # the shift ball is [0, radius] on Z
+    n = max(0, radius + 1) if group.kind == INT_Z else group.ball_size(radius, cap)
+    check_subset_count(what, n, r_max, cap)
+
+
 def canonical_tuples(group: GroupSpec, r_max: int, radius: int) -> List[CanonicalTuple]:
     ball = sorted(shift_ball(group, radius), key=group.element_key)
     out: List[CanonicalTuple] = []
@@ -100,9 +108,7 @@ def correlation_spectrum(
     The tuple count is checked against `cap` before any tuple is built.  A
     tuple's count is that of its shifts all constrained to 1 in `constraint_counts`.
     """
-    # the shift ball is [0, radius] on Z
-    n = max(0, radius + 1) if E.group.kind == INT_Z else E.group.ball_size(radius, cap)
-    check_subset_count("tuple", n, r_max, cap)
+    check_tuple_count(E.group, r_max, radius, cap=cap)
     tuples = canonical_tuples(E.group, r_max, radius)
     final = max(schedule)
     counts = constraint_counts(E, f, [[(g, 1) for g in t] for t in tuples], schedule)

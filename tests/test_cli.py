@@ -2,6 +2,7 @@ import datetime
 import json
 import logging
 import marshal
+import math
 import os
 import re
 import sys
@@ -253,17 +254,17 @@ def test_cache_corruption_is_a_miss(tmp_path, caplog):
     assert not caplog.records  # no entry: a silent miss
     cache.put("k" * 64, {"x": 1})
     assert cache.get("k" * 64) == {"x": 1}
-    with open(cache._path("k" * 64), "w") as fh:
-        fh.write("{not json")
+    with open(cache._path("k" * 64), "wb") as fh:
+        fh.write(b"{not marshal")
     assert cache.get("k" * 64) is None
     assert len(caplog.records) == 1
     # a truncated or malformed entry warns once and its task is recomputed
     path = write_cfg(tmp_path, KEYED_TASKS, sets=KEYED_SETS)
     out = tmp_path / "out"
     cold = run(load_config(path), out_dir=str(out))
-    entry = out / ".cache" / f"{cold['tasks'][2]['key']}.json"
-    for damaged in (entry.read_text()[:40], "[1, 2]"):
-        entry.write_text(damaged)
+    entry = out / ".cache" / f"{cold['tasks'][2]['key']}.result"
+    for damaged in (entry.read_bytes()[:40], marshal.dumps([1, 2])):
+        entry.write_bytes(damaged)
         caplog.clear()
         warm = run(load_config(path), out_dir=str(out))
         assert [r.levelname for r in caplog.records] == ["WARNING"]
@@ -309,6 +310,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     path = write_cfg(tmp_path, [{"task": "density", "set": "missing", "N": 5}])
     assert main(["run", "--config", path]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_subcommand_validates_only_its_own_task(tmp_path, capsys):
+    # the file's task list was validated before the flag task replaced it: an undefined
+    # set exited 2 and a task over caps.window exited 3
+    for task in ({"task": "density", "set": "nope", "N": 10},
+                 {"task": "density", "set": "evens", "N": 10 ** 9}):
+        path = write_cfg(tmp_path, [task])
+        assert main(["density", "--config", path, "--set", "evens", "-N", "10"]) == 0
+        assert json.loads(capsys.readouterr().out)["tasks"][0]["result"]["count"] == 5
+    assert main(["density", "--config", path, "--set", "nope", "-N", "10"]) == 2
+    assert "task 0: undefined set 'nope'" in capsys.readouterr().err
 
 
 def test_cli_subcommands(tmp_path, capsys):
@@ -987,6 +1000,68 @@ def test_cli_extent_and_ball_caps_exit_code(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_table_caps_refused_before_any_task_runs(tmp_path, monkeypatch, capsys):
+    # a density task ran first, then the table's own count exited 3 with no report;
+    # an accordance query's 2^40 conjugation variants were counted by nothing
+    def run_task(*a):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(runner, "run_task", run_task)
+    query = [[1, False, g] for g in range(40)]
+    for task, message in [
+        ({"task": "spectrum", "set": "evens", "depth": 3, "radius": 200},
+         "task 1: tuple count 1353601 exceeds cap 200000"),
+        ({"task": "compare", "set1": "evens", "set2": "odds", "depth": 3, "radius": 200,
+          "eps": 0.1}, "task 1: tuple count 1353601 exceeds cap 200000"),
+        ({"task": "cylinders", "set": "evens", "depth": 3, "radius": 20},
+         "task 1: cylinder count 88642 exceeds cap 20000"),
+        ({"task": "accordance", "family": ["e1"], "scheme": "unit", "queries": [query],
+          "eps": 0.1, "conj_depth": 40},
+         "task 1: conjugation variant count 1099511627776 exceeds cap 200000"),
+    ]:
+        path = write_cfg(tmp_path, [{"task": "density", "set": "evens", "N": 10}, task])
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3, task
+        assert message in capsys.readouterr().err
+
+
+def _run_report(tmp_path, tasks, **overrides) -> list:
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, tasks, **overrides),
+                 "--out", str(out), "--no-cache"]) == 0
+    return [entry["result"] for entry in json.loads((out / "report.json").read_text())["tasks"]]
+
+
+def test_complement_of_every_set_kind(tmp_path):
+    # only the complement of an m = 2 congruence, itself a congruence, was ever run
+    sets = {"rot": {"rule": "rotation", "alpha": 0.3, "beta": 0.4},
+            "dy": {"rule": "dyadic"},
+            "bm": {"rule": "bitmask", "lo": -5, "bits": "0110100111010" * 5},
+            "orb": {"rule": "orbit", "system": "per", "lo": -5, "hi": 60, "x0": 1},
+            "c3": {"rule": "congruence", "a": 1, "m": 3}}
+    sets.update({f"not_{name}": {"rule": "complement", "of": name} for name in list(sets)})
+    results = _run_report(tmp_path, [{"task": "density", "set": name, "N": 50}
+                                      for name in sets], sets=sets)
+    for set_, not_set in zip(results[:5], results[5:], strict=True):
+        assert 0 < set_["count"] < 50 and set_["size"] == not_set["size"] == 50
+        assert not_set["count"] == 50 - set_["count"]
+
+
+def test_normcheck_float_normalization(tmp_path):
+    schemes = {"decay": {"weight": {"kind": "exp_decay", "rate": 0.01}}}
+    (result,) = _run_report(tmp_path, [{"task": "normcheck", "scheme": "decay", "N": 300}],
+                            schemes=schemes)
+    direct = math.fsum(math.exp(-0.01 * n) for n in range(300)) / 300
+    assert set(result) == {"value"} and set(result["value"]) == {"dec"}
+    assert float(result["value"]["dec"]) == pytest.approx(direct, rel=1e-11)
+
+
+def test_cylinders_source_of_an_orbit_set(tmp_path):
+    sets = {"orb": {"rule": "orbit", "system": "mark", "lo": -3, "hi": 197, "seed": 5}}
+    (result,) = _run_report(tmp_path, [{"task": "cylinders", "set": "orb", "radius": 1,
+                                        "depth": 1, "schedule": [50, 100]}], sets=sets)
+    assert result["source"] == "orbit(markov(k=2, accept=[1]), start=seed=5, lo=-3, n=200)"
+
+
 def test_cli_malformed_flags_usage_error(capsys):
     for argv, message in [
         (["density", "--set", "evens", "--shifts", "a,b", "-N", "10"],
@@ -1040,8 +1115,8 @@ def test_result_entry_with_a_list_value_is_a_miss(tmp_path, caplog):
     out = tmp_path / "out"
     assert main(["run", "--config", path, "--out", str(out)]) == 0
     cold = json.loads((out / "report.json").read_text())["tasks"][0]
-    entry = out / ".cache" / f"{cold['key']}.json"
-    entry.write_text(json.dumps({"key": cold["key"], "value": [1]}))
+    entry = out / ".cache" / f"{cold['key']}.result"
+    entry.write_bytes(marshal.dumps({"key": cold["key"], "value": [1]}))
     caplog.clear()
     assert main(["run", "--config", path, "--out", str(out)]) == 0
     assert [r.levelname for r in caplog.records] == ["WARNING"]
@@ -1049,6 +1124,22 @@ def test_result_entry_with_a_list_value_is_a_miss(tmp_path, caplog):
     warm = json.loads((out / "report.json").read_text())["tasks"][0]
     assert not warm["cache_hit"] and warm["result"] == cold["result"]
     assert ResultCache(str(out / ".cache")).get(cold["key"]) == cold["result"]
+
+
+def test_result_entry_round_trip_is_exact(tmp_path):
+    # JSON gave back lists for tuples and strings for integer keys
+    cache = ResultCache(str(tmp_path / "c"))
+    value = {"counts": {3: 7, -1: 2}, "tuple": ((0, 1), (2,)), "nan": float("nan"),
+             "big": 1 << 70, "neg": -(1 << 65)}
+    cache.put("k" * 64, value)
+    got = cache.get("k" * 64)
+    assert list(got) == list(value) and list(got["counts"].items()) == [(3, 7), (-1, 2)]
+    assert got["tuple"] == ((0, 1), (2,)) and type(got["tuple"][0]) is tuple
+    assert math.isnan(got["nan"]) and got["big"] == 1 << 70 and got["neg"] == -(1 << 65)
+    # a value marshal cannot write is not stored, and its task is recomputed
+    cache.put("d" * 64, {"when": datetime.date(2020, 1, 1)})
+    assert cache.get("d" * 64) is None
+    assert sorted(p.suffix for p in (tmp_path / "c").iterdir()) == [".result"]
 
 
 @pytest.fixture

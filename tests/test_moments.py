@@ -12,6 +12,7 @@ from folnersys import (
     WeightRule, accordance_check, density_at, exponential_oracle,
     scheme_normalization, weighted_moment,
 )
+from folnersys.errors import CapExceededError
 from folnersys.moments import ConjFn, moment_exact, moment_table
 
 Z = GroupSpec("Z")
@@ -370,6 +371,18 @@ def test_accordance_exponential():
     # every conjugation pattern of the pair was checked
     assert set(rows[0].oscillations) == {
         (False, False), (False, True), (True, False), (True, True)}
+
+
+def test_accordance_refuses_its_variant_count_before_listing_them(monkeypatch):
+    # 2^40 conjugation patterns of one query were listed by itertools.product
+    def product(*a, **kw):
+        raise AssertionError("patterns listed before the cap check")
+
+    monkeypatch.setattr(itertools, "product", product)
+    query = [(1, False, g) for g in range(40)]
+    with pytest.raises(CapExceededError, match="conjugation variant count 1099511627776"):
+        accordance_check([ExponentialFn(0.137)], [query], UNIT, [10, 100], eps=0.01,
+                         conj_depth=40)
 
 
 def test_accordance_dyadic_fails():
