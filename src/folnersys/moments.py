@@ -252,12 +252,12 @@ class AccordanceRow:
 
 
 def check_variant_count(queries: Sequence[Sequence[Factor]], conj_depth: int,
-                        what: str = "conjugation variant", cap: int = TUPLE_CAP) -> None:
-    """Refuse more than `cap` query variants of `accordance_check`, before any is listed."""
+                        what: str = "conjugation variant") -> None:
+    """Refuse more than TUPLE_CAP query variants of `accordance_check`, before any is listed."""
     total = sum(1 << len(q) if len(q) <= conj_depth else 1 for q in queries)
-    if total > cap:
+    if total > TUPLE_CAP:
         size = total if total < 1 << 64 else f"over 2^{total.bit_length() - 1}"
-        raise CapExceededError(f"{what} count {size} exceeds cap {cap}")
+        raise CapExceededError(f"{what} count {size} exceeds cap {TUPLE_CAP}")
 
 
 def accordance_check(

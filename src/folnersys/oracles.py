@@ -13,9 +13,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._numpy import np
-from .groups import FolnerSpec, INT_Z, SHAPE_INTERVAL
+from .groups import FolnerSpec, INT_Z
 from .sets import OrbitSet, SCALE, rotation_bits, to_fixed
-from .density import constraint_counts, density_rows
+from .density import density_rows
 
 
 class OracleSystem:
@@ -209,13 +209,12 @@ class MarkovSystem(OracleSystem):
         if usable < nbatches:
             raise ValueError(f"a Markov verify needs at least {nbatches} orbit points past its "
                              f"largest shift gap for {nbatches} batch means, got {usable}")
+        vals = np.ones(usable, dtype=bool)
+        for h in hs:
+            vals &= orbit.mask[h - hs[0]: h - hs[0] + usable]
+        x = vals.astype(np.float64)
         bs = usable // nbatches
-        # F_N starts where the smallest shift reads the orbit's first point: its count
-        # at N = j*bs is the sum of the first j batches
-        f = FolnerSpec(orbit.group, SHAPE_INTERVAL, start=orbit.lo - hs[0])
-        (counts,) = constraint_counts(orbit, f, [[(h, 1) for h in hs]],
-                                      [bs * j for j in range(1, nbatches + 1)])
-        means = np.diff(counts, prepend=0) / bs
+        means = x[: bs * nbatches].reshape(nbatches, bs).mean(axis=1)
         return float(means.std(ddof=1) / math.sqrt(nbatches))
 
     def label(self) -> str:

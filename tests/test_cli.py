@@ -1142,6 +1142,67 @@ def test_result_entry_round_trip_is_exact(tmp_path):
     assert sorted(p.suffix for p in (tmp_path / "c").iterdir()) == [".result"]
 
 
+def _same(a, b) -> bool:
+    """a == b with equal types all the way down, NaN equal to NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b or a != a and b != b
+
+
+def test_every_task_result_round_trips_through_the_cache(tmp_path, monkeypatch):
+    # marshal writes a numpy scalar as bytes without an error, so a result holding one
+    # would be right on a cold run and come back as bytes on a warm hit
+    stored = {}
+
+    def put(self, key, value, _put=ResultCache.put):
+        stored[key] = value
+        _put(self, key, value)
+
+    monkeypatch.setattr(ResultCache, "put", put)
+    sets = {**BASE["sets"], "orb": {"rule": "orbit", "system": "mark", "lo": -3, "hi": 400}}
+    schemes = {**BASE["schemes"], "decay": {"weight": {"kind": "exp_decay", "rate": 0.01}}}
+    systems = {**BASE["systems"], "rot": {"kind": "rotation", "alpha": "golden", "beta": 0.5}}
+    functions = {**BASE["functions"], "e2": {"kind": "exponential", "theta": 0.5}}
+    queries = [[[1, False, 0]], [[1, False, 2], [2, True, 1]]]
+    tasks = [
+        {"task": "density", "set": "gold", "shifts": [0, 1], "N": 1000},
+        {"task": "upper_density", "set": "gold", "schedule": [100, 1000]},
+        {"task": "subsequence", "set": "gold", "queries": [[0], [0, 1]], "eps": 0.5},
+        {"task": "pair_correlation", "set": "gold", "N": 500, "H": 3},
+        {"task": "cylinders", "set": "orb", "radius": 1, "depth": 2, "schedule": [60, 300],
+         "patterns": True},
+        {"task": "additivity", "set": "evens", "element": 1, "N": 10},
+        {"task": "invariance", "set": "gold", "shift": 1, "N": 100},
+        *({"task": "verify", "system": s, "queries": [[0], [0, 1]], "schedule": [2000]}
+          for s in ("per", "mark", "rot")),
+        {"task": "spectrum", "set": "gold", "depth": 2, "radius": 2, "schedule": [60, 600]},
+        {"task": "compare", "set1": "evens", "set2": "odds", "depth": 1, "radius": 2,
+         "eps": 1e-9, "schedule": [60, 600], "expect": "CONSISTENT"},
+        {"task": "moments", "family": ["e1", "e2"], "scheme": "unit", "queries": queries,
+         "N": 500, "oracle_thetas": [0.25, 0.5]},
+        {"task": "accordance", "family": ["e1", "ind"], "scheme": "unit", "queries": queries,
+         "schedule": [100, 1000], "eps": 0.5},
+        {"task": "normcheck", "scheme": "decay", "N": 300, "tol": 1.0},
+    ]
+    path = write_cfg(tmp_path, tasks, sets=sets, schemes=schemes, systems=systems,
+                     functions=functions)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    cold = json.loads((out / "report.json").read_text())["tasks"]
+    assert len(stored) == len(tasks) and not any(e["cache_hit"] for e in cold)
+    cache = ResultCache(str(out / ".cache"))
+    for entry in cold:
+        assert _same(cache.get(entry["key"]), stored[entry["key"]]), entry["task"]
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    warm = json.loads((out / "report.json").read_text())["tasks"]
+    assert all(e["cache_hit"] for e in warm)
+    assert [e["result"] for e in warm] == [e["result"] for e in cold]
+
+
 @pytest.fixture
 def fresh_code_identity():
     """`source_digest` recomputed on its next call, and again after the test."""

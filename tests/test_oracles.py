@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -136,34 +135,6 @@ def test_markov_scan_matches_sequential_states(k):
             np.testing.assert_array_equal(m.states(n, seed), markov_states_loop(m, n, seed))
     orbit = m.orbit_set(-5, 995, 3)
     np.testing.assert_array_equal(orbit.mask, m.accepted[markov_states_loop(m, 1000, 3)])
-
-
-def markov_sigma_slices(orbit, shifts, nbatches=32):
-    """The batch-means band from ANDed slices of the orbit's mask: the oracle for
-    `MarkovSystem.sigma_bound`, which reads its batch counts from `constraint_counts`."""
-    hs = sorted(set(shifts))
-    usable = len(orbit.mask) - (hs[-1] - hs[0])
-    vals = np.ones(usable, dtype=bool)
-    for h in hs:
-        vals &= orbit.mask[h - hs[0]: h - hs[0] + usable]
-    bs = usable // nbatches
-    means = vals.astype(np.float64)[: bs * nbatches].reshape(nbatches, bs).mean(axis=1)
-    return float(means.std(ddof=1) / math.sqrt(nbatches))
-
-
-def test_markov_sigma_bound_matches_sliced_batches():
-    rng = np.random.default_rng(2024)
-    for _ in range(40):
-        k = int(rng.integers(2, 5))
-        P = rng.random((k, k)) + 0.05
-        m = MarkovSystem(P / P.sum(axis=1, keepdims=True),
-                         accept=sorted(rng.choice(k, int(rng.integers(1, k)), replace=False)))
-        lo, n = int(rng.integers(-100, 100)), int(rng.integers(100, 20000))
-        orbit = m.orbit_set(lo, lo + n, int(rng.integers(1000)))
-        shifts = [int(h) for h in rng.integers(-16, 17, int(rng.integers(1, 4)))]
-        assert m.sigma_bound(orbit, shifts) == markov_sigma_slices(orbit, shifts)
-    with pytest.raises(ValueError, match="at least 32 orbit points"):
-        m.sigma_bound(m.orbit_set(0, 40, 1), [0, 9])
 
 
 def test_verify_correspondence_rotation():
