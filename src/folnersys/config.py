@@ -5,16 +5,17 @@ systems / averaging schemes / functions, a schedule, tolerances, caps, and
 an ordered task list.  `schema.parse_node` reads every node of it, the top level,
 each section, named entry and task, by the table of the keys its kind reads, and
 refuses any other key; the tables of the config and its entries are here, those of
-tasks in `schema`.  Every entry and task is parsed before any task runs, so a typo,
-a misspelled key or a value of the wrong type fails before any computation starts;
-the workspace and the runner build from the same parsed values.
+tasks in `schema`.  Every entry and task is parsed and checked before any task runs,
+so a typo, a misspelled key or a value of the wrong type fails before any computation
+starts.  Validation keeps each entry's parsed node and builds every entry that needs
+no window, sampling or other entry; a run's `Workspace` starts from those objects and
+builds the others from their nodes, so no entry is parsed or built twice.
 """
 from __future__ import annotations
 
 import hashlib
 import marshal
-from collections.abc import Hashable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
@@ -54,6 +55,11 @@ class ExperimentConfig:
     schemes: Dict[str, Any]
     functions: Dict[str, Any]
     tasks: List[dict]
+    # filled by validation, keyed by (kind, name): each named entry's parsed node, and
+    # the object built from it when it needs no window, sampling or other entry
+    nodes: Dict[tuple, dict] = field(default_factory=dict, init=False, repr=False)
+    built: Dict[tuple, Any] = field(default_factory=dict, init=False, repr=False,
+                                    compare=False)
 
 
 def check_window(cfg: "ExperimentConfig", n: int, where: str, states: int = 1) -> None:
@@ -173,93 +179,62 @@ _CONFIG = dict(
 )
 
 
-def parse_entry(cfg: "ExperimentConfig", kind: str, name) -> dict:
-    """The parsed named entry `name` of the config's section `kind`s."""
-    table, tag = _ENTRIES[kind]
-    return parse_node(getattr(cfg, kind + "s")[name], table, cfg, f"{kind} {name}", tag)
-
-
 class Workspace:
-    """Builds, from its parsed entry, and memoizes each named object of a config."""
+    """The named objects of one run.  It starts from those validation built
+    (`ExperimentConfig.built`: every system and scheme, and each set and function that
+    needs no window or other entry) and builds each of the others, bitmasks, orbit sets,
+    complements and indicators, from its parsed node on first use."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self._built: Dict[tuple, Any] = {}
+        self._built: Dict[tuple, Any] = dict(cfg.built)
 
     def _get(self, kind: str, name: str, build) -> Any:
         """The object named `name` among the config's `kind`s, built once."""
-        if not isinstance(name, Hashable) or (kind, name) not in self._built:
-            if not (isinstance(name, Hashable) and name in getattr(self.cfg, kind + "s")):
-                raise ConfigError(f"undefined {kind} {name!r}")
-            self._built[kind, name] = build(name, parse_entry(self.cfg, kind, name))
+        if (kind, name) not in self._built:
+            self._built[kind, name] = build(self.cfg.nodes[kind, name])
         return self._built[kind, name]
 
     def set_spec(self, name: str) -> setmod.SetSpec:
         return self._get("set", name, self._build_set)
 
     def system(self, name: str) -> oraclemod.OracleSystem:
-        return self._get("system", name, self._build_system)
+        return self._built["system", name]
 
     def scheme(self, name: str) -> momentmod.AveragingScheme:
-        return self._get("scheme", name, self._build_scheme)
+        return self._built["scheme", name]
 
     def function(self, name: str) -> momentmod.FunctionSpec:
-        return self._get("function", name, self._build_function)
+        return self._get("function", name,
+                         lambda d: momentmod.IndicatorFn(self.set_spec(d["set"])))
 
-    # -- builders: each constructs from the values `parse_entry` gave, which
-    # validation has already checked (`_check_entry`) --------------------------
-
-    def _build_set(self, name: str, d: dict) -> setmod.SetSpec:
+    def _build_set(self, d: dict) -> setmod.SetSpec:
         if d["rule"] == "complement":
             return self.set_spec(d["of"]).complement()
         if d["rule"] == "orbit":
             system = self.system(d["system"])
             return system.orbit_set(d["lo"], d["hi"], d[system.start_key])
-        if "n" in d:
-            # drawn in chunks, so no int64 array of n draws is held; the generator keeps
-            # the unused half of a 64-bit output between calls (`has_uint32` in its
-            # state), so the chunks give the bits of one call
-            rng, n = np.random.default_rng(self.cfg.seed), d["n"]
-            bits = np.empty(n, dtype=bool)
-            for i in range(0, n, _DRAW_CHUNK):
-                bits[i:i + _DRAW_CHUNK] = rng.integers(0, 2, size=min(_DRAW_CHUNK, n - i))
-            return setmod.Bitmask(d["lo"], bits)
-        if d["rule"] == "bitmask":
+        if "bits" in d:
             return setmod.Bitmask(d["lo"], d["bits"])
-        return _make(self.cfg, "set", d)
-
-    def _build_system(self, name: str, d: dict) -> oraclemod.OracleSystem:
-        return _make(self.cfg, "system", d)
-
-    def _build_scheme(self, name: str, d: dict) -> momentmod.AveragingScheme:
-        return momentmod.AveragingScheme(self.cfg.folner, momentmod.WeightRule(**d["weight"]),
-                                         momentmod.NormalizerRule(**d["normalizer"]))
-
-    def _build_function(self, name: str, d: dict) -> momentmod.FunctionSpec:
-        if d["kind"] == "indicator":
-            return momentmod.IndicatorFn(self.set_spec(d["set"]))
-        if d["kind"] == "random_disk":
-            return momentmod.RandomDiskFn(d["seed"])
-        return _make(self.cfg, "function", d)
+        # drawn in chunks, so no int64 array of n draws is held; the generator keeps
+        # the unused half of a 64-bit output between calls (`has_uint32` in its
+        # state), so the chunks give the bits of one call
+        rng, n = np.random.default_rng(self.cfg.seed), d["n"]
+        bits = np.empty(n, dtype=bool)
+        for i in range(0, n, _DRAW_CHUNK):
+            bits[i:i + _DRAW_CHUNK] = rng.integers(0, 2, size=min(_DRAW_CHUNK, n - i))
+        return setmod.Bitmask(d["lo"], bits)
 
 
-# the constructor of each kind of entry that is built from its own values alone
+# the constructor of each kind of entry that validation builds, from its own values alone
 _MAKERS = {("set", "congruence"): setmod.Congruence, ("set", "rotation"): setmod.RotationSet,
            ("set", "dyadic"): setmod.DyadicBlocks,
            ("set", "component"): setmod.ComponentCongruence,
            ("system", "rotation"): oraclemod.RotationSystem,
            ("system", "periodic"): oraclemod.PeriodicSystem,
            ("system", "markov"): oraclemod.MarkovSystem,
-           ("function", "exponential"): momentmod.ExponentialFn}
-
-
-def _make(cfg: ExperimentConfig, kind: str, d: dict):
-    """The parsed entry d built by its constructor in `_MAKERS`, else None."""
-    tag = _ENTRIES[kind][1]
-    make = _MAKERS.get((kind, d.get(tag)))
-    args = {k: v for k, v in d.items() if k != tag}
-    return make and (make(cfg.group, **args) if make is setmod.ComponentCongruence
-                     else make(**args))
+           ("function", "exponential"): momentmod.ExponentialFn,
+           ("function", "random_disk"): momentmod.RandomDiskFn}
 
 
 def load_config(path: str, seed_override: Optional[int] = None,
@@ -325,10 +300,11 @@ def _complement_cycles(sets: dict) -> None:
             chain.append(of)
 
 
-def _check_entry(cfg: ExperimentConfig, kind: str, name, d: dict, built: dict):
+def _check_entry(cfg: ExperimentConfig, kind: str, name, d: dict):
     """Every check that building the parsed entry d makes, run whether a task uses it
     or not, with no window built, no bit drawn and no orbit sampled (an orbit reads
-    its system from `built`).  Returns d built when `_make` can build it."""
+    its system from `cfg.built`).  Returns d built when it needs no window or other
+    entry, else None."""
     where, rule = f"{kind} {name}", d.get("rule")
     if rule == "bitmask" and ("bits" in d) == ("n" in d):
         raise ConfigError(f"{where}: a bitmask reads exactly one of bits and n")
@@ -337,23 +313,34 @@ def _check_entry(cfg: ExperimentConfig, kind: str, name, d: dict, built: dict):
         if cfg.seed is None:
             raise ConfigError(f"{where}: random bitmask requires a seed")
     if rule == "orbit":
-        system = built["system", d["system"]]
+        system = cfg.built["system", d["system"]]
         check_window(cfg, d["hi"] - d["lo"], where, system.per_point)
         if system.start_key not in d:  # x0 has a default; a seed only the config's
             raise ConfigError(f"{where}: Markov orbit requires a seed")
     if d.get("kind") == "random_disk" and "seed" not in d:
         raise ConfigError(f"{where}: random_disk requires a seed")
+    if kind == "scheme":
+        return momentmod.AveragingScheme(cfg.folner, momentmod.WeightRule(**d["weight"]),
+                                         momentmod.NormalizerRule(**d["normalizer"]))
+    tag = _ENTRIES[kind][1]
+    make, args = _MAKERS.get((kind, d[tag])), {k: v for k, v in d.items() if k != tag}
     try:
-        return _make(cfg, kind, d)
+        return make and (make(cfg.group, **args) if make is setmod.ComponentCongruence
+                         else make(**args))
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from None
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    """Parse and check every named entry, without building a window, and every task."""
-    built: dict = {}
-    for kind, name in [(kind, name) for kind in _ENTRIES for name in getattr(cfg, kind + "s")]:
-        built[kind, name] = _check_entry(cfg, kind, name, parse_entry(cfg, kind, name), built)
+    """Parse and check every named entry, keeping its node and, when it needs no window
+    or other entry, the object built from it (`ExperimentConfig.nodes` and `built`);
+    then check every task."""
+    for kind, (table, tag) in _ENTRIES.items():
+        for name, node in getattr(cfg, kind + "s").items():
+            d = cfg.nodes[kind, name] = parse_node(node, table, cfg, f"{kind} {name}", tag)
+            obj = _check_entry(cfg, kind, name, d)
+            if obj is not None:
+                cfg.built[kind, name] = obj
     _complement_cycles(cfg.sets)
     for i, task in enumerate(cfg.tasks):
         where = f"task {i}"
@@ -372,13 +359,13 @@ def _validate(cfg: ExperimentConfig) -> None:
                                           f"{where}: conjugation variant")
         # a task runs at one index N or over a schedule, never both
         check_extent(cfg, t, t["N"] if "N" in t else max(t["schedule"]), where,
-                     built["system", t["system"]].per_point if "system" in t else 1)
+                     cfg.built["system", t["system"]].per_point if "system" in t else 1)
     # an orbit starts from its system's `start_key`, x0 or seed; the other key, which
     # its system does not read, is refused
     orbits = [(f"set {name}", d) for name, d in cfg.sets.items() if d["rule"] == "orbit"]
     for where, node in orbits + [(f"task {i}", task) for i, task in enumerate(cfg.tasks)
                                  if task["task"] == "verify"]:
-        system, kind = built["system", node["system"]], cfg.systems[node["system"]]["kind"]
+        system, kind = cfg.built["system", node["system"]], cfg.systems[node["system"]]["kind"]
         read = system.start_key
         other = "seed" if read == "x0" else "x0"
         if other in node:

@@ -13,11 +13,8 @@ from .sets import ExtendOnlyWindow, SetSpec, indicator_bits
 
 
 class FunctionSpec(ExtendOnlyWindow):
-    """A function G -> closed unit disk, evaluatable on windows."""
-
-    def at(self, n: np.ndarray) -> np.ndarray:
-        """Values at a 1-D int64 array of Z points."""
-        raise NotImplementedError
+    """A function G -> closed unit disk, evaluatable on windows; on Z a subclass may
+    give its values at a 1-D int64 array of points as `at(n)` instead."""
 
     def eval_coords(self, group: GroupSpec, coords: np.ndarray) -> np.ndarray:
         if group.kind != INT_Z:

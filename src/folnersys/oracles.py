@@ -19,25 +19,16 @@ from .density import density_rows
 
 
 class OracleSystem:
-    """Base for the closed-form systems; all act by Z.  An orbit starts from the config
+    """Base for the closed-form systems, each with `exact_measure(shifts)`,
+    `orbit_set(lo, hi, start)` and `label()`; all act by Z.  An orbit starts from the config
     key `start_key`; each of its points costs `per_point` elements of `caps.window`."""
 
     start_key = "x0"
     per_point = 1
 
-    def exact_measure(self, shifts: Sequence[int]) -> Fraction:
-        raise NotImplementedError
-
     def start(self, start):
         """The orbit's start as `orbit_set` reads it; a ValueError refuses it."""
         return start
-
-    def orbit_set(self, lo: int, hi: int, start) -> OrbitSet:
-        """The visit set of the orbit from `start` over [lo, hi)."""
-        raise NotImplementedError
-
-    def label(self) -> str:
-        raise NotImplementedError
 
 
 class RotationSystem(OracleSystem):
@@ -201,21 +192,22 @@ class MarkovSystem(OracleSystem):
             d *= 2
         return np.concatenate([[s0], maps[:, s0]])
 
-    def sigma_bound(self, orbit: OrbitSet, shifts: Sequence[int], nbatches: int = 32) -> float:
+    def sigma_bound(self, orbit: OrbitSet, shifts: Sequence[int]) -> float:
         """Batch-means standard error for the empirical product frequency."""
         hs = sorted(set(int(h) for h in shifts))
         span = hs[-1] - hs[0]
         usable = len(orbit.mask) - span
-        if usable < nbatches:
-            raise ValueError(f"a Markov verify needs at least {nbatches} orbit points past its "
-                             f"largest shift gap for {nbatches} batch means, got {usable}")
+        if usable < SIGMA_BATCHES:
+            raise ValueError(f"a Markov verify needs at least {SIGMA_BATCHES} orbit points "
+                             f"past its largest shift gap for {SIGMA_BATCHES} batch means, "
+                             f"got {usable}")
         vals = np.ones(usable, dtype=bool)
         for h in hs:
             vals &= orbit.mask[h - hs[0]: h - hs[0] + usable]
         x = vals.astype(np.float64)
-        bs = usable // nbatches
-        means = x[: bs * nbatches].reshape(nbatches, bs).mean(axis=1)
-        return float(means.std(ddof=1) / math.sqrt(nbatches))
+        bs = usable // SIGMA_BATCHES
+        means = x[: bs * SIGMA_BATCHES].reshape(SIGMA_BATCHES, bs).mean(axis=1)
+        return float(means.std(ddof=1) / math.sqrt(SIGMA_BATCHES))
 
     def label(self) -> str:
         return f"markov(k={self.P.shape[0]}, accept={sorted(self.accept)})"
@@ -266,6 +258,7 @@ class CorrespondenceReport:
 
 ROTATION_TOL = 5e-3
 MARKOV_SIGMA_FACTOR = 4.0
+SIGMA_BATCHES = 32  # batch means of a Markov sigma band
 
 
 def verify_correspondence(sys: OracleSystem, queries: Sequence[Sequence[int]], f: FolnerSpec,

@@ -134,7 +134,7 @@ _TASKS = {
     "upper_density": dict(set=_SET, schedule=_SCHEDULE, tau=_TAU),
     "subsequence": dict(set=_SET, queries=_QUERIES, schedule=_SCHEDULE, eps=_EPS),
     "pair_correlation": dict(set=_SET, N=_N, H=_int(0)),
-    "cylinders": dict(set=_SET, radius=_INT, depth=_INT, schedule=_SCHEDULE,
+    "cylinders": dict(set=_SET, radius=_int(1), depth=_int(1), schedule=_SCHEDULE,
                       eps=(*_EPS, 0.05), patterns=(*_BOOL, False)),
     "additivity": dict(set=_SET, cylinder=_CYLINDER, element=_ELEMENT, N=_N),
     "invariance": dict(set=_SET, cylinder=_CYLINDER, shift=_ELEMENT, N=_N),

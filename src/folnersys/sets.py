@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 from ._numpy import np
 from .errors import WindowExceededError
-from .groups import GroupSpec, Element, INT_Z, INT_ZD, HEISENBERG3
+from .groups import GroupSpec, INT_Z, INT_ZD, HEISENBERG3
 
 FRAC_BITS = 128
 SCALE = 1 << FRAC_BITS
@@ -89,12 +89,9 @@ def rotation_bits(x0_fp: int, alpha_fp: int, beta_fp: int, lo: int, hi: int) -> 
 
 
 class SetSpec:
-    """Base: an evaluatable membership predicate on a group."""
+    """Base: an evaluatable membership predicate `member(g)` on a group."""
 
     group: GroupSpec
-
-    def member(self, g: Element) -> bool:
-        raise NotImplementedError
 
     def member_coords(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (ncoords, n) array of elements."""
@@ -131,7 +128,7 @@ class ExtendOnlyWindow:
 
 
 class ZSetSpec(SetSpec, ExtendOnlyWindow):
-    """Integer-group set with a cached boolean window."""
+    """Integer-group set with a cached boolean window, filled by `_compute_bits(lo, hi)`."""
 
     def __init__(self):
         self.group = GroupSpec(INT_Z)
@@ -141,9 +138,6 @@ class ZSetSpec(SetSpec, ExtendOnlyWindow):
         if hi <= lo:
             return np.zeros(0, dtype=bool)
         return self._window(lo, hi, self._compute_bits)
-
-    def _compute_bits(self, lo: int, hi: int) -> np.ndarray:
-        raise NotImplementedError
 
     def member_coords(self, coords: np.ndarray) -> np.ndarray:
         n = coords.reshape(-1)

@@ -54,12 +54,11 @@ def check_subset_count(what: str, n: int, depth: int, cap: int, weight=lambda r:
             raise CapExceededError(f"{what} count {least}{total} exceeds cap {cap}")
 
 
-def check_tuple_count(group: GroupSpec, r_max: int, radius: int, what: str = "tuple",
-                      cap: int = TUPLE_CAP) -> None:
-    """Refuse a spectrum of more than `cap` canonical tuples, before any is built."""
+def check_tuple_count(group: GroupSpec, r_max: int, radius: int, what: str = "tuple") -> None:
+    """Refuse a spectrum of more than TUPLE_CAP canonical tuples, before any is built."""
     # the shift ball is [0, radius] on Z
-    n = max(0, radius + 1) if group.kind == INT_Z else group.ball_size(radius, cap)
-    check_subset_count(what, n, r_max, cap)
+    n = max(0, radius + 1) if group.kind == INT_Z else group.ball_size(radius, TUPLE_CAP)
+    check_subset_count(what, n, r_max, TUPLE_CAP)
 
 
 def canonical_tuples(group: GroupSpec, r_max: int, radius: int) -> List[CanonicalTuple]:
@@ -100,15 +99,14 @@ def correlation_spectrum(
     r_max: int,
     radius: int,
     schedule: Sequence[int],
-    cap: int = TUPLE_CAP,
 ) -> CorrelationSpectrum:
     """Densities of every canonical tuple at the final schedule index,
     with per-tuple oscillation over the whole schedule.
 
-    The tuple count is checked against `cap` before any tuple is built.  A
+    The tuple count is checked against TUPLE_CAP before any tuple is built.  A
     tuple's count is that of its shifts all constrained to 1 in `constraint_counts`.
     """
-    check_tuple_count(E.group, r_max, radius, cap=cap)
+    check_tuple_count(E.group, r_max, radius)
     tuples = canonical_tuples(E.group, r_max, radius)
     final = max(schedule)
     counts = constraint_counts(E, f, [[(g, 1) for g in t] for t in tuples], schedule)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 import yaml
 
-from folnersys import __version__, cli, config, oracles, runner
+from folnersys import __version__, cli, config, moments, oracles, runner
+from folnersys import sets as setmod
 from folnersys.cache import ResultCache, digest, source_digest
 from folnersys.cli import main
 from folnersys.config import load_config, parse_config
@@ -522,7 +523,7 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
          "window coordinates reach"),
         # int(.inf) used to raise OverflowError in the runner
         ({"task": "cylinders", "set": "evens", "radius": float("inf"), "depth": 1}, {},
-         "radius must be an integer, got inf"),
+         "radius must be an integer >= 1, got inf"),
         ({"task": "spectrum", "set": "evens", "radius": 2, "depth": float("inf")}, {},
          "depth must be an integer >= 1, got inf"),
     ]
@@ -575,9 +576,9 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
     # on a scalar where a list belongs
     refused += [
         ({"task": "cylinders", "set": "evens", "radius": 2.5, "depth": 1}, {},
-         "radius must be an integer, got 2.5"),
+         "radius must be an integer >= 1, got 2.5"),
         ({"task": "cylinders", "set": "evens", "radius": True, "depth": 1}, {},
-         "radius must be an integer, got True"),
+         "radius must be an integer >= 1, got True"),
         ({"task": "density", "set": "evens", "N": 10, "shifts": 3}, {},
          "shifts must be a list of group elements, got 3"),
         ({"task": "verify", "system": "per", "queries": 3}, {},
@@ -929,6 +930,62 @@ def test_validation_builds_nothing(monkeypatch):
            "functions": {**BASE["functions"], "d": {"kind": "random_disk"}},
            "tasks": [{"task": "verify", "system": "per", "queries": [[0]], "x0": 1}]}
     parse_config(raw)
+
+
+# entries of every kind; the rotation set, the rotation system and the scheme are each
+# used twice, and validation builds them, so a run's workspace only reuses them
+REUSED = {**BASE,
+          "systems": {"rot": {"kind": "rotation", "beta": 0.25}},
+          "sets": {"gold": BASE["sets"]["gold"], "b": {"rule": "bitmask", "n": 300},
+                   "orb": {"rule": "orbit", "system": "rot", "lo": 0, "hi": 1000}},
+          "schemes": {"lin": BASE["schemes"]["lin"]},
+          "functions": {"e1": BASE["functions"]["e1"], "ind": {"kind": "indicator",
+                                                               "set": "gold"}},
+          "tasks": [
+              {"task": "density", "set": "gold", "shifts": [0, 1], "N": 500},
+              {"task": "upper_density", "set": "gold"},
+              {"task": "density", "set": "b", "shifts": [0, 2], "N": 200},
+              {"task": "density", "set": "orb", "N": 900},
+              {"task": "verify", "system": "rot", "queries": [[0, 1]], "schedule": [900]},
+              {"task": "moments", "family": ["e1", "ind"], "scheme": "lin", "N": 400,
+               "queries": [[[1, False, 0], [2, True, 1]]]},
+              {"task": "normcheck", "scheme": "lin", "N": 400}]}
+
+
+def test_each_named_entry_built_once(monkeypatch):
+    built = Counter()
+    for cls in (setmod.RotationSet, oracles.RotationSystem, moments.AveragingScheme):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kw):
+            built[_name] += 1
+            _init(self, *args, **kw)
+        monkeypatch.setattr(cls, "__init__", counted)
+    report = run(parse_config(REUSED))
+    assert report["exit_code"] == 0
+    assert built == {"RotationSet": 1, "RotationSystem": 1, "AveragingScheme": 1}
+
+
+def test_two_runs_of_one_config_are_equal():
+    # the objects validation built, and their windows, outlive a run
+    cfg = parse_config(REUSED)
+    first, second = run(cfg), run(cfg)
+    for a, b in zip(first["tasks"], second["tasks"], strict=True):
+        assert {**a, "seconds": 0} == {**b, "seconds": 0}
+    assert cfg.built["set", "gold"]._cache is not None
+
+
+def test_cylinder_radius_below_one_refused_before_any_task(tmp_path, monkeypatch, capsys):
+    ran = []
+    run_task = runner.run_task
+    monkeypatch.setattr(runner, "run_task", lambda ws, task, cfg: ran.append(task["task"])
+                        or run_task(ws, task, cfg))
+    for key in ("radius", "depth"):
+        path = write_cfg(tmp_path, [{"task": "density", "set": "evens", "N": 10},
+                                    {"task": "cylinders", "set": "evens", "radius": 1,
+                                     "depth": 1, key: 0}])
+        assert main(["run", "--config", path]) == 2
+        assert f"config error: task 1: {key} must be an integer >= 1, got 0" in \
+            capsys.readouterr().err
+    assert ran == []
 
 
 def test_cli_window_cap_exit_code(tmp_path, capsys):

@@ -43,6 +43,7 @@ CONFIG = {
         "blocks": {"rule": "dyadic"},
         "gold": {"rule": "rotation", "alpha": "golden", "beta": 0.5},
         "noise": {"rule": "bitmask", "lo": 0, "n": 4096},
+        "few": {"rule": "bitmask", "lo": -3, "bits": "0110100110010110" * 4},
         "orb": {"rule": "orbit", "system": "per", "lo": 0, "hi": 2000},
     },
     "systems": {"per": {"kind": "periodic", "pattern": "110"}},
@@ -54,6 +55,7 @@ CONFIG = {
     "tasks": [
         {"task": "density", "set": "gold", "shifts": [0, 1], "N": 1000},
         {"task": "density", "set": "noise", "shifts": [0, 3], "N": 1000},
+        {"task": "density", "set": "few", "shifts": [-3, 0, 1], "N": 60},
         {"task": "upper_density", "set": "orb"},
         {"task": "verify", "system": "per", "queries": [[0], [0, 1]], "schedule": [999]},
         {"task": "cylinders", "set": "evens", "radius": 2, "depth": 2, "schedule": [60, 600]},
