@@ -20,8 +20,6 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-import yaml
-
 from ._numpy import version_bytes
 
 log = logging.getLogger(__name__)
@@ -51,12 +49,11 @@ def digest(obj, prefix=None) -> str:
 
 @functools.cache
 def source_digest() -> str:
-    """sha256 of the package's .py sources and of the Python, numpy and PyYAML versions
-    (and whether PyYAML has libyaml) they run on, so other code never shares a key;
-    computed once per process.  numpy's version and git revision are the bytes of its
-    `version.py`, read without importing numpy."""
-    h = hashlib.sha256(repr((sys.version, version_bytes(), yaml.__version__,
-                             yaml.__with_libyaml__)).encode())
+    """sha256 of the package's .py sources and of the Python and numpy versions they
+    run on, so other code never shares a key; computed once per process.  numpy's
+    version and git revision are the bytes of its `version.py`, read without importing
+    numpy."""
+    h = hashlib.sha256(repr((sys.version, version_bytes())).encode())
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.hexdigest()

@@ -127,7 +127,7 @@ def main(argv=None) -> int:
                           tasks=tasks)
         if args.out:  # an --out that is a regular file is refused before any task runs
             os.makedirs(args.out, exist_ok=True)
-        report = run(cfg, out_dir=args.out, use_cache=not args.no_cache)
+        report = run(cfg, cache_dir=cache_dir)
         _write_report(report, args.out, args.fmt)
     except (ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
             FileExistsError) as e:  # a path error: no config file, or an --out that is a file

@@ -29,15 +29,9 @@ from . import sets as setmod
 from . import oracles as oraclemod
 from . import moments as momentmod
 from .schema import (_ANY, _INT, _OMIT, _SEQ, _SET, _build_schedule, _int, _name, _ok,
-                     _task_shifts, parse_node, parse_task)
+                     _real, _task_shifts, parse_node, parse_task)
 from .cylinders import check_cylinder_count
 from .spectrum import TUPLE_CAP, check_subset_count, check_tuple_count
-
-# libyaml's loader, when PyYAML was built with it: it gives the objects the pure-Python
-# loader gives, about six times faster, but its first use pages in about 0.15 MB of
-# code, so it reads only configs of at least this many bytes
-_LIBYAML = getattr(yaml, "CSafeLoader", None)
-_LIBYAML_MIN_BYTES = 1 << 14
 
 _DRAW_CHUNK = 1 << 16  # draws per call for a random bitmask
 
@@ -141,7 +135,7 @@ _FUNCTIONS = {
     "random_disk": dict(seed=_SEED),
 }
 _WEIGHTS = {"one": {}, "linear": {}, "custom": dict(table=_TABLE),
-            "exp_decay": dict(rate=("a number", lambda v, cfg: float(v), 0.0))}
+            "exp_decay": dict(rate=("a number", _real, 0.0))}
 _NORMALIZERS = {"one": {}, "linear_mean": {}, "custom": dict(table=_TABLE),
                 "const": dict(c=("a number", lambda v, cfg: Fraction(str(v))))}
 _SCHEME = dict(weight=_node(_WEIGHTS, "weight", "kind", "one"),
@@ -244,8 +238,7 @@ def load_config(path: str, seed_override: Optional[int] = None,
     replaces the file's task list, which is then neither read nor validated.  With
     `cache_dir`, YAML's mapping of the file is read from a marshal blob there when one
     holds it, and stored there once `parse_config` accepts it, under a key of the
-    file's bytes, the loader, `marshal.version` and `source_digest` (which covers the
-    Python and PyYAML versions and libyaml's presence)."""
+    file's bytes, the PyYAML and marshal versions and `source_digest`."""
     # imported on first use: imported at the top, before this module's body runs, the
     # cache module shifted the allocator's layout and raised a run's peak memory by
     # 0.1 to 0.3 MB
@@ -254,13 +247,11 @@ def load_config(path: str, seed_override: Optional[int] = None,
     try:
         with open(path, "rb") as fh:  # bytes: YAML detects its own encoding
             text = fh.read()
-        fast = _LIBYAML is not None and len(text) >= _LIBYAML_MIN_BYTES
-        loader = _LIBYAML if fast else yaml.SafeLoader
         if cache_dir:
             key = hashlib.sha256(text + repr(
-                (loader.__name__, marshal.version, source_digest())).encode()).hexdigest()
+                (yaml.__version__, marshal.version, source_digest())).encode()).hexdigest()
             blob = get_blob(cache_dir, key)
-        raw = blob if blob is not None else yaml.load(text, Loader=loader)
+        raw = blob if blob is not None else yaml.load(text, Loader=yaml.SafeLoader)
     except (yaml.YAMLError, ValueError) as e:  # ValueError: int literals over 4300 digits
         raise ConfigError(f"parse error in {path}: {e}") from e
     if not isinstance(raw, dict):

@@ -32,7 +32,7 @@ class ExponentialFn(FunctionSpec):
 
     def __init__(self, theta: float):
         try:
-            self.theta = float(theta)
+            self.theta = float(None if isinstance(theta, bool) else theta)
         except TypeError:
             raise ValueError(f"theta must be a number, got {theta!r}") from None
 

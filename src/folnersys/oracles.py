@@ -128,6 +128,8 @@ class MarkovSystem(OracleSystem):
         k = self.per_point = self.P.shape[0]
         if not np.allclose(self.P.sum(axis=1), 1.0, atol=1e-10):
             raise ValueError("rows of P must sum to 1")
+        if np.any((self.P < 0) | (self.P > 1)):
+            raise ValueError("entries of P must lie in [0, 1]")
         try:
             self.accept = frozenset(int(s) for s in accept)
         except TypeError:
@@ -136,6 +138,8 @@ class MarkovSystem(OracleSystem):
             raise ValueError("accept states out of range")
         self.accepted = np.isin(np.arange(k), sorted(self.accept))
         self.pi = self._stationary() if pi is None else np.asarray(pi, dtype=np.float64)
+        if not abs(self.pi.sum() - 1.0) <= 1e-10:  # a NaN or infinite entry fails too
+            raise ValueError("stationary vector must sum to 1")
         if np.max(np.abs(self.pi @ self.P - self.pi)) > 1e-12:
             raise ValueError("pi is not stationary for P")
         if np.any(self.pi <= 0):

@@ -114,8 +114,9 @@ def run_task(ws: Workspace, task: dict, cfg: ExperimentConfig) -> dict:
     return out
 
 
-def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, use_cache: bool = True) -> dict:
-    """Execute every task in order; returns the full report dict.
+def run(cfg: ExperimentConfig, cache_dir: Optional[str] = None) -> dict:
+    """Execute every task in order, reading and storing results in `cache_dir` when
+    given; returns the full report dict.
 
     The report's exit_code is 0 when all verdict-bearing tasks passed,
     1 otherwise (config and cap errors raise instead).
@@ -132,7 +133,7 @@ def run(cfg: ExperimentConfig, out_dir: Optional[str] = None, use_cache: bool = 
         "schemes": cfg.schemes, "functions": cfg.functions,
         "version": __version__,
     }
-    cache = ResultCache(f"{out_dir}/.cache") if (out_dir and use_cache) else None
+    cache = ResultCache(cache_dir) if cache_dir else None
     try:
         config_digest = digest(shared)
         # each key is digest({"code": ..., "config": shared, "task": task}); the shared

@@ -61,8 +61,13 @@ def _items(v, cfg, item) -> tuple:
     return tuple(item(x, cfg) for x in _ok(v, isinstance(v, _SEQ)))
 
 
+def _real(v, cfg=None) -> float:
+    """float(v), never of a bool."""
+    return float(None if isinstance(v, bool) else v)
+
+
 def _finite(v, cfg=None, above: float = -math.inf) -> float:
-    x = float(None if isinstance(v, bool) else v)
+    x = _real(v)
     return _ok(x, math.isfinite(x) and x > above)
 
 

@@ -40,8 +40,8 @@ def to_fixed(value: Union[int, float, str, Fraction]) -> int:
             return math.isqrt(2 << (2 * FRAC_BITS)) - SCALE
         value = Fraction(value)
     try:
-        return round(Fraction(value) * SCALE)
-    except (TypeError, OverflowError):  # a list, null or an infinite float
+        return round(Fraction(None if isinstance(value, bool) else value) * SCALE)
+    except (TypeError, OverflowError):  # a bool, a list, null or an infinite float
         raise ValueError(f"circle coordinate must be a number, got {value!r}") from None
 
 

@@ -83,19 +83,7 @@ def test_undefined_name_rejected(tmp_path):
         load_config(write_cfg(tmp_path, [{"task": "frobnicate"}]))
 
 
-@pytest.fixture(params=["SafeLoader", "CSafeLoader"])
-def loader(request, monkeypatch):
-    """`load_config` held to the pure-Python loader, or to libyaml's at every size."""
-    if request.param == "SafeLoader":
-        monkeypatch.setattr(config, "_LIBYAML", None)
-    elif not yaml.__with_libyaml__:
-        pytest.skip("PyYAML without libyaml")
-    else:
-        monkeypatch.setattr(config, "_LIBYAML_MIN_BYTES", 0)
-    return request.param
-
-
-def test_parse_error_positions(tmp_path, capsys, loader):
+def test_parse_error_positions(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("group: {kind: Z\n")
     with pytest.raises(ConfigError, match="parse error") as err:
@@ -130,18 +118,7 @@ def test_bench_configs_load(tmp_path):
         assert cfg.tasks, where
 
 
-@pytest.mark.skipif(not yaml.__with_libyaml__, reason="no libyaml")
-def test_libyaml_loader_parity():
-    # libyaml parses every benchmark config into the objects the pure-Python loader gives
-    configs = _bench_configs()
-    assert len(configs) >= 8
-    for where, text in configs:
-        raw = yaml.load(text, Loader=yaml.CSafeLoader)
-        assert raw == yaml.safe_load(text), where
-        parse_config(raw)  # each task key is one its kind reads, or every run would fail
-
-
-def test_both_loaders_give_equal_configs(tmp_path, monkeypatch):
+def test_date_keys_and_unicode_names_load(tmp_path, monkeypatch):
     path = tmp_path / "cfg.yaml"
     # a set named by a date, in nested mappings
     day = datetime.date(2020, 1, 2)
@@ -151,12 +128,9 @@ def test_both_loaders_give_equal_configs(tmp_path, monkeypatch):
     load = yaml.load
     monkeypatch.setattr(yaml, "load", lambda text, Loader: seen.append(Loader) or
                         load(text, Loader=Loader))
-    small = load_config(str(path))
-    assert small.sets[day] == {"rule": "dyadic"} and "évens" in small.sets
-    # a config of at least _LIBYAML_MIN_BYTES goes to libyaml, when PyYAML has it
-    monkeypatch.setattr(config, "_LIBYAML_MIN_BYTES", 0)
-    assert load_config(str(path)) == small
-    assert seen == [yaml.SafeLoader, config._LIBYAML or yaml.SafeLoader]
+    cfg = load_config(str(path))
+    assert cfg.sets[day] == {"rule": "dyadic"} and "évens" in cfg.sets
+    assert seen == [yaml.SafeLoader]  # at any size
 
 
 def test_dyadic_schedule():
@@ -168,8 +142,8 @@ def test_dyadic_schedule():
 def test_determinism_and_cache(tmp_path):
     path = write_cfg(tmp_path, KEYED_TASKS, sets=KEYED_SETS)
     out = str(tmp_path / "out")
-    r1 = run(load_config(path), out_dir=out)
-    r2 = run(load_config(path), out_dir=out)
+    r1 = run(load_config(path), cache_dir=out)
+    r2 = run(load_config(path), cache_dir=out)
     assert all(e["cache_hit"] for e in r2["tasks"])
     assert not any(e["cache_hit"] for e in r1["tasks"])
 
@@ -181,7 +155,7 @@ def test_determinism_and_cache(tmp_path):
 
     assert strip(r1) == strip(r2)
     # no-cache recomputation is byte-identical
-    r3 = run(load_config(path), out_dir=out, use_cache=False)
+    r3 = run(load_config(path))
     assert strip(r1) == strip(r3)
 
 
@@ -200,7 +174,7 @@ def test_cache_keys_digest_shared_config_task_and_code(tmp_path):
         "sets": cfg.sets, "systems": cfg.systems, "schemes": cfg.schemes,
         "functions": cfg.functions, "version": __version__,
     }
-    report = run(cfg, out_dir=str(tmp_path / "out"))
+    report = run(cfg, cache_dir=str(tmp_path / "out"))
     assert report["config_digest"] == digest(shared)
     for entry, task in zip(report["tasks"], cfg.tasks, strict=True):
         assert entry["key"] == digest({"config": shared, "task": task, "code": source_digest()})
@@ -262,12 +236,12 @@ def test_cache_corruption_is_a_miss(tmp_path, caplog):
     # a truncated or malformed entry warns once and its task is recomputed
     path = write_cfg(tmp_path, KEYED_TASKS, sets=KEYED_SETS)
     out = tmp_path / "out"
-    cold = run(load_config(path), out_dir=str(out))
-    entry = out / ".cache" / f"{cold['tasks'][2]['key']}.result"
+    cold = run(load_config(path), cache_dir=str(out))
+    entry = out / f"{cold['tasks'][2]['key']}.result"
     for damaged in (entry.read_bytes()[:40], marshal.dumps([1, 2])):
         entry.write_bytes(damaged)
         caplog.clear()
-        warm = run(load_config(path), out_dir=str(out))
+        warm = run(load_config(path), cache_dir=str(out))
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "corrupt cache entry" in caplog.records[0].getMessage()
         assert [e["cache_hit"] for e in warm["tasks"]] == [True, True, False]
@@ -437,6 +411,58 @@ def test_python_built_config_may_hold_numpy_ints():
         return [e["result"] for e in report["tasks"]]
 
     assert json.dumps(tasks_with(np.int64)) == json.dumps(tasks_with(int))
+
+
+ROTATION = {"kind": "rotation", "alpha": "golden", "beta": 0.5}
+ORBIT = {"rule": "orbit", "system": "rot", "lo": 0, "hi": 100}
+USE_GOLD = [{"task": "density", "set": "gold", "N": 100}]
+
+
+@pytest.mark.parametrize("overrides, tasks, message", [
+    ({"sets": {"gold": {"rule": "rotation", "beta": True}}}, USE_GOLD,
+     "set gold: circle coordinate must be a number, got True"),
+    ({"sets": {"gold": {"rule": "rotation", "alpha": True}}}, USE_GOLD,
+     "set gold: circle coordinate must be a number, got True"),
+    ({"sets": {"gold": {"rule": "rotation", "x0": True}}}, USE_GOLD,
+     "set gold: circle coordinate must be a number, got True"),
+    ({"systems": {"rot": {**ROTATION, "beta": True}}}, [],
+     "system rot: circle coordinate must be a number, got True"),
+    ({"systems": {"rot": ROTATION}},
+     [{"task": "verify", "system": "rot", "queries": [[0]], "x0": True}],
+     "task 0: circle coordinate must be a number, got True"),
+    ({"systems": {"rot": ROTATION}, "sets": {"orb": {**ORBIT, "x0": True}}},
+     [{"task": "density", "set": "orb", "N": 100}],
+     "set orb: circle coordinate must be a number, got True"),
+    ({"functions": {"e": {"kind": "exponential", "theta": True}}},
+     [{"task": "moments", "family": ["e"], "scheme": "unit", "queries": [[[1, False, 0]]],
+       "N": 100}], "function e: theta must be a number, got True"),
+    ({"schemes": {"d": {"weight": {"kind": "exp_decay", "rate": True}}}},
+     [{"task": "normcheck", "scheme": "d", "N": 100}], "rate must be a number"),
+], ids=["set-beta", "set-alpha", "set-x0", "system-beta", "verify-x0", "orbit-x0", "theta",
+        "rate"])
+def test_bool_refused_where_a_real_number_is_read(tmp_path, capsys, overrides, tasks,
+                                                 message):
+    # True once read as the number 1: a rotation set of beta 1 held every point
+    path = write_cfg(tmp_path, tasks, **{k: {**BASE[k], **v} for k, v in overrides.items()})
+    assert main(["run", "--config", path]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("markov, message", [
+    # its exact measure of query [0, 1] was -0.0588
+    ({"P": [[0.5, 0.5], [1.2, -0.2]]}, "entries of P must lie in [0, 1]"),
+    # exact_measure([0]) was 2.0
+    ({"P": [[0.5, 0.5], [0.5, 0.5]], "pi": [2, 2]}, "stationary vector must sum to 1"),
+    # NaN was written into report.json
+    ({"P": [[0.5, 0.5], [0.5, 0.5]], "pi": [math.nan, math.nan]},
+     "stationary vector must sum to 1"),
+], ids=["P-entry", "pi-sum", "pi-nan"])
+def test_markov_system_giving_wrong_measures_refused(tmp_path, capsys, markov, message):
+    systems = {"m": {"kind": "markov", "accept": [0], **markov}}
+    path = write_cfg(tmp_path, [{"task": "verify", "system": "m", "queries": [[0], [0, 1]],
+                                 "schedule": [1000]}], systems=systems)
+    assert main(["run", "--config", path]) == 2
+    assert f"system m: {message}" in capsys.readouterr().err
 
 
 def test_cli_bad_input_exit_code(tmp_path, capsys):
@@ -816,9 +842,9 @@ def test_cache_key_covers_tolerances(tmp_path):
     task = {"task": "upper_density", "set": "blocks"}
     out = str(tmp_path / "out")
     first = run(load_config(write_cfg(tmp_path, [task], **raw, tolerances={"tau": 0.001})),
-                out_dir=out)["tasks"][0]
+                cache_dir=out)["tasks"][0]
     cfg = load_config(write_cfg(tmp_path, [task], **raw, tolerances={"tau": 0.5}))
-    second = run(cfg, out_dir=out)["tasks"][0]
+    second = run(cfg, cache_dir=out)["tasks"][0]
     assert first["result"]["attaining"] == [512, 2048]
     assert not second["cache_hit"] and second["key"] != first["key"]
     assert second["result"] == run(cfg)["tasks"][0]["result"]
@@ -828,10 +854,10 @@ def test_cache_key_covers_tolerances(tmp_path):
 def test_cache_miss_under_other_code(tmp_path, monkeypatch):
     path = write_cfg(tmp_path, [{"task": "density", "set": "evens", "shifts": [0], "N": 100}])
     out = str(tmp_path / "out")
-    first = run(load_config(path), out_dir=out)
-    assert run(load_config(path), out_dir=out)["tasks"][0]["cache_hit"]
+    first = run(load_config(path), cache_dir=out)
+    assert run(load_config(path), cache_dir=out)["tasks"][0]["cache_hit"]
     monkeypatch.setattr(runner, "source_digest", lambda: "0" * 64)
-    other = run(load_config(path), out_dir=out)
+    other = run(load_config(path), cache_dir=out)
     assert not other["tasks"][0]["cache_hit"]
     assert other["tasks"][0]["key"] != first["tasks"][0]["key"]
     assert other["config_digest"] == first["config_digest"]
@@ -1285,6 +1311,25 @@ def test_code_identity_covers_numpy_version(tmp_path, monkeypatch, fresh_code_id
     assert parsed == [1]  # the parsed-config blob missed too
     for a, b in zip(first["tasks"], other["tasks"], strict=True):
         assert a["key"] != b["key"] and not b["cache_hit"] and a["result"] == b["result"]
+
+
+def test_yaml_version_keys_the_blob_but_no_result(tmp_path, monkeypatch, fresh_code_identity):
+    # a result's key hashes the parsed mapping, so another PyYAML that parses the same
+    # mapping reparses the file and serves every result from the cache
+    path = write_cfg(tmp_path, KEYED_TASKS, sets=KEYED_SETS)
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", path, "--out", out]) == 0
+    first = json.loads((tmp_path / "out" / "report.json").read_text())
+    monkeypatch.setattr(yaml, "__version__", "0.0.0")
+    source_digest.cache_clear()
+    parsed = []
+    load = yaml.load
+    monkeypatch.setattr(yaml, "load", lambda *a, **kw: parsed.append(1) or load(*a, **kw))
+    assert main(["run", "--config", path, "--out", out]) == 0
+    other = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert parsed == [1]  # the parsed-config blob missed
+    for a, b in zip(first["tasks"], other["tasks"], strict=True):
+        assert a["key"] == b["key"] and b["cache_hit"] and a["result"] == b["result"]
 
 
 def _report_bytes(out) -> bytes:

@@ -162,20 +162,36 @@ def _import_time(body):
                 yield from _import_time(getattr(node, field, []))
 
 
+def _imports(nodes, top: str):
+    """The line of each of nodes that imports the package top or one of its modules."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(n == top or n.startswith(top + ".") for n in names):
+            yield node.lineno
+
+
+def _sources(skip: str):
+    """(name, module tree) of each of the package's modules but skip."""
+    trees = [(path.name, ast.parse(path.read_text(), str(path)))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != skip]
+    assert {"groups.py", "cache.py", "cli.py"} <= {name for name, _ in trees}
+    return trees
+
+
 def test_only_the_binding_imports_numpy():
     # any other import of numpy at import time would load it with the package
-    scanned = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "_numpy.py":
-            continue
-        scanned.append(path.name)
-        for node in _import_time(ast.parse(path.read_text(), str(path)).body):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            assert not any(n == "numpy" or n.startswith("numpy.") for n in names), \
-                f"{path.name}:{node.lineno} imports numpy"
-    assert "groups.py" in scanned and "cache.py" in scanned
+    for name, tree in _sources("_numpy.py"):
+        for line in _imports(_import_time(tree.body), "numpy"):
+            raise AssertionError(f"{name}:{line} imports numpy")
+
+
+def test_only_config_imports_yaml():
+    # the config file is read in one place, and no other module's code depends on PyYAML
+    for name, tree in _sources("config.py"):
+        for line in _imports(ast.walk(tree), "yaml"):
+            raise AssertionError(f"{name}:{line} imports yaml")
