@@ -1,9 +1,9 @@
 """Content-addressed result cache.
 
-Keys are sha256 digests of the canonical JSON of (shared config sections,
-task, code identity).  Task results (`KEY.result`) and parsed config blobs
-(`KEY.marshal`) are both marshal dumps of {"key": KEY, "value": mapping}, so a
-value comes back exactly as stored, tuples and integer dict keys included.
+Keys are sha256 digests of the canonical JSON of (digest of the shared config
+sections, task, code identity).  Task results (`KEY.result`) and parsed config
+blobs (`KEY.marshal`) are both marshal dumps of {"key": KEY, "value": mapping},
+so a value comes back exactly as stored, tuples and integer dict keys included.
 Anything unreadable is treated as a miss with a warning, never an error.  The
 code identity reads numpy's version from its `version.py` without importing
 numpy, so a run served wholly from here never loads it.
@@ -29,22 +29,9 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
 
 
-def digest_prefix(head: dict):
-    """A sha256 state over the canonical JSON of the nonempty mapping `head`, left open
-    for further members; see `digest`."""
-    return hashlib.sha256((_canonical(head)[:-1] + ",").encode())
-
-
-def digest(obj, prefix=None) -> str:
-    """sha256 of the canonical JSON of `obj`.  With `prefix = digest_prefix(head)`, the
-    digest of `{**head, **obj}` without serializing `head` again; every key of the
-    nonempty mapping `obj` must sort after every key of `head`."""
-    blob = _canonical(obj)
-    if prefix is None:
-        return hashlib.sha256(blob.encode()).hexdigest()
-    h = prefix.copy()
-    h.update(blob[1:].encode())
-    return h.hexdigest()
+def digest(obj) -> str:
+    """sha256 of the canonical JSON of `obj`."""
+    return hashlib.sha256(_canonical(obj).encode()).hexdigest()
 
 
 @functools.cache

@@ -28,6 +28,7 @@ from .groups import (GroupSpec, FolnerSpec, HEISENBERG3, INT_Z, INT_ZD, SHAPE_BO
 from . import sets as setmod
 from . import oracles as oraclemod
 from . import moments as momentmod
+from .density import _require_abelian
 from .schema import (_ANY, _INT, _OMIT, _SEQ, _SET, _build_schedule, _int, _name, _ok,
                      _real, _task_shifts, parse_node, parse_task)
 from .cylinders import check_cylinder_count
@@ -348,6 +349,16 @@ def _validate(cfg: ExperimentConfig) -> None:
         if t["task"] == "accordance":
             momentmod.check_variant_count(t["queries"], t["conj_depth"],
                                           f"{where}: conjugation variant")
+        try:  # the checks the task makes when it runs
+            if t["task"] == "pair_correlation":
+                _require_abelian(cfg.folner)
+            for q in t["queries"] if "family" in t else ():
+                momentmod._check_query(t["family"], q)
+                if "oracle_thetas" in t:
+                    momentmod.exponential_oracle(t["oracle_thetas"], q,
+                                                 cfg.built["scheme", t["scheme"]])
+        except ValueError as e:
+            raise ConfigError(f"{where}: {e}") from None
         # a task runs at one index N or over a schedule, never both
         check_extent(cfg, t, t["N"] if "N" in t else max(t["schedule"]), where,
                      cfg.built["system", t["system"]].per_point if "system" in t else 1)

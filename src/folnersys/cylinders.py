@@ -47,8 +47,7 @@ class CylinderSpec:
             if eps not in (0, 1):
                 raise ValueError("polarity must be 0 or 1")
             items.append((h, eps))
-        items.sort(key=lambda it: group.element_key(it[0]))
-        return CylinderSpec(tuple(items))
+        return CylinderSpec(tuple(sorted(items)))  # the elements are distinct
 
     def elements(self) -> Tuple[Element, ...]:
         return tuple(h for h, _ in self.constraints)

@@ -128,6 +128,8 @@ def constraint_counts(E: SetSpec, f: FolnerSpec,
     and S.  Otherwise each list is counted by `window_count`."""
     ball = list(dict.fromkeys(g for c in constraints for g, _ in c))
     if not constraints or len(ball) > HISTOGRAM_BITS:
+        if ball and f.shape == SHAPE_INTERVAL:  # the widest window first
+            columns(E, f, max(schedule), ball, right)
         return [[window_count([(E, g, eps) for g, eps in c], f, N, right) for N in schedule]
                 for c in constraints]
     bit = {g: 1 << j for j, g in enumerate(ball)}
@@ -170,7 +172,8 @@ def upper_density(E: SetSpec, f: FolnerSpec, schedule: Sequence[int],
     if list(schedule) != sorted(set(schedule)):
         raise ValueError("schedule must be strictly increasing")
     e = E.group.identity()
-    dens = {N: density_at(E, (e,), f, N) for N in schedule}
+    # the widest window first: on Z every smaller index reads a slice of it
+    dens = {N: density_at(E, (e,), f, N) for N in reversed(schedule)}
     est = max(dens.values())
     attaining = [N for N in schedule if est - dens[N] <= tol]
     return est, attaining

@@ -1,18 +1,18 @@
 """Functions G -> closed unit disk, the factors of `moments`.
 
 Every function evaluates on group coordinates (`eval_coords`).  On Z it also
-keeps an extend-only window of its values (`sets.ExtendOnlyWindow`, shared
-with set windows), so a moment on an interval of Z takes each factor as a
-slice; an indicator reads its set's own boolean window instead.
+keeps one cached window of its values (`sets.CachedWindow`, shared with set
+windows), so a moment on an interval of Z takes each factor as a slice of it;
+an indicator reads its set's own boolean window instead.
 """
 from __future__ import annotations
 
 from ._numpy import np
 from .groups import GroupSpec, INT_Z
-from .sets import ExtendOnlyWindow, SetSpec, indicator_bits
+from .sets import CachedWindow, SetSpec, indicator_bits
 
 
-class FunctionSpec(ExtendOnlyWindow):
+class FunctionSpec(CachedWindow):
     """A function G -> closed unit disk, evaluatable on windows; on Z a subclass may
     give its values at a 1-D int64 array of points as `at(n)` instead."""
 

@@ -88,12 +88,6 @@ class GroupSpec:
         a, b, c = g
         return (-a, -b, -c + a * b)
 
-    def element_key(self, g: Element):
-        """Canonical total order: plain value for Z, lexicographic tuples."""
-        if self.kind == INT_Z:
-            return (g,)
-        return tuple(g)
-
     # -- vectorized translation -------------------------------------------
     #
     # coords arrays have shape (ncoords, n), one column per element, in the
@@ -131,7 +125,7 @@ class GroupSpec:
                 break
             frontier = {self.mul(g, s) for g in frontier for s in gens} - seen
             seen = seen | frontier
-        return sorted(seen, key=self.element_key)
+        return sorted(seen)
 
     def ball_size(self, radius: int, limit: int) -> int:
         """len(word_ball(radius)), counted on Z and Z^d; on H3 any count over

@@ -228,16 +228,15 @@ def weighted_moment(
 def moment_table(family: Sequence[FunctionSpec], queries: Sequence[Sequence[Factor]],
                  s: AveragingScheme, schedule: Sequence[int]) -> List[List[complex]]:
     """The weighted moment of each query at each N of the schedule.  Once every query
-    is validated, each function's window is filled at once over the hull of the factor
-    windows [start+g, start+g+M), M = max(schedule), if they chain into one interval: a
-    window grown piece by piece briefly holds its old and new arrays together, and
-    shifts further apart are left to `window`, which fills no gap.  An indicator reads
-    its set's own boolean window."""
+    is validated, each function's window, an indicator's being its set's, is filled at
+    once over the hull of the factor windows [start+g, start+g+M), M = max(schedule),
+    if they chain into one interval, so every factor reads a slice of it; shifts
+    further apart are left to `window`, which fills no gap."""
     for q in queries:
         _check_query(family, q)
     M = max(schedule)
     for i in dict.fromkeys(i for q in queries for i, _, _ in q):
-        if s.folner.shape == SHAPE_INTERVAL and not isinstance(family[i - 1], IndicatorFn):
+        if s.folner.shape == SHAPE_INTERVAL:
             gs = sorted({g for q in queries for j, _, g in q if j == i})
             if all(b - a <= M for a, b in zip(gs, gs[1:])):
                 family[i - 1].window(s.folner.start + gs[0], s.folner.start + gs[-1] + M)

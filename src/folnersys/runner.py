@@ -6,7 +6,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .cache import ResultCache, digest, digest_prefix, source_digest
+from .cache import ResultCache, digest, source_digest
 from .config import ExperimentConfig, Workspace
 from .cylinders import CylinderSpec, additivity_check, frac, furstenberg_report, invariance_defect
 from .density import extract_subsequence, intersection_count, pair_correlation_fft, upper_density
@@ -135,11 +135,9 @@ def run(cfg: ExperimentConfig, cache_dir: Optional[str] = None) -> dict:
     }
     cache = ResultCache(cache_dir) if cache_dir else None
     try:
-        config_digest = digest(shared)
-        # each key is digest({"code": ..., "config": shared, "task": task}); the shared
-        # part is serialized once
-        head = digest_prefix({"code": source_digest(), "config": shared})
-        keys = [digest({"task": task}, prefix=head) for task in cfg.tasks]
+        config_digest, code = digest(shared), source_digest()
+        keys = [digest({"code": code, "config": config_digest, "task": task})
+                for task in cfg.tasks]
     except TypeError as e:  # JSON cannot write a mapping key such as a YAML date
         raise ConfigError(f"config cannot be written as a cache key: {e}") from e
     results = []

@@ -124,7 +124,8 @@ def _int(least=None) -> tuple:
 _SET, _SCHEME, _N = ("a set name", _name("sets")), ("a scheme name", _name("schemes")), _int(1)
 _INT, _ANY = _int(), ("a value", lambda v, cfg: v)  # _ANY: passed as given
 _ELEMENT = ("a group element", _element)
-_SHIFTS = ("a list of group elements", lambda v, cfg: _items(v, cfg, _element))
+_SHIFTS = ("a nonempty list of group elements",
+           lambda v, cfg: _ok(_items(v, cfg, _element), len(v) > 0))
 _QUERIES, _FACTORS = _queries(_element), _queries(_factor)
 _CYLINDER = ("a list of [element, polarity] pairs", _cylinder, ())
 _FAMILY = ("a list of function names", lambda v, cfg: _items(v, cfg, _name("functions")))

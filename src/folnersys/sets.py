@@ -2,8 +2,8 @@
 
 Every set spec can answer membership for any element inside a bounded
 window.  Integer-group sets additionally expose ``bits(lo, hi)``, a cached
-boolean window used by the counting kernels, kept by `ExtendOnlyWindow`,
-which the function windows of `moments` share.
+boolean window used by the counting kernels, kept by `CachedWindow`, which
+the function windows of `moments` share.
 
 Rotation sets are evaluated in 128-bit fixed point: the circle [0,1) is
 scaled to [0, 2^128) and all fractional parts are exact integer residues,
@@ -104,30 +104,23 @@ class SetSpec:
         return repr(self)
 
 
-class ExtendOnlyWindow:
-    """Values over one interval of Z, computed once and served as slices.  A window
-    that overlaps or touches the cached interval computes only its missing ends; a
-    disjoint one replaces the cache, so no gap between two windows is ever filled."""
+class CachedWindow:
+    """Values over one interval of Z, computed once and served as slices.  A read
+    inside the cached interval is a slice of it; any other read computes exactly its
+    own interval, which becomes the cache, so no cached window is wider than a read."""
 
     _cache: Optional[np.ndarray] = None
     _cache_lo = 0
 
     def _window(self, lo: int, hi: int, compute) -> np.ndarray:
-        """The values over [lo, hi), nonempty, from `compute(a, b)` over [a, b)."""
-        if self._cache is None or hi < self._cache_lo or lo > self._cache_lo + len(self._cache):
-            self._cache, self._cache_lo = compute(lo, hi), lo
-        cache_lo, cache_hi = self._cache_lo, self._cache_lo + len(self._cache)
-        if lo < cache_lo or hi > cache_hi:
-            parts = [compute(lo, cache_lo)] if lo < cache_lo else []
-            parts.append(self._cache)
-            if hi > cache_hi:
-                parts.append(compute(cache_hi, hi))
-            self._cache, self._cache_lo = np.concatenate(parts), min(lo, cache_lo)
+        """The values over [lo, hi), nonempty, from `compute(lo, hi)`."""
         off = lo - self._cache_lo
+        if self._cache is None or off < 0 or hi - self._cache_lo > len(self._cache):
+            self._cache, self._cache_lo, off = compute(lo, hi), lo, 0
         return self._cache[off:off + (hi - lo)]
 
 
-class ZSetSpec(SetSpec, ExtendOnlyWindow):
+class ZSetSpec(SetSpec, CachedWindow):
     """Integer-group set with a cached boolean window, filled by `_compute_bits(lo, hi)`."""
 
     def __init__(self):

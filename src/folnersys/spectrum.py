@@ -30,8 +30,7 @@ DISTINGUISHED = "DISTINGUISHED"
 
 def canonical_tuple(group: GroupSpec, shifts: Sequence[Element]) -> CanonicalTuple:
     """Sorted distinct form; intersection is permutation- and repeat-invariant."""
-    uniq = {group.element_key(g): g for g in shifts}
-    return tuple(uniq[k] for k in sorted(uniq))
+    return tuple(sorted(set(shifts)))
 
 
 def shift_ball(group: GroupSpec, radius: int) -> List[Element]:
@@ -62,7 +61,7 @@ def check_tuple_count(group: GroupSpec, r_max: int, radius: int, what: str = "tu
 
 
 def canonical_tuples(group: GroupSpec, r_max: int, radius: int) -> List[CanonicalTuple]:
-    ball = sorted(shift_ball(group, radius), key=group.element_key)
+    ball = sorted(shift_ball(group, radius))
     out: List[CanonicalTuple] = []
     for r in range(1, r_max + 1):
         out.extend(itertools.combinations(ball, r))

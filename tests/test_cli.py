@@ -19,7 +19,7 @@ from folnersys.cli import main
 from folnersys.config import load_config, parse_config
 from folnersys.errors import CapExceededError, ConfigError
 from folnersys.runner import run
-from folnersys.sets import ExtendOnlyWindow
+from folnersys.sets import CachedWindow
 
 BASE = {
     "group": {"kind": "Z"},
@@ -177,7 +177,8 @@ def test_cache_keys_digest_shared_config_task_and_code(tmp_path):
     report = run(cfg, cache_dir=str(tmp_path / "out"))
     assert report["config_digest"] == digest(shared)
     for entry, task in zip(report["tasks"], cfg.tasks, strict=True):
-        assert entry["key"] == digest({"config": shared, "task": task, "code": source_digest()})
+        assert entry["key"] == digest({"code": source_digest(), "config": digest(shared),
+                                       "task": task})
 
 
 def test_cache_key_changes_with_n(tmp_path):
@@ -220,6 +221,38 @@ def test_each_function_evaluated_once_per_run(tmp_path, monkeypatch, capsys):
         assert main(["run", "--config", write_cfg(tmp_path, [bad], functions=functions)]) == 2
         assert "task 0: function index 5 out of range for family of 4" in capsys.readouterr().err
     assert calls == []
+
+
+def test_indicator_window_filled_once_per_task(monkeypatch):
+    # the factors [0, N) and [7, N + 7) of an indicator used to compute its set's
+    # window and then grow it
+    calls = []
+    compute = setmod.Congruence._compute_bits
+    monkeypatch.setattr(setmod.Congruence, "_compute_bits", lambda self, lo, hi:
+                        calls.append((lo, hi)) or compute(self, lo, hi))
+    task = {"task": "moments", "family": ["e1", "ind"], "scheme": "unit", "N": 1000,
+            "queries": [[[2, False, 0]], [[1, False, 3], [2, True, 7]]]}
+    report = run(parse_config({**BASE, "tasks": [task]}))
+    assert report["tasks"][0]["result"]["rows"][0]["re"] == 0.5
+    assert calls == [(0, 1007)]
+
+
+def test_cached_windows_stay_within_the_window_cap(monkeypatch):
+    # the windows [-400, 200) and [0, 1000) each pass the cap, and the cache used to
+    # grow to their hull [-400, 1000): 1,400 elements over a cap of 1,000
+    cfg = parse_config({**BASE, "caps": {"window": 1000}, "tasks": [
+        {"task": "density", "set": "gold", "N": 600, "shifts": [-400]},
+        {"task": "density", "set": "gold", "N": 1000}]})
+    sizes, run_task = [], runner.run_task
+
+    def sized(ws, task, cfg):
+        out = run_task(ws, task, cfg)
+        sizes.append(len(cfg.built["set", "gold"]._cache))
+        return out
+
+    monkeypatch.setattr(runner, "run_task", sized)
+    assert run(cfg)["exit_code"] == 0
+    assert sizes == [600, 1000]
 
 
 def test_cache_corruption_is_a_miss(tmp_path, caplog):
@@ -606,7 +639,7 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
         ({"task": "cylinders", "set": "evens", "radius": True, "depth": 1}, {},
          "radius must be an integer >= 1, got True"),
         ({"task": "density", "set": "evens", "N": 10, "shifts": 3}, {},
-         "shifts must be a list of group elements, got 3"),
+         "shifts must be a nonempty list of group elements, got 3"),
         ({"task": "verify", "system": "per", "queries": 3}, {},
          "queries must be a list of queries, got 3"),
         ({**moment, "family": 3, "queries": [[[1, 0, 0]]]}, {},
@@ -948,7 +981,7 @@ def test_validation_builds_nothing(monkeypatch):
         monkeypatch.setattr(cls, "orbit_set", refuse)
     for name in ("set_spec", "system", "scheme", "function"):
         monkeypatch.setattr(config.Workspace, name, refuse)
-    monkeypatch.setattr(ExtendOnlyWindow, "_window", refuse)
+    monkeypatch.setattr(CachedWindow, "_window", refuse)
     raw = {**BASE, "systems": {**BASE["systems"], "rot": {"kind": "rotation"}},
            "sets": {**BASE["sets"], "b": {"rule": "bitmask", "n": 64},
                     "o": {"rule": "orbit", "system": "mark", "lo": 0, "hi": 64},
@@ -1105,6 +1138,42 @@ def test_table_caps_refused_before_any_task_runs(tmp_path, monkeypatch, capsys):
         path = write_cfg(tmp_path, [{"task": "density", "set": "evens", "N": 10}, task])
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3, task
         assert message in capsys.readouterr().err
+
+
+H3_WINDOW = {"group": {"kind": "H3"}, "folner": {"shape": "heisenberg_box"},
+             "sets": {"s": {"rule": "component", "rules": [[0, 2], None, None]}}}
+Z2_WINDOW = {"group": {"kind": "Zd", "d": 2}, "folner": {"shape": "box", "anchor": [0, 0]},
+             "sets": {"s": {"rule": "component", "rules": [[0, 2], None]}},
+             "functions": {"ind": {"kind": "indicator", "set": "s"}}}
+ORACLE = {"task": "moments", "family": ["e1"], "scheme": "unit", "queries": [[[1, False, 0]]],
+          "N": 10, "oracle_thetas": [0.25]}
+
+
+@pytest.mark.parametrize("task, overrides, message", [
+    ({"task": "density", "set": "evens", "N": 10, "shifts": []}, {},
+     "shifts must be a nonempty list of group elements, got []"),
+    ({"task": "pair_correlation", "set": "s", "N": 2, "H": 1}, H3_WINDOW,
+     "pair correlation needs an interval or box window"),
+    ({"task": "moments", "family": ["e1"], "queries": [[[2, False, 0]]], "N": 10}, {},
+     "function index 2 out of range for family of 1"),
+    ({"task": "accordance", "family": ["e1"], "scheme": "unit", "queries": [[[2, False, 0]]],
+      "schedule": [10, 20], "eps": 0.1}, {}, "function index 2 out of range for family of 1"),
+    ({**ORACLE, "scheme": "lin"}, {}, "oracle undefined"),
+    ({**ORACLE, "family": ["ind"], "queries": [[[1, False, [0, 0]]]]}, Z2_WINDOW,
+     "oracle undefined"),
+    ({**ORACLE, "oracle_thetas": []}, {}, "function index 1 out of range for 0 thetas"),
+], ids=["empty-shifts", "paircorr-h3", "moments-index", "accordance-index",
+        "oracle-weighted", "oracle-off-z", "oracle-index"])
+def test_task_checks_made_at_validation(tmp_path, monkeypatch, capsys, task, overrides,
+                                        message):
+    # each used to be refused only when its task ran, after every earlier task had run
+    def run_task(*a):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(runner, "run_task", run_task)
+    path = write_cfg(tmp_path, [task], **overrides)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: task 0: {message}" in capsys.readouterr().err
 
 
 def _run_report(tmp_path, tasks, **overrides) -> list:

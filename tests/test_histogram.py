@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from folnersys import (
     Bitmask, Complement, ComponentCongruence, Congruence, DyadicBlocks, FolnerSpec, GroupSpec,
-    RotationSet, correlation_spectrum, density_at, furstenberg_report,
+    RotationSet, correlation_spectrum, density_at, furstenberg_report, upper_density,
 )
 from folnersys import density, sets
 from folnersys.cli import main
@@ -183,28 +183,48 @@ def test_h3_cylinder_table_reads_each_index_once(monkeypatch):
     assert sorted(calls) == sorted(schedule)
 
 
-def test_spectrum_builds_one_window(monkeypatch):
+@pytest.fixture
+def computes(monkeypatch):
+    """The (lo, hi) of every window a congruence or rotation set computes."""
+    calls = []
+    for cls in (sets.Congruence, sets.RotationSet):
+        compute = cls._compute_bits
+        monkeypatch.setattr(cls, "_compute_bits", lambda self, lo, hi, compute=compute:
+                            calls.append((lo, hi)) or compute(self, lo, hi))
+    return calls
+
+
+WIDE = [1 << j for j in range(10, 21)]
+SETS = (lambda: Congruence(0, 3), lambda: RotationSet("golden", Fraction(2, 5)))
+
+
+def test_spectrum_builds_one_window(computes):
     # a depth-3 radius-8 spectrum over 11 dyadic indices used to grow each
     # window once per index
-    calls = []
-
-    def counted(orig):
-        def compute(self, lo, hi):
-            calls.append((lo, hi))
-            return orig(self, lo, hi)
-        return compute
-
-    for cls in (sets.Congruence, sets.RotationSet):
-        monkeypatch.setattr(cls, "_compute_bits", counted(cls._compute_bits))
-    schedule = [1 << j for j in range(10, 21)]
     f = FolnerSpec(Z, "interval", start=0)
-    for E in (Congruence(0, 3), RotationSet("golden", Fraction(2, 5))):
-        calls.clear()
-        correlation_spectrum(E, f, 3, 8, schedule)
-        assert calls == [(0, (1 << 20) + 8)]
-        # the cylinder table's window over [-3, 3] adds only its left end
-        furstenberg_report(E, f, 3, 3, schedule)
-        assert calls == [(0, (1 << 20) + 8), (-3, 0)]
+    for make in SETS:
+        E = make()
+        computes.clear()
+        correlation_spectrum(E, f, 3, 8, WIDE)
+        assert computes == [(0, (1 << 20) + 8)]
+        # the cylinder table reads [-3, 2^20 + 3), which is not inside the spectrum's
+        # window, so it computes its own once
+        furstenberg_report(E, f, 3, 3, WIDE)
+        assert computes == [(0, (1 << 20) + 8), (-3, (1 << 20) + 3)]
+
+
+def test_schedule_counts_build_one_window(computes):
+    # an upper density over 11 indices used to compute one window and grow it 10
+    # times; a table over a ball past HISTOGRAM_BITS, counted list by list at
+    # ascending indices, reads its widest window first as well
+    f = FolnerSpec(Z, "interval", start=0)
+    for make in SETS:
+        computes.clear()
+        upper_density(make(), f, WIDE)
+        assert computes == [(0, 1 << 20)]
+        computes.clear()
+        furstenberg_report(make(), f, 8, 1, WIDE[:4])
+        assert computes == [(-8, (1 << 13) + 8)]
 
 
 def test_bitmask_short_of_the_hull_refused(tmp_path, capsys):

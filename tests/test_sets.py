@@ -60,40 +60,46 @@ def test_congruence():
     assert odds.member(7) and not odds.member(4)
 
 
-def test_congruence_window_cache_growth():
+def test_window_cache_holds_one_window(monkeypatch):
     e = Congruence(1, 3)
     a = e.bits(0, 10).copy()
     b = e.bits(-5, 20)
     np.testing.assert_array_equal(a, b[5:15])
-    # growth left, right, both ways and onto a touching window computes only the
-    # missing ends, and the cache is the hull of the windows asked for; a window
-    # disjoint from the cache replaces it, so the cache is the hull of the windows
-    # since the last such one (a gap of 10^15 points is never filled)
-    growths = [[(0, 10), (-7, 4)], [(0, 10), (6, 25)], [(0, 10), (-3, 40)],
-               [(0, 10), (10, 12), (-5, 0)], [(0, 10), (30, 35)],
-               [(0, 10), (-40, -30), (2, 3), (5, 50)], [(0, 10), (-40, -30), (-35, 3)],
-               [(1, 9), (10**15, 10**15 + 9)]]
-    for make in (lambda: Congruence(2, 5), lambda: DyadicBlocks(),
-                 lambda: RotationSet("golden", Fraction(2, 5), x0=Fraction(1, 9))):
-        for windows in growths:
-            s = make()
-            hull = None
+    # a read inside the cached window computes nothing; any other read, overlapping,
+    # touching or disjoint, computes exactly its own window, which becomes the cache
+    # (a gap of 10^15 points is never filled)
+    reads = [[(0, 10), (-7, 4)], [(0, 10), (6, 25)], [(0, 10), (-3, 40), (2, 39)],
+             [(0, 10), (10, 12), (-5, 0)], [(0, 10), (30, 35)],
+             [(0, 10), (-40, -30), (2, 3), (5, 50)], [(0, 10), (-40, -30), (-35, 3)],
+             [(1, 9), (10**15, 10**15 + 9)], [(0, 10), (0, 10), (3, 7)]]
+    for cls, make in [(Congruence, lambda: Congruence(2, 5)), (DyadicBlocks, DyadicBlocks),
+                      (RotationSet, lambda: RotationSet("golden", Fraction(2, 5),
+                                                        x0=Fraction(1, 9)))]:
+        calls, compute = [], cls._compute_bits
+        monkeypatch.setattr(cls, "_compute_bits",
+                            lambda self, lo, hi: calls.append((lo, hi)) or compute(self, lo, hi))
+        for windows in reads:
+            s, cache = make(), None
             for lo, hi in windows:
-                np.testing.assert_array_equal(s.bits(lo, hi), make()._compute_bits(lo, hi))
-                if hull is None or hi < hull[0] or lo > hull[1]:
-                    hull = (lo, hi)
-                hull = (min(lo, hull[0]), max(hi, hull[1]))
-            lo, hi = hull
-            assert s._cache_lo == lo and len(s._cache) == hi - lo
-            np.testing.assert_array_equal(s._cache, make()._compute_bits(lo, hi))
-    # a bitmask grows inside its range and refuses to grow past it
+                calls.clear()
+                got = s.bits(lo, hi)
+                if cache is None or not (cache[0] <= lo and hi <= cache[1]):
+                    assert calls == [(lo, hi)]
+                    cache = (lo, hi)
+                else:
+                    assert calls == []
+                assert (s._cache_lo, len(s._cache)) == (cache[0], cache[1] - cache[0])
+                np.testing.assert_array_equal(got, compute(s, lo, hi))
+    # a bitmask's cache is its mask: a read inside it is a slice of it, and a read
+    # partly or wholly outside it is refused with the whole window named
     m = Bitmask(-4, [1, 0, 0, 1, 1, 0, 1, 0])
     for lo, hi in [(0, 2), (-4, 1), (1, 4), (-2, 3)]:
         np.testing.assert_array_equal(m.bits(lo, hi), m.mask[lo + 4:hi + 4])
+        assert np.shares_memory(m.bits(lo, hi), m.mask)
     for lo, hi in [(-5, 0), (0, 5), (-6, 6)]:
-        with pytest.raises(WindowExceededError):
+        with pytest.raises(WindowExceededError, match=rf"\[{lo},{hi}\) outside \[-4,4\)"):
             m.bits(lo, hi)
-    assert m._cache_lo == -4 and len(m._cache) == 8
+    assert m._cache_lo == -4 and m._cache is m.mask
 
 
 def test_rotation_set_density_smoke():
@@ -108,7 +114,7 @@ def test_rotation_incremental_matches_direct():
     bits = r.bits(-50, 50)
     for i, n in enumerate(range(-50, 50)):
         assert bits[i] == ((r.x0_fp + n * r.alpha_fp) % SCALE < r.beta_fp)
-    # a window grown both ways across block boundaries, far from the origin
+    # a window around a cached one, across block boundaries, far from the origin
     r = RotationSet("sqrt2", Fraction(1, 3), x0=Fraction(1, 7))
     lo = 10 ** 15
     r.bits(lo, lo + 100)
