@@ -59,7 +59,7 @@ class ExperimentConfig:
 
 def check_window(cfg: "ExperimentConfig", n: int, where: str, states: int = 1) -> None:
     """Refuse, before anything is allocated, a window of n elements over the cap.
-    A Markov orbit over k states counts n*k: its sampler scans an n x k map table."""
+    A Markov orbit over k states counts n*k."""
     cap = cfg.caps["window"]
     if n * states > cap:
         size = n if n < 1 << 64 else f"over 2^{n.bit_length() - 1}"
@@ -82,7 +82,7 @@ def check_extent(cfg: "ExperimentConfig", t: dict, N: int, where: str, per_point
     if f.shape == SHAPE_INTERVAL:
         lo, hi = min(shifts + [0]), max(shifts + [0])
         check_window(cfg, N + hi - lo, where, per_point)
-        # the verify orbit reads [start + lo, start + N + hi], one point past the window
+        # a verify orbit spans [start + lo, start + N + hi), the windows its rows read
         if f.start + lo < INT64_MIN or f.start + N + hi > INT64_MAX:
             raise ConfigError(f"{where}: window [{f.start + lo}, {f.start + N + hi}) "
                               f"leaves the int64 range")
@@ -349,14 +349,28 @@ def _validate(cfg: ExperimentConfig) -> None:
         if t["task"] == "accordance":
             momentmod.check_variant_count(t["queries"], t["conj_depth"],
                                           f"{where}: conjugation variant")
-        try:  # the checks the task makes when it runs
+        try:  # the checks the task makes when it runs, in its order
             if t["task"] == "pair_correlation":
                 _require_abelian(cfg.folner)
-            for q in t["queries"] if "family" in t else ():
+            queries, Ns = t.get("queries", ()), [t["N"]] if "N" in t else t.get("schedule")
+            for q in queries if "family" in t else ():
                 momentmod._check_query(t["family"], q)
-                if "oracle_thetas" in t:
-                    momentmod.exponential_oracle(t["oracle_thetas"], q,
-                                                 cfg.built["scheme", t["scheme"]])
+            scheme = cfg.built["scheme", t["scheme"]] if "scheme" in t else None
+            if "family" in t:  # an indicator, not built here, reads as None
+                momentmod.check_moment_reads(
+                    [cfg.built.get(("function", n)) for n in t["family"]], queries, scheme, Ns)
+            elif scheme:  # normcheck
+                for N in Ns:
+                    momentmod.check_normalization(scheme, N)
+            for q in queries if "oracle_thetas" in t else ():
+                momentmod.exponential_oracle(t["oracle_thetas"], q, scheme)
+            if t["task"] == "verify" and cfg.group.kind == INT_Z and isinstance(
+                    cfg.built["system", t["system"]], oraclemod.MarkovSystem):
+                # its orbit spans max(Ns) + max - min points over every shift; a query
+                # of shifts from a to b leaves b - a fewer for its batch means
+                gs = [g for q in queries for g in q]
+                for q in queries:
+                    oraclemod.check_batches(max(Ns) + max(gs) - min(gs) - (max(q) - min(q)))
         except ValueError as e:
             raise ConfigError(f"{where}: {e}") from None
         # a task runs at one index N or over a schedule, never both

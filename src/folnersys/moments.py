@@ -119,11 +119,61 @@ def _weight_window(s: AveragingScheme, N: int) -> Tuple[int, int]:
     return s.folner.start, s.folner.start + N
 
 
-def scheme_normalization(s: AveragingScheme, N: int) -> Union[Fraction, float]:
-    """(1/(b(N)|F_N|)) sum_{g in F_N} a(g); exact when both rules are rational."""
+def _normalizer(s: AveragingScheme, N: int) -> Union[Fraction, float]:
+    """b(N); a missing or zero one is refused."""
     b = s.normalizer.value(N)
     if b == 0:
         raise ValueError("degenerate normalizer")
+    return b
+
+
+def _check_weight(s: AveragingScheme, N: int) -> None:
+    """Refuse, by arithmetic alone, a non-unit weight undefined at a point of F_N: the
+    first missing point of a custom table is found in O(len(table)) steps."""
+    w = s.weight
+    if w.is_unit:
+        return
+    start, stop = _weight_window(s, N)
+    if w.kind == "linear":
+        _check_linear(start)
+    if w.kind == "custom":
+        keys, n = {k for k, _ in w.table}, start
+        while n < stop and n in keys:
+            n += 1
+        if n < stop:
+            raise ValueError(f"custom weight table has no entry for {n}")
+
+
+def check_normalization(s: AveragingScheme, N: int) -> None:
+    """Refuse, by arithmetic alone, what `scheme_normalization(s, N)` refuses first."""
+    _normalizer(s, N)
+    _check_weight(s, N)
+
+
+def check_moment_reads(family: Sequence[Optional[FunctionSpec]],
+                       queries: Sequence[Sequence[Factor]], s: AveragingScheme,
+                       schedule: Sequence[int]) -> None:
+    """Refuse, by arithmetic alone, what `moment_table` refuses first of a function
+    defined on Z only, the weight and the normalizer, on checked queries.  An indicator
+    may be given as None: it is defined on every group."""
+    checked = False
+    for q in queries:
+        fns = [family[i - 1] for i, _, _ in q]
+        indicators = [f is None or isinstance(f, IndicatorFn) for f in fns]
+        if s.weight.is_unit and s.normalizer.is_unit and all(indicators):
+            continue  # counted exactly: neither rule is read
+        if s.folner.shape != SHAPE_INTERVAL and not all(indicators):
+            raise ValueError(f"{type(fns[indicators.index(False)]).__name__} "
+                             f"is defined on Z only")
+        for N in () if checked else schedule:  # the rules read the same at every query
+            _check_weight(s, N)
+            _normalizer(s, N)
+        checked = True
+
+
+def scheme_normalization(s: AveragingScheme, N: int) -> Union[Fraction, float]:
+    """(1/(b(N)|F_N|)) sum_{g in F_N} a(g); exact when both rules are rational."""
+    b = _normalizer(s, N)
     w, size = s.weight, s.folner.size(N)
     if w.is_unit:
         return Fraction(size) / (b * size) if isinstance(b, Fraction) else size / (float(b) * size)

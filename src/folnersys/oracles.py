@@ -8,6 +8,7 @@ densities of E(x) must then reproduce the closed-form measures.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -116,7 +117,8 @@ class PeriodicSystem(OracleSystem):
 
 class MarkovSystem(OracleSystem):
     """Stationary Markov shift; A = {sequences whose 0th state is accepted}.  An orbit
-    starts from a seed; a point costs k, the number of states: `states` scans n x k maps."""
+    starts from a seed; each of its points is charged k, the number of states,
+    against `caps.window`."""
 
     start_key = "seed"
 
@@ -174,43 +176,31 @@ class MarkovSystem(OracleSystem):
                         f"seed={start}")
 
     def states(self, n: int, seed: int = 0) -> np.ndarray:
-        """The first n states of the trajectory sampled from ``seed``.
-
-        X_0 is drawn from pi with u_0 and X_i = M_i(X_{i-1}), where
-        M_i(s) = searchsorted(cum_P[s], u_i).  The maps are stored as an
-        (n-1, k) table and composed by an inclusive Hillis-Steele scan, so
-        row i ends as M_{i+1} o ... o M_1 after ceil(log2(n-1)) passes.
-        """
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        u = np.random.default_rng(seed).random(n)
-        s0 = int(np.searchsorted(np.cumsum(self.pi), u[0]))
+        """The first n states of the trajectory sampled from ``seed``: X_0 is drawn
+        from pi with u_0 and X_i = searchsorted(cum_P[X_{i-1}], u_i), one step at a
+        time, for the uniforms u = default_rng(seed).random(n)."""
         k = self.P.shape[0]
-        cum_P = np.cumsum(self.P, axis=1)
-        maps = np.empty((n - 1, k), dtype=np.min_scalar_type(k))
-        for s in range(k):
-            maps[:, s] = np.searchsorted(cum_P[s], u[1:])
-        d = 1
-        while d < n - 1:
-            maps[d:] = np.take_along_axis(maps[d:], maps[:-d], axis=1)
-            d *= 2
-        return np.concatenate([[s0], maps[:, s0]])
+        u = np.random.default_rng(seed).random(n)
+        out = np.empty(n, dtype=np.min_scalar_type(k))
+        if n:
+            cum_P = np.cumsum(self.P, axis=1).tolist()
+            s = int(np.searchsorted(np.cumsum(self.pi), u[0]))
+            uv, ov = memoryview(u), memoryview(out)
+            ov[0] = s
+            for i in range(1, n):
+                s = ov[i] = bisect_left(cum_P[s], uv[i])
+        return out
 
     def sigma_bound(self, orbit: OrbitSet, shifts: Sequence[int]) -> float:
         """Batch-means standard error for the empirical product frequency."""
         hs = sorted(set(int(h) for h in shifts))
-        span = hs[-1] - hs[0]
-        usable = len(orbit.mask) - span
-        if usable < SIGMA_BATCHES:
-            raise ValueError(f"a Markov verify needs at least {SIGMA_BATCHES} orbit points "
-                             f"past its largest shift gap for {SIGMA_BATCHES} batch means, "
-                             f"got {usable}")
+        usable = len(orbit.mask) - (hs[-1] - hs[0])
+        check_batches(usable)
         vals = np.ones(usable, dtype=bool)
         for h in hs:
             vals &= orbit.mask[h - hs[0]: h - hs[0] + usable]
-        x = vals.astype(np.float64)
-        bs = usable // SIGMA_BATCHES
-        means = x[: bs * SIGMA_BATCHES].reshape(SIGMA_BATCHES, bs).mean(axis=1)
+        bs = usable // SIGMA_BATCHES  # each mean is an integer count over bs
+        means = vals[: bs * SIGMA_BATCHES].reshape(SIGMA_BATCHES, bs).sum(axis=1) / bs
         return float(means.std(ddof=1) / math.sqrt(SIGMA_BATCHES))
 
     def label(self) -> str:
@@ -265,6 +255,14 @@ MARKOV_SIGMA_FACTOR = 4.0
 SIGMA_BATCHES = 32  # batch means of a Markov sigma band
 
 
+def check_batches(usable: int) -> None:
+    """Refuse a Markov sigma band over fewer than SIGMA_BATCHES usable orbit points."""
+    if usable < SIGMA_BATCHES:
+        raise ValueError(f"a Markov verify needs at least {SIGMA_BATCHES} orbit points "
+                         f"past its largest shift gap for {SIGMA_BATCHES} batch means, "
+                         f"got {usable}")
+
+
 def verify_correspondence(sys: OracleSystem, queries: Sequence[Sequence[int]], f: FolnerSpec,
                           schedule: Sequence[int], start=0) -> CorrespondenceReport:
     """Check the `density_rows` of an orbit's visit set against the closed-form
@@ -279,7 +277,7 @@ def verify_correspondence(sys: OracleSystem, queries: Sequence[Sequence[int]], f
     queries = [tuple(int(g) for g in q) for q in queries]
     final = max(schedule)
     lo = f.start + min(min(q) for q in queries)
-    hi = f.start + final + max(max(q) for q in queries) + 1
+    hi = f.start + final + max(max(q) for q in queries)
     orbit = sys.orbit_set(lo, hi, start)
     rows = []
     for q, emp in zip(queries, density_rows(orbit, queries, f, schedule)):

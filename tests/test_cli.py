@@ -617,11 +617,11 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
         ({**verify, "system": "m"},
          {"systems": {"m": {"kind": "markov", "P": 5, "accept": [0]}}},
          "system m: transition matrix must be square"),
-        # 11 orbit points cannot fill 32 batch means: the sigma bound used to
+        # 10 orbit points cannot fill 32 batch means: the sigma bound used to
         # average empty batches into NaN and write it to report.json
         ({**verify, "system": "mark", "schedule": [10]}, {},
          "a Markov verify needs at least 32 orbit points past its largest shift gap "
-         "for 32 batch means, got 11"),
+         "for 32 batch means, got 10"),
         # the start key the system does not read used to be ignored, with exit 0
         ({**verify, "system": "gold", "schedule": [1000], "seed": 12345},
          {"systems": {"gold": {"kind": "rotation"}}},
@@ -854,10 +854,10 @@ def test_moment_index_is_no_shift(tmp_path, capsys):
 
 
 def test_markov_verify_fills_its_batches(tmp_path):
-    # 31 + 1 orbit points fill the 32 batch means one point each: no NaN
+    # 32 orbit points fill the 32 batch means one point each: no NaN
     out = tmp_path / "out"
     path = write_cfg(tmp_path, [{"task": "verify", "system": "mark", "queries": [[0]],
-                                 "schedule": [31]}])
+                                 "schedule": [32]}])
     assert main(["run", "--config", path, "--out", str(out)]) in (0, 1)
 
     def no_nan(name):
@@ -1045,6 +1045,67 @@ def test_cylinder_radius_below_one_refused_before_any_task(tmp_path, monkeypatch
         assert f"config error: task 1: {key} must be an integer >= 1, got 0" in \
             capsys.readouterr().err
     assert ran == []
+
+
+H3 = {"group": {"kind": "H3"}, "folner": {"shape": "heisenberg_box"}}
+WEIGHTS = {"lin": {"weight": {"kind": "linear"}},
+           "decay": {"weight": {"kind": "exp_decay", "rate": 0.1}}}
+ACCORD = {"task": "accordance", "family": ["e1"], "queries": [[[1, 0, 0]]], "eps": 0.05,
+          "schedule": [5, 10]}
+
+
+@pytest.mark.parametrize("task, overrides, message", [
+    # a non-indicator off Z is named before the weight
+    ({"task": "moments", "family": ["e1"], "scheme": "decay", "N": 3,
+      "queries": [[[1, 1, [0, 0, 0]]]]}, {**H3, "schemes": WEIGHTS},
+     "ExponentialFn is defined on Z only"),
+    ({"task": "moments", "family": ["f"], "scheme": "decay", "N": 3,
+      "queries": [[[1, 0, [0, 0, 0]]]]},
+     {**H3, "schemes": WEIGHTS,
+      "sets": {"s": {"rule": "component", "rules": [[0, 2], None, None]}},
+      "functions": {"f": {"kind": "indicator", "set": "s"}}},
+     "exp_decay weight is defined on Z only"),
+    ({**ACCORD, "scheme": "lin"}, {"folner": {"shape": "interval", "start": -5}},
+     "linear weight needs a nonnegative window"),
+    ({"task": "moments", "family": ["e1"], "scheme": "w", "N": 5, "queries": [[[1, 0, 0]]]},
+     {"schemes": {"w": {"weight": {"kind": "custom", "table": {0: 1, 1: 1, 2: 1, 4: 1}}}}},
+     "custom weight table has no entry for 3"),
+    ({**ACCORD, "scheme": "n"}, {"schemes": {"n": {"normalizer": {"kind": "custom",
+                                                                  "table": {5: 1}}}}},
+     "custom normalizer table has no entry for 10"),
+    ({"task": "normcheck", "scheme": "z", "N": 10},
+     {"schemes": {"z": {"normalizer": {"kind": "const", "c": 0}}}}, "degenerate normalizer"),
+    # 21 orbit points for 32 batch means
+    ({"task": "verify", "system": "mark", "queries": [[0]], "schedule": [21]}, {},
+     "a Markov verify needs at least 32 orbit points past its largest shift gap "
+     "for 32 batch means, got 21"),
+], ids=["off-z-function", "off-z-weight", "linear", "weight-table", "normalizer-table",
+        "zero-normalizer", "markov-batches"])
+def test_task_inputs_refused_before_any_task_runs(tmp_path, monkeypatch, capsys,
+                                                  task, overrides, message):
+    # each was refused only when its task ran, after the tasks before it
+    def run_task(*a):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(runner, "run_task", run_task)
+    assert main(["run", "--config", write_cfg(tmp_path, [task], **overrides)]) == 2
+    assert f"config error: task 0: {message}" in capsys.readouterr().err
+
+
+def test_verify_orbit_spans_its_windows(tmp_path, monkeypatch):
+    # the orbit was one point past the windows its rows read, and past caps.window
+    lengths, orbit_set = [], oracles.PeriodicSystem.orbit_set
+
+    def sized(self, lo, hi, start):
+        r = orbit_set(self, lo, hi, start)
+        lengths.append(len(r.mask))
+        return r
+
+    monkeypatch.setattr(oracles.PeriodicSystem, "orbit_set", sized)
+    path = write_cfg(tmp_path, [{"task": "verify", "system": "per", "queries": [[0]],
+                                 "schedule": [1000]}], caps={"window": 1000})
+    assert main(["run", "--config", path, "--no-cache", "--out", str(tmp_path / "o")]) == 0
+    assert lengths == [1000]
 
 
 def test_cli_window_cap_exit_code(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ from folnersys import (
     FolnerSpec, GroupSpec, MarkovSystem, PeriodicSystem, RotationSystem,
     density_at, verify_correspondence,
 )
-from folnersys.sets import SCALE
+from folnersys.sets import SCALE, OrbitSet
 
 Z = GroupSpec("Z")
 FZ = FolnerSpec(Z, "interval", start=0)
@@ -113,7 +115,7 @@ def test_markov_orbit_deterministic():
 
 
 def markov_states_loop(m, n, seed):
-    """One searchsorted per step: the oracle for the scanned `MarkovSystem.states`."""
+    """One searchsorted per step: the oracle for `MarkovSystem.states`."""
     u = np.random.default_rng(seed).random(n)
     cum_P = np.cumsum(m.P, axis=1)
     states = np.empty(n, dtype=np.int64)
@@ -125,16 +127,58 @@ def markov_states_loop(m, n, seed):
     return states
 
 
-@pytest.mark.parametrize("k", [2, 3, 5])
-def test_markov_scan_matches_sequential_states(k):
+def random_chain(k):
     P = np.random.default_rng(k).random((k, k)) + 0.05
-    m = MarkovSystem(P / P.sum(axis=1, keepdims=True), accept=[0, k - 1])
+    return MarkovSystem(P / P.sum(axis=1, keepdims=True), accept=[0, k - 1])
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 300])
+def test_markov_states_match_step_by_step_reference(k):
+    m = random_chain(k)
     lengths = [0, 1, 2, 3, 1000] + [2 ** j + e for j in range(1, 13) for e in (-1, 1)]
     for n in lengths:
         for seed in (0, 17):
             np.testing.assert_array_equal(m.states(n, seed), markov_states_loop(m, n, seed))
     orbit = m.orbit_set(-5, 995, 3)
     np.testing.assert_array_equal(orbit.mask, m.accepted[markov_states_loop(m, 1000, 3)])
+    if k == 300:  # states past 255 do not fit in uint8
+        assert m.states(1000, 0).max() > 255
+
+
+@pytest.mark.parametrize("k", [2, 300])
+def test_markov_states_memory(k):
+    # the uniforms, the states and the k x k cumulative table: no n x k table of maps
+    m, n = random_chain(k), 200_000
+    m.states(n, 1)  # numpy allocates caches of its own at a first call
+    tracemalloc.start()
+    try:
+        m.states(n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * n + 48 * k * k
+
+
+def sigma_reference(orbit, shifts):
+    """The float64 batch means the sigma bound was first written with."""
+    hs = sorted(set(shifts))
+    usable = len(orbit.mask) - (hs[-1] - hs[0])
+    vals = np.ones(usable, dtype=bool)
+    for h in hs:
+        vals &= orbit.mask[h - hs[0]: h - hs[0] + usable]
+    x = vals.astype(np.float64)
+    bs = usable // 32
+    means = x[: bs * 32].reshape(32, bs).mean(axis=1)
+    return float(means.std(ddof=1) / math.sqrt(32))
+
+
+def test_sigma_bound_matches_float_batch_means():
+    m, rng = random_chain(2), np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(40, 5000))
+        orbit = OrbitSet(0, rng.random(n) < rng.random(), "test", "test")
+        shifts = sorted(set(rng.integers(0, 8, size=int(rng.integers(1, 4))).tolist()))
+        assert m.sigma_bound(orbit, shifts) == sigma_reference(orbit, shifts)
 
 
 def test_verify_correspondence_rotation():
@@ -184,7 +228,7 @@ def test_verify_rows_match_density_at():
     for system, queries, start in cases:
         report = verify_correspondence(system, queries, f, schedule, start)
         lo = f.start + min(min(q) for q in queries)
-        hi = f.start + max(schedule) + max(max(q) for q in queries) + 1
+        hi = f.start + max(schedule) + max(max(q) for q in queries)
         orbit = system.orbit_set(lo, hi, start)
         assert [row.query for row in report.rows] == queries
         for q, row in zip(queries, report.rows):

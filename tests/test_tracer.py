@@ -50,11 +50,17 @@ def test_bench_tracer_runs_h3_and_z_configs(tmp_path):
          "sets": {"evens": {"rule": "congruence", "a": 0, "m": 2}},
          "tasks": [{"task": "cylinders", "set": "evens", "radius": 2, "depth": 2},
                    {"task": "density", "set": "evens", "shifts": [0, 3], "N": 100}]}
+    markov = {"folner": {"shape": "interval", "start": 0},
+              "systems": {"m": {"kind": "markov", "P": [[0.7, 0.3], [0.4, 0.6]], "accept": [1]}},
+              "tasks": [{"task": "verify", "system": "m", "queries": [[1, 3], [-2, 0]],
+                         "schedule": [500, 1000], "seed": 3}]}
     paths = []
-    for name, cfg in (("h3", h3), ("z", z)):
+    for name, cfg in (("h3", h3), ("z", z), ("markov", markov)):
         paths.append(str(tmp_path / f"{name}.yaml"))
         (tmp_path / f"{name}.yaml").write_text(yaml.safe_dump(cfg))
-    (code_h3, counters_h3), (code_z, _) = json.loads(
+    (code_h3, counters_h3), (code_z, _), (code_markov, counters_markov) = json.loads(
         _traced("-c", TRACED_RUNS, *paths).splitlines()[-1])
-    assert code_h3 == 0 and code_z == 0
+    assert code_h3 == 0 and code_z == 0 and code_markov == 0
     assert counters_h3["groups.coords_elems"] > 0
+    # the verify orbit is the hull of its windows: the final index and shifts -2 to 3
+    assert counters_markov["oracles.orbit_elems"] == 1000 + 3 - (-2)
