@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import marshal
+import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
@@ -28,7 +30,7 @@ from .groups import (GroupSpec, FolnerSpec, HEISENBERG3, INT_Z, INT_ZD, SHAPE_BO
 from . import sets as setmod
 from . import oracles as oraclemod
 from . import moments as momentmod
-from .density import _require_abelian
+from .density import _require_abelian, check_set_group
 from .schema import (_ANY, _INT, _OMIT, _SEQ, _SET, _build_schedule, _int, _name, _ok,
                      _real, _task_shifts, parse_node, parse_task)
 from .cylinders import check_cylinder_count
@@ -100,9 +102,13 @@ def check_extent(cfg: "ExperimentConfig", t: dict, N: int, where: str, per_point
 _SEED = (*_INT, lambda cfg: _OMIT if cfg.seed is None else cfg.seed)
 _BITS = ("a quoted string of 0s and 1s",
          lambda v, cfg: tuple(map(int, _ok(v, isinstance(v, str) and set(v) <= set("01")))))
-_TABLE = ("a mapping with integer keys",
-          lambda v, cfg: tuple(sorted((_INT[1](k, cfg), x)
-                                      for k, x in _ok(v, isinstance(v, dict)).items())))
+# a value is kept as given, so an int table keeps its exact sums; an int too large for
+# a float is refused with the rest
+_TABLE = ("a mapping of integers to finite numbers",
+          lambda v, cfg: tuple(sorted(
+              (_INT[1](k, cfg), _ok(x, isinstance(x, numbers.Real) and not isinstance(x, bool)
+                                    and math.isfinite(x)))
+              for k, x in _ok(v, isinstance(v, dict)).items())))
 
 
 def _node(table: dict, where: str, tag=None, default=None) -> tuple:
@@ -323,6 +329,15 @@ def _check_entry(cfg: ExperimentConfig, kind: str, name, d: dict):
         raise ConfigError(f"{where}: {e}") from None
 
 
+def _task_sets(cfg: ExperimentConfig, t: dict) -> list:
+    """The name of each set the parsed task t reads: those it names and the set of each
+    indicator its queries read."""
+    fns = {t["family"][i - 1] for q in t["queries"] for i, _, _ in q} if "family" in t else ()
+    return [t[k] for k in ("set", "set1", "set2") if k in t] + [
+        cfg.nodes["function", n]["set"] for n in fns
+        if cfg.nodes["function", n]["kind"] == "indicator"]
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     """Parse and check every named entry, keeping its node and, when it needs no window
     or other entry, the object built from it (`ExperimentConfig.nodes` and `built`);
@@ -361,10 +376,17 @@ def _validate(cfg: ExperimentConfig) -> None:
                     [cfg.built.get(("function", n)) for n in t["family"]], queries, scheme, Ns)
             elif scheme:  # normcheck
                 for N in Ns:
-                    momentmod.check_normalization(scheme, N)
+                    momentmod.check_scheme(scheme, N)
+            for name in _task_sets(cfg, t) if cfg.group.kind != INT_Z else ():
+                while cfg.nodes["set", name]["rule"] == "complement":
+                    name = cfg.nodes["set", name]["of"]
+                if cfg.nodes["set", name]["rule"] != "component":  # a set on Z
+                    check_set_group(GroupSpec(INT_Z), cfg.folner)
             for q in queries if "oracle_thetas" in t else ():
                 momentmod.exponential_oracle(t["oracle_thetas"], q, scheme)
-            if t["task"] == "verify" and cfg.group.kind == INT_Z and isinstance(
+            if t["task"] == "verify":
+                oraclemod.check_acts_on(cfg.folner)
+            if t["task"] == "verify" and isinstance(
                     cfg.built["system", t["system"]], oraclemod.MarkovSystem):
                 # its orbit spans max(Ns) + max - min points over every shift; a query
                 # of shifts from a to b leaves b - a fewer for its batch means

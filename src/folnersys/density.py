@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ._numpy import np
 from .errors import NoConvergentSubsequenceError
-from .groups import FolnerSpec, Element, SHAPE_INTERVAL, SHAPE_BOX
+from .groups import FolnerSpec, Element, GroupSpec, SHAPE_INTERVAL, SHAPE_BOX
 from .sets import SetSpec, indicator_bits
 
 Query = Tuple[Element, ...]
@@ -33,6 +33,12 @@ HISTOGRAM_BITS = 16
 HISTOGRAM_CHUNK = 1 << 16
 
 
+def check_set_group(group: GroupSpec, f: FolnerSpec) -> None:
+    """Refuse a set on `group` read over the windows of f, on another group."""
+    if f.group != group:
+        raise ValueError("group mismatch between set and Folner spec")
+
+
 def columns(E: SetSpec, f: FolnerSpec, N: int, gs: Sequence[Element], right: bool = False):
     """g -> the boolean column h -> 1_E(g*h) over h in F_N (1_E(h*g) with `right`),
     for each g in gs; callers must not write the columns.
@@ -40,8 +46,7 @@ def columns(E: SetSpec, f: FolnerSpec, N: int, gs: Sequence[Element], right: boo
     On a Z interval every column is a slice of one window over the hull of the
     shifts; elsewhere F_N's coordinates are built once and each column is
     membership on their translate."""
-    if f.group != E.group:
-        raise ValueError("group mismatch between set and Folner spec")
+    check_set_group(E.group, f)
     if f.shape == SHAPE_INTERVAL:
         f.size(N)  # refuses an index below 1
         lo = min(gs, default=0)

@@ -7,8 +7,9 @@ one.  The moment of a query [(i, conj, g_i), ...] against a family
 
     (1/(b(N)|F_N|)) sum_{g in F_N} a(g) prod_i f~_i(g_i g)
 
-with f~ the function or its conjugate.  All-indicator unweighted moments
-bypass floating point and reduce exactly to intersection densities.
+with f~ the function or its conjugate.  An all-indicator moment under the unit
+weight is a count: under the unit scheme an exact intersection density.  Every
+rule of the scheme is checked by `check_scheme`, which validation calls too.
 
 On an interval of Z every factor is a slice of its function's window
 (`functions.FunctionSpec.window`), filled once per task by `moment_table`.
@@ -38,21 +39,6 @@ Factor = Tuple[int, bool, Element]  # (1-based function index, conjugate?, shift
 # weights and normalizers
 
 
-def _check_linear(least: int) -> None:
-    """a(n) = n is a weight only on a window whose least point is nonnegative."""
-    if least < 0:
-        raise ValueError("linear weight needs a nonnegative window")
-
-
-def _table_values(table: tuple, keys, what: str) -> list:
-    """The entries of a custom table at `keys`; a missing one is refused."""
-    lookup = dict(table)
-    try:
-        return [lookup[k] for k in keys]
-    except KeyError as e:
-        raise ValueError(f"custom {what} table has no entry for {e.args[0]}") from None
-
-
 @dataclass(frozen=True)
 class WeightRule:
     """Named catalog: one, linear (a(n)=n), exp_decay(rate), or a custom table."""
@@ -62,18 +48,18 @@ class WeightRule:
     table: Optional[tuple] = None
 
     def values(self, n: np.ndarray) -> np.ndarray:
-        """Weights at the 1-D int64 window points n."""
+        """Weights at the 1-D int64 points n of a window that `check_scheme` accepted."""
         if self.kind == "one":
             return np.ones(len(n))
         if self.kind == "linear":
-            _check_linear(int(n.min()))
             return n.astype(np.float64)
         if self.kind == "exp_decay":  # exp(-rate |n|), computed in place
             w = np.abs(n).astype(np.float64)
             np.multiply(-self.rate, w, out=w)
             return np.exp(w, out=w)
         if self.kind == "custom":
-            return np.array(_table_values(self.table, n.tolist(), "weight"), dtype=np.float64)
+            lookup = dict(self.table)
+            return np.array([lookup[k] for k in n.tolist()], dtype=np.float64)
         raise ValueError(f"unknown weight rule {self.kind!r}")
 
     @property
@@ -97,7 +83,10 @@ class NormalizerRule:
         if self.kind == "linear_mean":
             return Fraction(N + 1, 2)
         if self.kind == "custom":
-            return _table_values(self.table, [N], "normalizer")[0]
+            lookup = dict(self.table)
+            if N not in lookup:
+                raise ValueError(f"custom normalizer table has no entry for {N}")
+            return lookup[N]
         raise ValueError(f"unknown normalizer rule {self.kind!r}")
 
     @property
@@ -112,50 +101,42 @@ class AveragingScheme:
     normalizer: NormalizerRule = NormalizerRule("one")
 
 
-def _weight_window(s: AveragingScheme, N: int) -> Tuple[int, int]:
-    """F_N = [start, stop), where a non-unit weight is read; weights live on Z only."""
-    if s.folner.group.kind != INT_Z:
-        raise ValueError(f"{s.weight.kind} weight is defined on Z only")
-    return s.folner.start, s.folner.start + N
-
-
-def _normalizer(s: AveragingScheme, N: int) -> Union[Fraction, float]:
-    """b(N); a missing or zero one is refused."""
-    b = s.normalizer.value(N)
-    if b == 0:
-        raise ValueError("degenerate normalizer")
-    return b
-
-
-def _check_weight(s: AveragingScheme, N: int) -> None:
-    """Refuse, by arithmetic alone, a non-unit weight undefined at a point of F_N: the
-    first missing point of a custom table is found in O(len(table)) steps."""
+def check_scheme(s: AveragingScheme, N: int) -> Union[Fraction, float]:
+    """b(N), once every refusal of the scheme at N has been made by arithmetic alone,
+    the weight's first: a non-unit weight off Z, a linear weight on a window with a
+    negative point, the first point of F_N a custom weight table misses (found in
+    O(len(table)) steps), then a missing normalizer, or one that is 0 or outside the
+    float range."""
     w = s.weight
-    if w.is_unit:
-        return
-    start, stop = _weight_window(s, N)
-    if w.kind == "linear":
-        _check_linear(start)
-    if w.kind == "custom":
-        keys, n = {k for k, _ in w.table}, start
-        while n < stop and n in keys:
-            n += 1
-        if n < stop:
-            raise ValueError(f"custom weight table has no entry for {n}")
-
-
-def check_normalization(s: AveragingScheme, N: int) -> None:
-    """Refuse, by arithmetic alone, what `scheme_normalization(s, N)` refuses first."""
-    _normalizer(s, N)
-    _check_weight(s, N)
+    if not w.is_unit:
+        if s.folner.group.kind != INT_Z:
+            raise ValueError(f"{w.kind} weight is defined on Z only")
+        start, stop = s.folner.start, s.folner.start + N
+        if w.kind == "linear" and start < 0:
+            raise ValueError("linear weight needs a nonnegative window")
+        if w.kind == "custom":
+            keys, n = {k for k, _ in w.table}, start
+            while n < stop and n in keys:
+                n += 1
+            if n < stop:
+                raise ValueError(f"custom weight table has no entry for {n}")
+    b = s.normalizer.value(N)
+    try:
+        x = float(b)
+    except OverflowError:
+        x = math.inf
+    if x == 0 or not math.isfinite(x):
+        raise ValueError("degenerate normalizer" + (
+            "" if b == 0 else f": b({N}) is outside the float range"))
+    return b
 
 
 def check_moment_reads(family: Sequence[Optional[FunctionSpec]],
                        queries: Sequence[Sequence[Factor]], s: AveragingScheme,
                        schedule: Sequence[int]) -> None:
     """Refuse, by arithmetic alone, what `moment_table` refuses first of a function
-    defined on Z only, the weight and the normalizer, on checked queries.  An indicator
-    may be given as None: it is defined on every group."""
+    defined on Z only and of the scheme (`check_scheme`), on checked queries.  An
+    indicator may be given as None: it is defined on every group."""
     checked = False
     for q in queries:
         fns = [family[i - 1] for i, _, _ in q]
@@ -166,29 +147,28 @@ def check_moment_reads(family: Sequence[Optional[FunctionSpec]],
             raise ValueError(f"{type(fns[indicators.index(False)]).__name__} "
                              f"is defined on Z only")
         for N in () if checked else schedule:  # the rules read the same at every query
-            _check_weight(s, N)
-            _normalizer(s, N)
+            check_scheme(s, N)
         checked = True
 
 
 def scheme_normalization(s: AveragingScheme, N: int) -> Union[Fraction, float]:
     """(1/(b(N)|F_N|)) sum_{g in F_N} a(g); exact when both rules are rational."""
-    b = _normalizer(s, N)
+    b = check_scheme(s, N)
     w, size = s.weight, s.folner.size(N)
     if w.is_unit:
         return Fraction(size) / (b * size) if isinstance(b, Fraction) else size / (float(b) * size)
     rational = w.kind == "linear" or (
         w.kind == "custom" and all(isinstance(v, (int, Fraction)) for _, v in w.table))
-    start, stop = _weight_window(s, N)
+    start, stop = s.folner.start, s.folner.start + N
     if not (rational and isinstance(b, Fraction)):
         n = np.arange(start, stop, dtype=np.int64)
         return float(np.sum(w.values(n))) / (float(b) * size)
     # exact in Python ints: an int64 sum wraps for windows near 2^62
     if w.kind == "linear":
-        _check_linear(start)
         total = N * start + N * (N - 1) // 2
     else:
-        total = sum(_table_values(w.table, range(start, stop), "weight"))
+        lookup = dict(w.table)
+        total = sum(lookup[n] for n in range(start, stop))
     return Fraction(total) / (b * size)
 
 
@@ -251,28 +231,23 @@ def weighted_moment(
     s: AveragingScheme,
     N: int,
 ) -> complex:
-    """Finite-N weighted moment; exact counting path taken when available.  Off Z a
-    family holds indicators only, under the unit weight, so the sum is a count."""
+    """Finite-N weighted moment.  An all-indicator query is counted: exactly under the
+    unit scheme (`moment_exact`), else, under the unit weight, by `window_count` on any
+    window.  Any other query, which `check_moment_reads` refuses off Z, is the sum of
+    the product of its factors' windows on an interval of Z."""
     exact = moment_exact(family, query, s, N)  # also validates the query
     if exact is not None:
         return complex(exact)
+    check_moment_reads(family, [query], s, [N])
     f = s.folner
-    if f.shape == SHAPE_INTERVAL:
+    if s.weight.is_unit and all(isinstance(family[i - 1], IndicatorFn) for i, _, _ in query):
+        total = complex(window_count([(family[i - 1].E, g, 1) for i, _, g in query], f, N))
+    else:
         prod = _interval_product(family, query, f, N)
         if not s.weight.is_unit:
-            prod *= s.weight.values(np.arange(*_weight_window(s, N), dtype=np.int64))
+            prod *= s.weight.values(np.arange(f.start, f.start + N, dtype=np.int64))
         total = complex(np.sum(prod))  # numpy pairwise summation keeps error tiny
-    else:
-        for i, _, _ in query:
-            if not isinstance(family[i - 1], IndicatorFn):
-                raise ValueError(f"{type(family[i - 1]).__name__} is defined on Z only")
-        if not s.weight.is_unit:
-            _weight_window(s, N)
-        total = complex(window_count([(family[i - 1].E, g, 1) for i, _, g in query], f, N))
-    b = float(s.normalizer.value(N))
-    if b == 0:
-        raise ValueError("degenerate normalizer")
-    return total / (b * s.folner.size(N))
+    return total / (float(s.normalizer.value(N)) * f.size(N))
 
 
 def moment_table(family: Sequence[FunctionSpec], queries: Sequence[Sequence[Factor]],

@@ -263,6 +263,12 @@ def check_batches(usable: int) -> None:
                          f"got {usable}")
 
 
+def check_acts_on(f: FolnerSpec) -> None:
+    """Refuse the windows of f off Z, where no oracle system acts."""
+    if f.group.kind != INT_Z:
+        raise ValueError("oracle systems act by Z only")
+
+
 def verify_correspondence(sys: OracleSystem, queries: Sequence[Sequence[int]], f: FolnerSpec,
                           schedule: Sequence[int], start=0) -> CorrespondenceReport:
     """Check the `density_rows` of an orbit's visit set against the closed-form
@@ -272,8 +278,7 @@ def verify_correspondence(sys: OracleSystem, queries: Sequence[Sequence[int]], f
     final index; Markov orbits within a 4-sigma batch-means band; periodic
     orbits must agree exactly once N is a multiple of the period.
     """
-    if f.group.kind != INT_Z:
-        raise ValueError("oracle systems act by Z only")
+    check_acts_on(f)
     queries = [tuple(int(g) for g in q) for q in queries]
     final = max(schedule)
     lo = f.start + min(min(q) for q in queries)

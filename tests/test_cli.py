@@ -7,6 +7,7 @@ import os
 import re
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -725,7 +726,8 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
         ({"functions": {"d": {"kind": "random_disk", "seed": 2.5}}},
          "function d: seed must be an integer, got 2.5"),
         ({"schemes": {"w": {"weight": {"kind": "custom", "table": {0: 1, 1: 1, 2.5: 1}}}}},
-         "scheme w: weight: table must be a mapping with integer keys, got {0: 1, 1: 1, 2.5: 1}"),
+         "scheme w: weight: table must be a mapping of integers to finite numbers, "
+         "got {0: 1, 1: 1, 2.5: 1}"),
         ({"sets": {"r": {"rule": "rotation", "alpa": "1/3"}}},
          "set r: unknown key 'alpa' for rule rotation"),
         ({"functions": {"d": {"kind": "random_disk", "sed": 5}}},
@@ -777,7 +779,7 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
         (5, "scheme w must be a mapping, got 5"),
         ({"weight": 5}, "scheme w: weight must be a mapping, got 5"),
         ({"weight": {"kind": "custom", "table": 5}},
-         "scheme w: weight: table must be a mapping with integer keys, got 5"),
+         "scheme w: weight: table must be a mapping of integers to finite numbers, got 5"),
         ({"weight": {"kind": "custom"}}, "scheme w: weight: missing key 'table'"),
         ({"weight": {"kind": "exp_decay", "rate": [1]}},
          "scheme w: weight: rate must be a number, got [1]"),
@@ -824,8 +826,8 @@ def test_cli_bad_input_exit_code(tmp_path, capsys):
     path = write_cfg(tmp_path, [{"task": "normcheck", "scheme": "w", "N": 3}],
                      schemes={"w": {"weight": {"kind": "custom", "table": mixed}}})
     assert main(["run", "--config", path]) == 2
-    assert "scheme w: weight: table must be a mapping with integer keys, got {0: 1, 'a': 2}" \
-        in capsys.readouterr().err
+    assert ("scheme w: weight: table must be a mapping of integers to finite numbers, "
+            "got {0: 1, 'a': 2}") in capsys.readouterr().err
     # (a rotation alpha of `mixed` is now refused by validation, as its constructor
     # refuses it; a Markov system reads the keys of an `accept` mapping as its states)
     day = datetime.date(2020, 1, 2)
@@ -1079,8 +1081,32 @@ ACCORD = {"task": "accordance", "family": ["e1"], "queries": [[[1, 0, 0]]], "eps
     ({"task": "verify", "system": "mark", "queries": [[0]], "schedule": [21]}, {},
      "a Markov verify needs at least 32 orbit points past its largest shift gap "
      "for 32 batch means, got 21"),
+    # a normalizer outside the float range used to raise ZeroDivisionError or
+    # OverflowError in the task
+    ({"task": "normcheck", "scheme": "w", "N": 10},
+     {"schemes": {"w": {"weight": {"kind": "exp_decay", "rate": 0.1},
+                        "normalizer": {"kind": "const", "c": "1e-400"}}}},
+     "degenerate normalizer: b(10) is outside the float range"),
+    ({"task": "moments", "family": ["e1"], "scheme": "w", "N": 10, "queries": [[[1, 0, 0]]]},
+     {"schemes": {"w": {"normalizer": {"kind": "const", "c": "1e400"}}}},
+     "degenerate normalizer: b(10) is outside the float range"),
+    # a set on Z, named or read through an indicator and a complement chain, and a
+    # verify, on H3
+    ({"task": "density", "set": "odds", "N": 3}, H3,
+     "group mismatch between set and Folner spec"),
+    ({"task": "compare", "set1": "lat", "set2": "odds", "depth": 1, "radius": 1, "eps": 0.1},
+     {**H3, "sets": {**BASE["sets"], "lat": {"rule": "component",
+                                             "rules": [[0, 2], None, None]}}},
+     "group mismatch between set and Folner spec"),
+    ({"task": "moments", "family": ["e1", "ind"], "scheme": "unit", "N": 3,
+      "queries": [[[2, 1, [0, 0, 0]]]]}, H3, "group mismatch between set and Folner spec"),
+    ({"task": "verify", "system": "per", "queries": [[[0, 0, 0]]], "schedule": [10]}, H3,
+     "oracle systems act by Z only"),
+    ({"task": "verify", "system": "mark", "queries": [[[0, 0, 0]]], "schedule": [10]}, H3,
+     "oracle systems act by Z only"),
 ], ids=["off-z-function", "off-z-weight", "linear", "weight-table", "normalizer-table",
-        "zero-normalizer", "markov-batches"])
+        "zero-normalizer", "markov-batches", "tiny-normalizer", "huge-normalizer",
+        "off-z-set", "off-z-set2", "off-z-indicator", "off-z-verify", "off-z-markov-verify"])
 def test_task_inputs_refused_before_any_task_runs(tmp_path, monkeypatch, capsys,
                                                   task, overrides, message):
     # each was refused only when its task ran, after the tasks before it
@@ -1090,6 +1116,94 @@ def test_task_inputs_refused_before_any_task_runs(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr(runner, "run_task", run_task)
     assert main(["run", "--config", write_cfg(tmp_path, [task], **overrides)]) == 2
     assert f"config error: task 0: {message}" in capsys.readouterr().err
+
+
+def test_off_z_task_reading_no_z_set_runs(tmp_path):
+    # an unused indicator of a set on Z, and a set on Z no task reads, are not refused
+    h3 = {**H3, "sets": {**BASE["sets"], "lat": {"rule": "component",
+                                                 "rules": [[0, 2], None, None]}},
+          "functions": {"lat": {"kind": "indicator", "set": "lat"}, **BASE["functions"]}}
+    task = {"task": "moments", "family": ["ind", "lat"], "scheme": "unit", "N": 3,
+            "queries": [[[2, 0, [0, 0, 0]]]]}
+    assert run(load_config(write_cfg(tmp_path, [task], **h3)))["exit_code"] == 0
+
+
+HALF_Z = {"folner": {"shape": "interval", "start": -5}}
+OFF_Z = {**H3, "sets": {"lat": {"rule": "component", "rules": [[0, 2], None, None]}},
+         "functions": {"f": {"kind": "indicator", "set": "lat"}}}
+
+
+@pytest.mark.parametrize("overrides, scheme, message", [
+    (OFF_Z, {"weight": {"kind": "exp_decay", "rate": 0.1}}, "exp_decay weight is defined on Z only"),
+    (HALF_Z, {"weight": {"kind": "linear"}}, "linear weight needs a nonnegative window"),
+    ({}, {"weight": {"kind": "custom", "table": {0: 1, 1: 1, 2: 1, 4: 1}}},
+     "custom weight table has no entry for 3"),
+    ({}, {"normalizer": {"kind": "custom", "table": {4: 1}}},
+     "custom normalizer table has no entry for 5"),
+    ({}, {"normalizer": {"kind": "const", "c": 0}}, "degenerate normalizer"),
+    ({}, {"normalizer": {"kind": "custom", "table": {5: 0.0}}}, "degenerate normalizer"),
+    ({}, {"normalizer": {"kind": "const", "c": "1e-400"}},
+     "degenerate normalizer: b(5) is outside the float range"),
+    ({}, {"normalizer": {"kind": "const", "c": "1e400"}},
+     "degenerate normalizer: b(5) is outside the float range"),
+    # a bad weight and a bad normalizer: the weight is named first everywhere
+    (HALF_Z, {"weight": {"kind": "linear"}, "normalizer": {"kind": "const", "c": 0}},
+     "linear weight needs a nonnegative window"),
+    (OFF_Z, {"weight": {"kind": "exp_decay", "rate": 0.1},
+             "normalizer": {"kind": "custom", "table": {}}}, "exp_decay weight is defined on Z only"),
+], ids=["off-z-weight", "linear", "weight-table", "normalizer-table", "zero-normalizer",
+        "zero-table-normalizer", "tiny-normalizer", "huge-normalizer", "weight-first",
+        "off-z-weight-first"])
+def test_scheme_defects_refused_alike_everywhere(tmp_path, monkeypatch, capsys, overrides,
+                                                 scheme, message):
+    # validation, weighted_moment, moment_table and scheme_normalization refuse each
+    # defect of a scheme at N with one message, made by `moments.check_scheme`
+    N, off_z = 5, "group" in overrides
+    fn, g = ("f", (0, 0, 0)) if off_z else ("e1", 0)
+
+    def run_task(*a):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(runner, "run_task", run_task)
+    for task in ({"task": "moments", "family": [fn], "scheme": "s", "N": N,
+                  "queries": [[[1, False, list(g) if off_z else g]]]},
+                 {"task": "normcheck", "scheme": "s", "N": N}):
+        path = write_cfg(tmp_path, [task], schemes={"s": scheme}, **overrides)
+        assert main(["run", "--config", path]) == 2, task
+        assert f"config error: task 0: {message}\n" in capsys.readouterr().err, task
+    cfg = load_config(path, tasks=[])
+    s, family, q = cfg.built["scheme", "s"], [config.Workspace(cfg).function(fn)], [(1, False, g)]
+    for call in (lambda: moments.weighted_moment(family, q, s, N),
+                 lambda: moments.moment_table(family, [q], s, [N]),
+                 lambda: moments.scheme_normalization(s, N)):
+        with pytest.raises(ValueError) as e:
+            call()
+        assert str(e.value) == message
+
+
+@pytest.mark.parametrize("value", [[1], None, float("inf"), float("nan"), True, "abc", "0.5",
+                                   10 ** 400],
+                         ids=["list", "null", "inf", "nan", "bool", "string", "numeric-string",
+                              "int-over-float-range"])
+def test_custom_table_values_are_numbers(tmp_path, value):
+    # a list or null normalizer entry raised TypeError in the task, a null or infinite
+    # weight was read as NaN, true as 1, and a string was refused only when its task ran
+    for rule in ("weight", "normalizer"):
+        path = write_cfg(tmp_path, [], schemes={"w": {rule: {"kind": "custom",
+                                                             "table": {1: value}}}})
+        with pytest.raises(ConfigError, match=f"scheme w: {rule}: table must be a mapping of "
+                                              f"integers to finite numbers"):
+            load_config(path)
+
+
+def test_custom_table_values_keep_their_type(tmp_path):
+    table = {1: 2, 2: 0.5, 3: np.int64(4), 4: np.float64(1.5)}
+    cfg = parse_config({**BASE, "schemes": {"w": {"weight": {"kind": "custom", "table": table}}}})
+    assert [type(v) for _, v in cfg.built["scheme", "w"].weight.table] == [
+        int, float, np.int64, np.float64]
+    cfg = parse_config({**BASE, "folner": {"shape": "interval", "start": 1}, "schemes": {
+        "w": {"weight": {"kind": "custom", "table": {1: 1, 2: 2}}}}})
+    assert moments.scheme_normalization(cfg.built["scheme", "w"], 2) == Fraction(3, 2)
 
 
 def test_verify_orbit_spans_its_windows(tmp_path, monkeypatch):

@@ -195,3 +195,20 @@ def test_only_config_imports_yaml():
     for name, tree in _sources("config.py"):
         for line in _imports(ast.walk(tree), "yaml"):
             raise AssertionError(f"{name}:{line} imports yaml")
+
+
+def test_each_scheme_refusal_has_one_site():
+    # validation and the library refuse a scheme through the same check, so each
+    # message is raised in exactly one place
+    sites = {m: [] for m in ("degenerate normalizer", "weight is defined on Z only",
+                             "linear weight needs", "custom weight table has no entry",
+                             "custom normalizer table has no entry")}
+    for name, tree in _sources(""):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                text = [c.value for c in ast.walk(node.exc)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+                for message, found in sites.items():
+                    if any(message in t for t in text):
+                        found.append(f"{name}:{node.lineno}")
+    assert all(len(found) == 1 for found in sites.values()), sites
