@@ -95,11 +95,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# report.json is `json.dumps(report, sort_keys=True, default=str)`, written in parts
+# by the C encoder: `json.dump` to a file runs the pure-Python one, and on Python 3.11
+# one C `encode` call keeps every fragment until it returns (one call for a 2,400-task
+# report raised peak memory by about 4 MB).  So each task entry is one call, and an
+# entry of more than _SPLIT_ROWS result rows is opened down to one call per row.
+_SPLIT_ROWS = 64
+_encode = json.JSONEncoder(sort_keys=True, default=str).encode
+
+
+def _one(v):
+    yield _encode(v)
+
+
+def _opened(d: dict, **members):
+    """The parts of `json.dumps(d, sort_keys=True, default=str)`, the value of each key
+    in `members` in the parts its function gives.  Every key is a string: sorting
+    refuses other keys beside a member's, as json does."""
+    yield "{"
+    for i, (k, v) in enumerate(sorted(d.items())):
+        yield f"{', ' if i else ''}{_encode(k)}: "
+        yield from members.get(k, _one)(v)
+    yield "}"
+
+
+def _each(items, member=_one):
+    yield "["
+    for i, v in enumerate(items):
+        if i:
+            yield ", "
+        yield from member(v)
+    yield "]"
+
+
+def _entry(entry: dict):
+    rows = entry["result"].get("rows")
+    if isinstance(rows, (list, tuple)) and len(rows) > _SPLIT_ROWS:
+        return _opened(entry, result=lambda r: _opened(r, rows=_each))
+    return _one(entry)
+
+
 def _write_report(report: dict, out_dir, fmt: str) -> None:
     if out_dir:
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            # streamed chunk by chunk: a large report is never held whole as one string
-            json.dump(report, fh, indent=2, sort_keys=True, default=str)
+            for part in _opened(report, tasks=lambda tasks: _each(tasks, _entry)):
+                fh.write(part)
             fh.write("\n")
         if fmt == "csv":
             for entry in report["tasks"]:

@@ -14,14 +14,14 @@ builds the others from their nodes, so no entry is parsed or built twice.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import marshal
 import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 from typing import Any, Dict, List, Optional
-
-import yaml
 
 from ._numpy import np
 from .errors import CapExceededError, ConfigError
@@ -141,8 +141,18 @@ _FUNCTIONS = {
     "indicator": dict(set=_SET),
     "random_disk": dict(seed=_SEED),
 }
+
+
+def _rate(v, cfg) -> float:
+    """An exp_decay rate: exp(-rate |n|) is a weight for a finite rate of at least 0."""
+    x = _real(v)
+    if math.isfinite(x) and x >= 0:
+        return x
+    raise ConfigError(f"rate must be finite and at least 0, got {v!r}")
+
+
 _WEIGHTS = {"one": {}, "linear": {}, "custom": dict(table=_TABLE),
-            "exp_decay": dict(rate=("a number", _real, 0.0))}
+            "exp_decay": dict(rate=("a number", _rate, 0.0))}
 _NORMALIZERS = {"one": {}, "linear_mean": {}, "custom": dict(table=_TABLE),
                 "const": dict(c=("a number", lambda v, cfg: Fraction(str(v))))}
 _SCHEME = dict(weight=_node(_WEIGHTS, "weight", "kind", "one"),
@@ -238,6 +248,20 @@ _MAKERS = {("set", "congruence"): setmod.Congruence, ("set", "rotation"): setmod
            ("function", "random_disk"): momentmod.RandomDiskFn}
 
 
+def yaml_identity() -> bytes:
+    """The bytes of PyYAML's `__init__.py`, which holds its version, read without
+    importing yaml."""
+    return Path(importlib.util.find_spec("yaml").origin).read_bytes()
+
+
+def _parse_yaml(text: bytes, path: str):
+    import yaml  # only here: a rerun served by the blob never loads PyYAML
+    try:
+        return yaml.load(text, Loader=yaml.SafeLoader)
+    except (yaml.YAMLError, ValueError) as e:  # ValueError: int literals over 4300 digits
+        raise ConfigError(f"parse error in {path}: {e}") from e
+
+
 def load_config(path: str, seed_override: Optional[int] = None,
                 cache_dir: Optional[str] = None,
                 tasks: Optional[List[dict]] = None) -> ExperimentConfig:
@@ -245,22 +269,20 @@ def load_config(path: str, seed_override: Optional[int] = None,
     replaces the file's task list, which is then neither read nor validated.  With
     `cache_dir`, YAML's mapping of the file is read from a marshal blob there when one
     holds it, and stored there once `parse_config` accepts it, under a key of the
-    file's bytes, the PyYAML and marshal versions and `source_digest`."""
+    file's bytes, PyYAML's identity (`yaml_identity`), the marshal version and
+    `source_digest`."""
     # imported on first use: imported at the top, before this module's body runs, the
     # cache module shifted the allocator's layout and raised a run's peak memory by
     # 0.1 to 0.3 MB
     from .cache import get_blob, put_blob, source_digest
     blob = None
-    try:
-        with open(path, "rb") as fh:  # bytes: YAML detects its own encoding
-            text = fh.read()
-        if cache_dir:
-            key = hashlib.sha256(text + repr(
-                (yaml.__version__, marshal.version, source_digest())).encode()).hexdigest()
-            blob = get_blob(cache_dir, key)
-        raw = blob if blob is not None else yaml.load(text, Loader=yaml.SafeLoader)
-    except (yaml.YAMLError, ValueError) as e:  # ValueError: int literals over 4300 digits
-        raise ConfigError(f"parse error in {path}: {e}") from e
+    with open(path, "rb") as fh:  # bytes: YAML detects its own encoding
+        text = fh.read()
+    if cache_dir:
+        key = hashlib.sha256(text + repr(
+            (yaml_identity(), marshal.version, source_digest())).encode()).hexdigest()
+        blob = get_blob(cache_dir, key)
+    raw = blob if blob is not None else _parse_yaml(text, path)
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     cfg = parse_config(raw if tasks is None else {**raw, "tasks": tasks},

@@ -104,9 +104,9 @@ class AveragingScheme:
 def check_scheme(s: AveragingScheme, N: int) -> Union[Fraction, float]:
     """b(N), once every refusal of the scheme at N has been made by arithmetic alone,
     the weight's first: a non-unit weight off Z, a linear weight on a window with a
-    negative point, the first point of F_N a custom weight table misses (found in
-    O(len(table)) steps), then a missing normalizer, or one that is 0 or outside the
-    float range."""
+    negative point, a custom weight table with a negative entry or missing a point of
+    F_N (the first, found in O(len(table)) steps), then a missing normalizer, or one
+    that is 0, negative or outside the float range."""
     w = s.weight
     if not w.is_unit:
         if s.folner.group.kind != INT_Z:
@@ -115,6 +115,9 @@ def check_scheme(s: AveragingScheme, N: int) -> Union[Fraction, float]:
         if w.kind == "linear" and start < 0:
             raise ValueError("linear weight needs a nonnegative window")
         if w.kind == "custom":
+            for k, v in w.table:
+                if v < 0:
+                    raise ValueError(f"custom weight table entry for {k} is negative")
             keys, n = {k for k, _ in w.table}, start
             while n < stop and n in keys:
                 n += 1
@@ -125,9 +128,10 @@ def check_scheme(s: AveragingScheme, N: int) -> Union[Fraction, float]:
         x = float(b)
     except OverflowError:
         x = math.inf
-    if x == 0 or not math.isfinite(x):
+    if x <= 0 or not math.isfinite(x):
         raise ValueError("degenerate normalizer" + (
-            "" if b == 0 else f": b({N}) is outside the float range"))
+            "" if b == 0 else f": b({N}) is negative" if x < 0
+            else f": b({N}) is outside the float range"))
     return b
 
 
@@ -311,7 +315,7 @@ def accordance_check(
     for q, pats in zip(queries, patterns):
         oscs = {pat: float(max((abs(a - b) for a, b in itertools.combinations(next(values), 2)),
                                default=0.0)) for pat in pats}
-        rows.append(AccordanceRow(q, oscs, not any(osc > eps for osc in oscs.values())))
+        rows.append(AccordanceRow(q, oscs, all(osc <= eps for osc in oscs.values())))
     return rows
 
 

@@ -1564,7 +1564,8 @@ def test_yaml_version_keys_the_blob_but_no_result(tmp_path, monkeypatch, fresh_c
     out = str(tmp_path / "out")
     assert main(["run", "--config", path, "--out", out]) == 0
     first = json.loads((tmp_path / "out" / "report.json").read_text())
-    monkeypatch.setattr(yaml, "__version__", "0.0.0")
+    # PyYAML's identity is the bytes of its __init__.py, read without importing yaml
+    monkeypatch.setattr(config, "yaml_identity", lambda: b"__version__ = '0.0.0'\n")
     source_digest.cache_clear()
     parsed = []
     load = yaml.load
@@ -1702,3 +1703,108 @@ def test_no_blob_without_an_accepted_cached_run(tmp_path, capsys):
     assert main(["run", "--config", good]) == 0
     assert main(["density", "--config", good, "--set", "odds", "-N", "10"]) == 0
     assert _blobs(tmp_path) == []
+
+
+def test_report_file_is_dumps_in_bounded_parts(tmp_path, monkeypatch):
+    # report.json is json.dumps of the report byte for byte, cold and served by the
+    # cache, yet written in parts: one encode call over the whole report held all of
+    # its fragments at once
+    sets = {**BASE["sets"], "orb": {"rule": "orbit", "system": "mark", "lo": -3, "hi": 400}}
+    schemes = {**BASE["schemes"], "decay": {"weight": {"kind": "exp_decay", "rate": 0.01}}}
+    functions = {**BASE["functions"], "e2": {"kind": "exponential", "theta": 0.5}}
+    queries = [[[1, False, 0]], [[1, False, 2], [2, True, 1]]]
+    tasks = [
+        {"task": "density", "set": "gold", "shifts": [0, 1], "N": 1000},
+        {"task": "upper_density", "set": "gold", "schedule": [100, 1000]},
+        {"task": "subsequence", "set": "gold", "queries": [[0], [0, 1]], "eps": 0.5},
+        {"task": "pair_correlation", "set": "gold", "N": 500, "H": 3},
+        {"task": "cylinders", "set": "orb", "radius": 1, "depth": 2, "schedule": [60, 300],
+         "patterns": True},
+        {"task": "cylinders", "set": "gold", "radius": 3, "depth": 3, "schedule": [60, 600]},
+        {"task": "additivity", "set": "evens", "element": 1, "N": 10},
+        {"task": "invariance", "set": "gold", "shift": 1, "N": 100},
+        {"task": "verify", "system": "mark", "queries": [[0], [0, 1]], "schedule": [2000]},
+        {"task": "spectrum", "set": "gold", "depth": 2, "radius": 2, "schedule": [60, 600]},
+        {"task": "compare", "set1": "evens", "set2": "odds", "depth": 1, "radius": 2,
+         "eps": 1e-9, "schedule": [60, 600], "expect": "CONSISTENT"},
+        {"task": "moments", "family": ["e1", "e2"], "scheme": "unit", "queries": queries,
+         "N": 500, "oracle_thetas": [0.25, 0.5]},
+        {"task": "accordance", "family": ["e1", "ind"], "scheme": "unit", "queries": queries,
+         "schedule": [100, 1000], "eps": 0.5},
+        {"task": "normcheck", "scheme": "decay", "N": 300, "tol": 1.0},
+    ]
+    path = write_cfg(tmp_path, tasks, sets=sets, schemes=schemes, functions=functions)
+    out = tmp_path / "out"
+    out.mkdir()
+    parts, open_ = [], open
+
+    class Spy:
+        def __init__(self, *args, **kwargs):
+            self.fh = open_(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, part):
+            parts.append(len(part))
+            return self.fh.write(part)
+
+    monkeypatch.setattr(cli, "open", Spy, raising=False)
+    for hit in (False, True):
+        cfg = load_config(path, cache_dir=str(out / ".cache"))
+        report = run(cfg, cache_dir=str(out / ".cache"))
+        assert [e["cache_hit"] for e in report["tasks"]] == [hit] * len(tasks)
+        assert len(report["tasks"][5]["result"]["rows"]) > cli._SPLIT_ROWS
+        parts.clear()
+        cli._write_report(report, str(out), "json")
+        text = (out / "report.json").read_text()
+        assert text == json.dumps(report, sort_keys=True, default=str) + "\n"
+        # the long cylinder table alone is over 64 KB
+        assert len(json.dumps(report["tasks"][5])) > 1 << 16 >= max(parts)
+
+
+def test_report_parts_encode_as_json(tmp_path):
+    # the opened levels, the report, an entry with many rows and its result, write
+    # their keys and rows as json does: escaped keys, and rows handed back as a tuple
+    rows = tuple({"n": n, "x": [n / 3, None, True], "é": "\"q\""} for n in range(100))
+    entry = {"index": 0, "task": {"task": "t"}, "cache_hit": True, "seconds": 0.5,
+             "key": "k", "☃ \"odd\"\n": 1,
+             "result": {"rows": rows, "z\\": float("nan"), "a": (1, 2), "date":
+                        datetime.date(2024, 1, 2)}}
+    report = {"version": "v", "tasks": [entry, {**entry, "index": 1, "result": {"rows": []}}],
+              "exit_code": 0, "ü": {"2": 1, "10": 2}}
+    cli._write_report(report, str(tmp_path), "json")
+    assert (tmp_path / "report.json").read_text() == json.dumps(
+        report, sort_keys=True, default=str) + "\n"
+
+
+@pytest.mark.parametrize("rate", [math.inf, -1, math.nan])
+def test_exp_decay_rate_is_finite_and_nonnegative(tmp_path, capsys, rate):
+    # an infinite rate made a moments row of NaN that printed PASS; a negative rate
+    # overflowed the weight
+    schemes = {"d": {"weight": {"kind": "exp_decay", "rate": rate}}}
+    tasks = [{"task": "moments", "family": ["e1"], "scheme": "d", "queries": [[[1, False, 0]]],
+              "N": 1000}]
+    assert main(["run", "--config", write_cfg(tmp_path, tasks, schemes=schemes)]) == 2
+    assert (f"scheme d: weight: rate must be finite and at least 0, got {rate!r}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("scheme, message", [
+    ({"weight": {"kind": "custom", "table": {0: 1, 1: -3, 2: 1, 3: 1}}},
+     "custom weight table entry for 1 is negative"),
+    ({"weight": {"kind": "custom", "table": {0: 1, 1: 1, 2: 1, 3: 1, 9: -0.5}}},
+     "custom weight table entry for 9 is negative"),
+    ({"normalizer": {"kind": "const", "c": -1}}, "degenerate normalizer: b(4) is negative"),
+    ({"normalizer": {"kind": "custom", "table": {4: -2.5}}},
+     "degenerate normalizer: b(4) is negative"),
+])
+def test_negative_weight_or_normalizer_refused(tmp_path, capsys, scheme, message):
+    # a weight -3 under b(N) = -1 read a normalization of exactly 0 as a verdict failure
+    tasks = [{"task": "normcheck", "scheme": "s", "N": 4}]
+    path = write_cfg(tmp_path, tasks, schemes={"s": scheme})
+    assert main(["run", "--config", path]) == 2
+    assert f"task 0: {message}" in capsys.readouterr().err

@@ -212,3 +212,35 @@ def test_each_scheme_refusal_has_one_site():
                     if any(message in t for t in text):
                         found.append(f"{name}:{node.lineno}")
     assert all(len(found) == 1 for found in sites.values()), sites
+
+
+# `folnersys ...` in this interpreter; the last line of stderr says whether PyYAML
+# was loaded
+YAML_PROBE = """
+import sys
+from folnersys.cli import main
+code = main(sys.argv[1:])
+print("yaml loaded:", "yaml" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_blob_hit_never_loads_yaml(tmp_path):
+    # the blob's key reads PyYAML's identity from its __init__.py, so an all-hit rerun
+    # never imports yaml
+    cfg, out = _config(tmp_path), tmp_path / "out"
+    loaded = []
+    for _ in range(2):
+        proc = _python("-c", YAML_PROBE, "run", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        loaded.append(proc.stderr.splitlines()[-1])
+    assert loaded == ["yaml loaded: True", "yaml loaded: False"]
+    assert all(entry["cache_hit"] for entry in _report(out)["tasks"])
+
+
+def test_malformed_yaml_still_a_parse_error(tmp_path):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("tasks: [\n")
+    proc = _python("-c", YAML_PROBE, "run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert f"config error: parse error in {cfg}" in proc.stderr

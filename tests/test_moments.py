@@ -397,3 +397,14 @@ def test_accordance_constant_function():
     rows = accordance_check(
         [ExponentialFn(0.0)], [[(1, False, 0)]], UNIT, [100, 1000], eps=1e-9)
     assert rows[0].accordant
+
+
+def test_accordance_nan_oscillation_is_not_accordant():
+    # exp(-inf * 0) is NaN, so every moment and oscillation is NaN, and NaN > eps
+    # is false: the row read as accordant
+    s = AveragingScheme(FolnerSpec(Z, "interval", start=0), WeightRule("exp_decay", math.inf))
+    with np.errstate(invalid="ignore"):
+        rows = accordance_check([ExponentialFn(0.137)], [[(1, False, 0)]], s, [100, 1000],
+                                eps=0.01, conj_depth=0)
+    assert all(math.isnan(osc) for osc in rows[0].oscillations.values())
+    assert not rows[0].accordant
