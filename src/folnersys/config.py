@@ -59,22 +59,20 @@ class ExperimentConfig:
                                     compare=False)
 
 
-def check_window(cfg: "ExperimentConfig", n: int, where: str, states: int = 1) -> None:
-    """Refuse, before anything is allocated, a window of n elements over the cap.
-    A Markov orbit over k states counts n*k."""
+def check_window(cfg: "ExperimentConfig", n: int, where: str) -> None:
+    """Refuse, before anything is allocated, a window of n elements over the cap."""
     cap = cfg.caps["window"]
-    if n * states > cap:
+    if n > cap:
         size = n if n < 1 << 64 else f"over 2^{n.bit_length() - 1}"
-        per = f" x {states} Markov states" if states > 1 else ""
-        raise CapExceededError(f"{where}: window of {size} elements{per} exceeds cap {cap}")
+        raise CapExceededError(f"{where}: window of {size} elements exceeds cap {cap}")
 
 
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
-def check_extent(cfg: "ExperimentConfig", t: dict, N: int, where: str, per_point=1) -> None:
-    """Refuse, by arithmetic alone, a parsed task whose windows at index N, at `per_point`
-    a point, exceed `caps.window` (exit 3) or hold a point outside int64 (exit 2)."""
+def check_extent(cfg: "ExperimentConfig", t: dict, N: int, where: str) -> None:
+    """Refuse, by arithmetic alone, a parsed task whose windows at index N exceed
+    `caps.window` (exit 3) or hold a point outside int64 (exit 2)."""
     f, shifts = cfg.folner, _task_shifts(t, cfg.group)
     if t.get("patterns"):  # one int8 entry per point of F_N and element of the ball; the
         # ball is counted up to the cylinder cap, which refuses a larger one when the task runs
@@ -83,7 +81,7 @@ def check_extent(cfg: "ExperimentConfig", t: dict, N: int, where: str, per_point
         check_window(cfg, size * ball, where)
     if f.shape == SHAPE_INTERVAL:
         lo, hi = min(shifts + [0]), max(shifts + [0])
-        check_window(cfg, N + hi - lo, where, per_point)
+        check_window(cfg, N + hi - lo, where)
         # a verify orbit spans [start + lo, start + N + hi), the windows its rows read
         if f.start + lo < INT64_MIN or f.start + N + hi > INT64_MAX:
             raise ConfigError(f"{where}: window [{f.start + lo}, {f.start + N + hi}) "
@@ -334,7 +332,7 @@ def _check_entry(cfg: ExperimentConfig, kind: str, name, d: dict):
             raise ConfigError(f"{where}: random bitmask requires a seed")
     if rule == "orbit":
         system = cfg.built["system", d["system"]]
-        check_window(cfg, d["hi"] - d["lo"], where, system.per_point)
+        check_window(cfg, d["hi"] - d["lo"], where)
         if system.start_key not in d:  # x0 has a default; a seed only the config's
             raise ConfigError(f"{where}: Markov orbit requires a seed")
     if d.get("kind") == "random_disk" and "seed" not in d:
@@ -418,8 +416,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         except ValueError as e:
             raise ConfigError(f"{where}: {e}") from None
         # a task runs at one index N or over a schedule, never both
-        check_extent(cfg, t, t["N"] if "N" in t else max(t["schedule"]), where,
-                     cfg.built["system", t["system"]].per_point if "system" in t else 1)
+        check_extent(cfg, t, t["N"] if "N" in t else max(t["schedule"]), where)
     # an orbit starts from its system's `start_key`, x0 or seed; the other key, which
     # its system does not read, is refused
     orbits = [(f"set {name}", d) for name, d in cfg.sets.items() if d["rule"] == "orbit"]

@@ -12,7 +12,10 @@ weight is a count: under the unit scheme an exact intersection density.  Every
 rule of the scheme is checked by `check_scheme`, which validation calls too.
 
 On an interval of Z every factor is a slice of its function's window
-(`functions.FunctionSpec.window`), filled once per task by `moment_table`.
+(`functions.FunctionSpec.window`), filled once per task by `moment_table`.  A table
+builds each query's weighted product once, over F_M for the largest index M, in one
+buffer it reuses for every query, and reads the moment at each N as a prefix sum of
+it; the value is bit for bit the one built over F_N alone.
 """
 from __future__ import annotations
 
@@ -33,6 +36,10 @@ from .groups import FolnerSpec, INT_Z, SHAPE_INTERVAL, Element
 from .spectrum import TUPLE_CAP
 
 Factor = Tuple[int, bool, Element]  # (1-based function index, conjugate?, shift)
+
+# points of a conjugated factor copied at a time into a table's product, so that no
+# second window-sized array exists
+CONJ_CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +215,15 @@ def moment_exact(
     return Fraction(window_count(terms, s.folner, N), s.folner.size(N))
 
 
+def _times(prod: np.ndarray, vals: np.ndarray) -> None:
+    """prod *= vals, bit for bit as over a longer array: numpy multiplies a single
+    element into itself by another loop, but out of place by the same one."""
+    if len(prod) > 1:
+        prod *= vals
+    else:
+        prod[...] = prod * vals
+
+
 def _interval_product(family: Sequence[FunctionSpec], query: Sequence[Factor],
                       f: FolnerSpec, N: int) -> np.ndarray:
     """prod_i f~_i(g_i + n) over F_N = [start, start+N), built in place from slices of
@@ -222,11 +238,55 @@ def _interval_product(family: Sequence[FunctionSpec], query: Sequence[Factor],
                 np.conj(vals, out=vals)
         if prod is None:
             prod = vals
-        elif N > 1:
-            prod *= vals
-        else:  # numpy multiplies one element into itself by another loop than out of place
-            prod = prod * vals
+        else:
+            _times(prod, vals)
     return prod
+
+
+class ProductBuffer:
+    """A table's scratch on an interval of Z: one complex buffer over F_M, the weights
+    over F_M, and the query whose weighted product the buffer holds."""
+
+    def __init__(self, s: AveragingScheme, M: int):
+        self.s, self.M = s, M
+        self.buf = self.weights = self.key = None
+
+    def product(self, family: Sequence[FunctionSpec], query: Sequence[Factor],
+                N: int) -> np.ndarray:
+        """The query's weighted product over F_N, a prefix of the buffer."""
+        key = tuple(map(tuple, query))
+        if key != self.key:
+            self._fill(family, query)
+            self.key = key
+        return self.buf[:N]
+
+    def _fill(self, family: Sequence[FunctionSpec], query: Sequence[Factor]) -> None:
+        f, M = self.s.folner, self.M
+        if self.buf is None:  # at the first product only, the weights first so that
+            # their temporaries are freed before the buffer exists
+            if not self.s.weight.is_unit:
+                self.weights = self.s.weight.values(
+                    np.arange(f.start, f.start + M, dtype=np.int64))
+            self.buf = np.empty(M, dtype=np.complex128)
+        buf, part = self.buf, None
+        for k, (i, conj, g) in enumerate(query):
+            f.group.check(g)
+            vals = family[i - 1].window(f.start + g, f.start + g + M)
+            if k == 0:
+                np.copyto(buf, vals)
+                if conj:
+                    np.conj(buf, out=buf)
+            elif not conj:
+                buf *= vals
+            else:
+                part = np.empty(min(CONJ_CHUNK, M), dtype=np.complex128) if part is None else part
+                for a in range(0, M, CONJ_CHUNK):
+                    chunk = part[:min(CONJ_CHUNK, M - a)]
+                    np.copyto(chunk, vals[a:a + len(chunk)])
+                    np.conj(chunk, out=chunk)
+                    _times(buf[a:a + len(chunk)], chunk)
+        if self.weights is not None:
+            buf *= self.weights
 
 
 def weighted_moment(
@@ -234,11 +294,13 @@ def weighted_moment(
     query: Sequence[Factor],
     s: AveragingScheme,
     N: int,
+    work: Optional[ProductBuffer] = None,
 ) -> complex:
     """Finite-N weighted moment.  An all-indicator query is counted: exactly under the
     unit scheme (`moment_exact`), else, under the unit weight, by `window_count` on any
     window.  Any other query, which `check_moment_reads` refuses off Z, is the sum of
-    the product of its factors' windows on an interval of Z."""
+    the product of its factors' windows on an interval of Z: at N > 1 a prefix of
+    `work`'s product when a table gives one, else built over F_N alone."""
     exact = moment_exact(family, query, s, N)  # also validates the query
     if exact is not None:
         return complex(exact)
@@ -246,6 +308,8 @@ def weighted_moment(
     f = s.folner
     if s.weight.is_unit and all(isinstance(family[i - 1], IndicatorFn) for i, _, _ in query):
         total = complex(window_count([(family[i - 1].E, g, 1) for i, _, g in query], f, N))
+    elif work is not None and N > 1:
+        total = complex(np.sum(work.product(family, query, N)))
     else:
         prod = _interval_product(family, query, f, N)
         if not s.weight.is_unit:
@@ -260,16 +324,29 @@ def moment_table(family: Sequence[FunctionSpec], queries: Sequence[Sequence[Fact
     is validated, each function's window, an indicator's being its set's, is filled at
     once over the hull of the factor windows [start+g, start+g+M), M = max(schedule),
     if they chain into one interval, so every factor reads a slice of it; shifts
-    further apart are left to `window`, which fills no gap."""
+    further apart are left to `window`, which fills no gap.  When every window chains
+    and the scheme passes `check_scheme` at M, so that a product over F_M refuses
+    nothing the schedule's own indices would not, each query's product is built once
+    in one `ProductBuffer`."""
     for q in queries:
         _check_query(family, q)
     M = max(schedule)
-    for i in dict.fromkeys(i for q in queries for i, _, _ in q):
-        if s.folner.shape == SHAPE_INTERVAL:
-            gs = sorted({g for q in queries for j, _, g in q if j == i})
-            if all(b - a <= M for a, b in zip(gs, gs[1:])):
-                family[i - 1].window(s.folner.start + gs[0], s.folner.start + gs[-1] + M)
-    return [[weighted_moment(family, q, s, N) for N in schedule] for q in queries]
+    chained = interval = s.folner.shape == SHAPE_INTERVAL
+    for i in dict.fromkeys(i for q in queries for i, _, _ in q) if interval else ():
+        gs = sorted({g for q in queries for j, _, g in q if j == i})
+        if all(b - a <= M for a, b in zip(gs, gs[1:])):
+            family[i - 1].window(s.folner.start + gs[0], s.folner.start + gs[-1] + M)
+        else:
+            chained = False
+    work = None
+    if chained and M > 1:
+        try:
+            check_scheme(s, M)
+        except ValueError:
+            pass  # the index that the schedule reaches first makes the refusal
+        else:
+            work = ProductBuffer(s, M)
+    return [[weighted_moment(family, q, s, N, work) for N in schedule] for q in queries]
 
 
 @dataclass

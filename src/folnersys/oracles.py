@@ -22,10 +22,9 @@ from .density import density_rows
 class OracleSystem:
     """Base for the closed-form systems, each with `exact_measure(shifts)`,
     `orbit_set(lo, hi, start)` and `label()`; all act by Z.  An orbit starts from the config
-    key `start_key`; each of its points costs `per_point` elements of `caps.window`."""
+    key `start_key`; each of its points costs one element of `caps.window`."""
 
     start_key = "x0"
-    per_point = 1
 
     def start(self, start):
         """The orbit's start as `orbit_set` reads it; a ValueError refuses it."""
@@ -117,8 +116,7 @@ class PeriodicSystem(OracleSystem):
 
 class MarkovSystem(OracleSystem):
     """Stationary Markov shift; A = {sequences whose 0th state is accepted}.  An orbit
-    starts from a seed; each of its points is charged k, the number of states,
-    against `caps.window`."""
+    starts from a seed."""
 
     start_key = "seed"
 
@@ -127,7 +125,7 @@ class MarkovSystem(OracleSystem):
         self.P = np.asarray(P, dtype=np.float64)
         if self.P.ndim != 2 or self.P.shape[0] != self.P.shape[1]:
             raise ValueError("transition matrix must be square")
-        k = self.per_point = self.P.shape[0]
+        k = self.P.shape[0]
         if not np.allclose(self.P.sum(axis=1), 1.0, atol=1e-10):
             raise ValueError("rows of P must sum to 1")
         if np.any((self.P < 0) | (self.P > 1)):

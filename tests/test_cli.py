@@ -932,21 +932,24 @@ def test_unused_entry_checked_as_if_built(tmp_path, capsys):
     assert "set b: window of 100000000 elements exceeds cap 67108864" in capsys.readouterr().err
 
 
-def test_markov_window_cap_reads_the_built_system(monkeypatch, capsys):
-    # a config built in Python may give P as a tuple of tuples: its orbit costs k states
-    # per point all the same, through an orbit set and through a verify task
+def test_markov_window_cap_reads_the_built_system(tmp_path, monkeypatch, capsys):
+    # a config built in Python may give P as a tuple of tuples: its orbit costs one
+    # element of caps.window a point, as any other orbit's, through an orbit set and
+    # through a verify task
     mark = {"kind": "markov", "P": ((0.7, 0.3), (0.4, 0.6)), "accept": (1,)}
-    orbit = {"rule": "orbit", "system": "mark", "lo": 0, "hi": 1000}
-    for task, sets in [
-        ({"task": "verify", "system": "mark", "queries": [[0]], "schedule": [1000]}, {}),
-        ({"task": "density", "set": "o", "N": 10}, {"o": orbit}),
-    ]:
-        raw = {**BASE, "systems": {**BASE["systems"], "mark": mark}, "caps": {"window": 1500},
-               "sets": {**BASE["sets"], **sets}, "tasks": [task]}
-        monkeypatch.setattr(cli, "load_config", lambda *args, **kw: parse_config(raw))
-        assert main(["run", "--config", "built-in-python.yaml"]) == 3, task
-        assert "window of 1000 elements x 2 Markov states exceeds cap 1500" in \
-            capsys.readouterr().err
+    for n, code in [(1000, 0), (1501, 3)]:
+        orbit = {"rule": "orbit", "system": "mark", "lo": 0, "hi": n}
+        for task, sets in [
+            ({"task": "verify", "system": "mark", "queries": [[0]], "schedule": [n]}, {}),
+            ({"task": "density", "set": "o", "N": 10}, {"o": orbit}),
+        ]:
+            raw = {**BASE, "systems": {**BASE["systems"], "mark": mark},
+                   "caps": {"window": 1500}, "sets": {**BASE["sets"], **sets}, "tasks": [task]}
+            monkeypatch.setattr(cli, "load_config", lambda *args, **kw: parse_config(raw))
+            assert main(["run", "--config", "built-in-python.yaml", "--no-cache",
+                         "--out", str(tmp_path / "o")]) == code, (n, task)
+            err = capsys.readouterr().err
+            assert (f"window of {n} elements exceeds cap 1500\n" in err) == (code == 3), err
 
 
 def test_path_errors_exit_2(tmp_path, monkeypatch, capsys, caplog):
@@ -1238,17 +1241,19 @@ def test_cli_window_cap_exit_code(tmp_path, capsys):
                      sets={"lat": {"rule": "component", "rules": [[0, 2], None, None]}})
     assert main(["run", "--config", path]) == 3
     assert "window of over 2^19931 elements exceeds cap" in capsys.readouterr().err
-    # a Markov orbit of n points over k states scans an n x k map table, so it is
-    # refused at n*k: here 1000 points x 2 states over a cap of 1500
-    orbit = {"rule": "orbit", "system": "mark", "lo": 0, "hi": 1000}
-    for task, sets in [
-        ({"task": "verify", "system": "mark", "queries": [[0]], "schedule": [1000]}, {}),
-        ({"task": "density", "set": "o", "N": 10}, {"o": orbit}),
-    ]:
-        path = write_cfg(tmp_path, [task], caps={"window": 1500}, sets=sets)
-        assert main(["run", "--config", path]) == 3, task
-        assert "window of 1000 elements x 2 Markov states exceeds cap 1500" in \
-            capsys.readouterr().err
+    # a Markov orbit holds about 10 bytes a point whatever its number of states, so
+    # each point costs one element of the cap: 1000 points run under a cap of 1500,
+    # and 1501 are refused
+    for n, code in [(1000, 0), (1501, 3)]:
+        orbit = {"rule": "orbit", "system": "mark", "lo": 0, "hi": n}
+        for task, sets in [
+            ({"task": "verify", "system": "mark", "queries": [[0]], "schedule": [n]}, {}),
+            ({"task": "density", "set": "o", "N": 10}, {"o": orbit}),
+        ]:
+            path = write_cfg(tmp_path, [task], caps={"window": 1500}, sets=sets)
+            assert main(["run", "--config", path, "--no-cache"]) == code, (n, task)
+            err = capsys.readouterr().err
+            assert (f"window of {n} elements exceeds cap 1500\n" in err) == (code == 3), err
     # observed patterns hold one entry per point of F_N and element of the ball:
     # 65,536 x 41 and 4^4 x 5 on the H3 box, which used to be built with exit 0
     h3 = {"group": {"kind": "H3"}, "folner": {"shape": "heisenberg_box"},

@@ -1,19 +1,22 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from folnersys import (
-    AveragingScheme, ComponentCongruence, Congruence, DyadicBlocks, ExponentialFn, FolnerSpec,
-    GroupSpec, IndicatorFn, NormalizerRule, ProductFn, RandomDiskFn,
+    AveragingScheme, Bitmask, ComponentCongruence, Congruence, DyadicBlocks, ExponentialFn,
+    FolnerSpec, GroupSpec, IndicatorFn, NormalizerRule, ProductFn, RandomDiskFn,
     WeightRule, accordance_check, density_at, exponential_oracle,
     scheme_normalization, weighted_moment,
 )
-from folnersys.errors import CapExceededError
-from folnersys.moments import ConjFn, moment_exact, moment_table
+from folnersys.errors import CapExceededError, WindowExceededError
+from folnersys.moments import (
+    CONJ_CHUNK, ConjFn, ProductBuffer, _interval_product, moment_exact, moment_table,
+)
 
 Z = GroupSpec("Z")
 FZ1 = FolnerSpec(Z, "interval", start=1)
@@ -408,3 +411,90 @@ def test_accordance_nan_oscillation_is_not_accordant():
                                 eps=0.01, conj_depth=0)
     assert all(math.isnan(osc) for osc in rows[0].oscillations.values())
     assert not rows[0].accordant
+
+
+def test_moment_table_reads_each_index_as_a_prefix_bit_for_bit():
+    """A table builds each query's product once over F_M and reads every N as a prefix
+    of it; each value equals, by repr (the sign of zero too), the one built over F_N
+    alone, on either side of every conjugate slice boundary."""
+    C = CONJ_CHUNK
+    family = [ExponentialFn(0.123456789), RandomDiskFn(11), IndicatorFn(Congruence(1, 3))]
+    # conjugated factors first, in the middle and last; indicator and complex factors
+    queries = [[(1, True, 0)], [(3, True, 2)], [(3, False, 0)],
+               [(1, True, 0), (2, False, 3)], [(2, False, 1), (3, True, 4), (1, False, 0)],
+               [(3, False, 0), (1, False, 5), (2, True, 2)], [(3, True, 1), (3, True, 6)],
+               [(3, False, 0), (3, False, 1)]]
+    schedules = [[2], [9, 1, 8, 7, 2], [1, 2, C - 1, C, C + 1], [7, C + 1, 2 * C + 3, 8]]
+    for start, weight, norm in [
+        (0, WeightRule("one"), NormalizerRule("const", c=2)),
+        (0, WeightRule("linear"), NormalizerRule("linear_mean")),
+        (-40000, WeightRule("exp_decay", rate=1e-4), NormalizerRule("one")),
+        (2 ** 62, WeightRule("exp_decay", rate=1e-3), NormalizerRule("one")),
+        (2 ** 62, WeightRule("linear"), NormalizerRule("const", c=3)),
+        (2 ** 62, WeightRule("custom", table=tuple(
+            (2 ** 62 + k, k % 5) for k in range(2 * C + 3))), NormalizerRule("one")),
+        (-40000, WeightRule("custom", table=tuple(
+            (-40000 + k, 1 / (1 + k % 7)) for k in range(2 * C + 3))), NormalizerRule("one")),
+    ]:
+        s = AveragingScheme(FolnerSpec(Z, "interval", start=start), weight, norm)
+        for schedule in schedules:
+            table = moment_table(family, queries, s, schedule)
+            alone = [[weighted_moment(family, q, s, N) for N in schedule] for q in queries]
+            assert repr(table) == repr(alone), (start, weight.kind, schedule)
+            # a sum can absorb one point's last bit: the products agree byte for byte
+            work = ProductBuffer(s, max(schedule))
+            for q, N in itertools.product(queries, [N for N in schedule if N > 1]):
+                prod = _interval_product(family, q, s.folner, N)
+                if not weight.is_unit:
+                    prod *= weight.values(np.arange(start, start + N, dtype=np.int64))
+                assert work.product(family, q, N).tobytes() == prod.tobytes(), (q, N)
+
+
+def test_moment_table_refuses_at_the_index_the_schedule_reaches():
+    # a product over F_M would read weights past the table: the refusal is the one
+    # made at the first index of the schedule that the scheme does not cover
+    f = FolnerSpec(Z, "interval", start=1)
+    s = AveragingScheme(f, WeightRule("custom", table=tuple((n, 1) for n in range(1, 6))))
+    with pytest.raises(ValueError, match=r"^custom weight table has no entry for 6$"):
+        moment_table([ExponentialFn(0.1)], [[(1, False, 0)]], s, [5, 10])
+    s = AveragingScheme(f, WeightRule("exp_decay", rate=0.1),
+                        NormalizerRule("custom", table=((5, 1), (10, 0))))
+    with pytest.raises(ValueError, match=r"^custom normalizer table has no entry for 8$"):
+        moment_table([ExponentialFn(0.1)], [[(1, False, 0)]], s, [5, 8, 10])
+    # shifts 0 and 85 of a bitmask's indicator do not chain at M = 30: its window is
+    # first exceeded at N = 20, not at M
+    family = [IndicatorFn(Bitmask(0, [1, 0] * 50)), ExponentialFn(0.1)]
+    with pytest.raises(WindowExceededError, match=r"^window exceeded: \[86,106\) outside"):
+        moment_table(family, [[(1, False, 0)], [(1, False, 85), (2, False, 0)]], UNIT,
+                     [10, 20, 30])
+
+
+def test_moment_table_holds_one_product_and_one_weight_array():
+    # at its peak a table holds the complex product and the float weights over F_M,
+    # one conjugate slice, numpy's cast buffer of 8192 complex values and small change;
+    # never a second window-sized array, such as a conjugate copy of a factor or the
+    # int64 points and |n| that exp_decay's weights are computed from
+    M = 200_000
+    s = AveragingScheme(FZ1, WeightRule("exp_decay", rate=1e-5))
+    family = [ExponentialFn(0.3), RandomDiskFn(5)]
+    query = [(1, False, 0), (2, False, 1), (1, True, 2)]
+    for fn in family:
+        fn.window(1, 1 + M + 2)  # the windows are the family's, filled before the table
+    tracemalloc.start()
+    try:
+        moment_table(family, [query], s, [M])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * M + 8 * M + 16 * CONJ_CHUNK + 256 * 1024, peak
+    # a table whose queries are all counted allocates no product at all
+    s = AveragingScheme(FZ1, WeightRule("one"), NormalizerRule("const", c=2))
+    family = [IndicatorFn(Congruence(0, 2)), IndicatorFn(Congruence(1, 3))]
+    moment_table(family, [[(1, False, 0), (2, True, 1)]], s, [M])
+    tracemalloc.start()
+    try:
+        moment_table(family, [[(1, False, 0), (2, True, 1)]], s, [10, M])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * M, peak
